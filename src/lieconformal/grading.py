@@ -54,7 +54,9 @@ class MalformedBracket(GradingError):
 class GradedProfile:
     a_seq: dict[int, Scalar]
     b_seq: dict[int, Scalar]
-    # (i, j) -> deg_l p_{i,j} for nonzero brackets, None for zero brackets
+    # (i, j) -> total degree of p_{i,j} for nonzero brackets, None for zero
+    # brackets.  The relation deg p_{i,j} = a_i + a_j - a_{i+j} - 1 holds for
+    # the total degree, not for deg_l: p_{0,4} of block(-2) normalizes to d.
     deg_choices: dict[tuple[int, int], int | None]
 
 
@@ -179,7 +181,7 @@ def _affine_parts_scaled(A: ConformalAlgebra, i: int, scale: Scalar) -> tuple[Sc
 
 
 def profile_from_table(A: ConformalAlgebra) -> GradedProfile:
-    """Extract (a_i, b_i, deg_l choices) and validate the two degree relations.
+    """Extract (a_i, b_i, degree choices) and validate the two degree relations.
 
     The grade-0 generator is normalized first: p_{0,0} = u*(d+2l) is allowed
     and all p_{0,i} are read after dividing by u (rescaling L_0 by 1/u).
@@ -204,7 +206,7 @@ def profile_from_table(A: ConformalAlgebra) -> GradedProfile:
             if not A.has_entry(i, j):
                 continue
             p = _single_coeff(A, i, j)
-            deg_choices[(i, j)] = p.degree_in("l") if not p.is_zero() else None
+            deg_choices[(i, j)] = p.total_degree()
     for (i, j), deg in deg_choices.items():
         if deg is None:
             continue
@@ -212,7 +214,7 @@ def profile_from_table(A: ConformalAlgebra) -> GradedProfile:
             expected = a_seq[i] + a_seq[j] - a_seq[i + j] - ONE
             if Scalar(deg) != expected:
                 raise MalformedBracket(
-                    f"deg_l p_{{{i},{j}}} = {deg} but a_{i}+a_{j}-a_{i+j}-1 = {expected}"
+                    f"deg p_{{{i},{j}}} = {deg} but a_{i}+a_{j}-a_{i+j}-1 = {expected}"
                 )
     for j in range(n):
         deg = deg_choices.get((1, j))
@@ -222,7 +224,7 @@ def profile_from_table(A: ConformalAlgebra) -> GradedProfile:
             expected = a_seq[1] + a_seq[j] - ONE - Scalar(deg)
             if a_seq[j + 1] != expected:
                 raise MalformedBracket(
-                    f"a_{j+1} = {a_seq[j+1]} but a_1+a_{j}-1-deg_l p_{{1,{j}}} = {expected}"
+                    f"a_{j+1} = {a_seq[j+1]} but a_1+a_{j}-1-deg p_{{1,{j}}} = {expected}"
                 )
     return GradedProfile(a_seq, b_seq, deg_choices)
 

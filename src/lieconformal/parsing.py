@@ -35,20 +35,19 @@ class _Tokenizer:
         self._scan()
         self.index = 0
 
-    def _location(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        last_nl = self.text.rfind("\n", 0, pos)
-        return line, pos - last_nl
-
     def _scan(self):
+        # line and column are tracked as the scan goes; no token spans a newline
         text = self.text
         i = 0
+        line, line_start = 1, 0
         while i < len(text):
             ch = text[i]
             if ch in " \t\r\n":
+                if ch == "\n":
+                    line, line_start = line + 1, i + 1
                 i += 1
                 continue
-            line, col = self._location(i)
+            col = i - line_start + 1
             if ch.isdigit():
                 j = i
                 while j < len(text) and text[j].isdigit():
@@ -63,8 +62,7 @@ class _Tokenizer:
                 i += 1
             else:
                 raise ParseError(f"unexpected character {ch!r}", line, col)
-        end_line, end_col = self._location(len(text))
-        self.tokens.append(("end", "", end_line, end_col))
+        self.tokens.append(("end", "", line, len(text) - line_start + 1))
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.index]

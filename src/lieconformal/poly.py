@@ -15,6 +15,7 @@ is the sentinel None, never -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalars import ONE, Scalar
 
@@ -116,16 +117,8 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict[Key, Scalar] = {}
-        for (a0, a1, a2), ca in self.terms.items():
-            for (b0, b1, b2), cb in other.terms.items():
-                key = (a0 + b0, a1 + b1, a2 + b2)
-                c = ca * cb
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        for key, coeff in self.terms.items():
+            _accumulate(out, key, coeff, other.terms)
         return _raw(out)
 
     __rmul__ = __mul__
@@ -165,16 +158,17 @@ class MultiPoly:
         The substitution is simultaneous: expr may itself contain var.
         """
         idx = _VAR_INDEX[var]
-        out = _ZERO
-        powers: dict[int, MultiPoly] = {0: _ONE}
+        out: dict[Key, Scalar] = {}
+        powers: dict[int, MultiPoly] = {0: _ONE, 1: expr}
         for key, coeff in self.terms.items():
             e = key[idx]
-            if e not in powers:
-                powers[e] = expr**e
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = _power(expr, e)
             rest = list(key)
             rest[idx] = 0
-            out = out + powers[e] * MultiPoly({tuple(rest): coeff})
-        return out
+            _accumulate(out, rest, coeff, power.terms)
+        return _raw(out)
 
     def coeff_of(self, var: str, k: int) -> "MultiPoly":
         """Polynomial coefficient of var**k (a polynomial in the others)."""
@@ -204,9 +198,6 @@ class MultiPoly:
             return None
         idx = _VAR_INDEX[var]
         return max(key[idx] for key in self.terms)
-
-    def homogeneous_part(self, degree: int) -> "MultiPoly":
-        return _raw({k: c for k, c in self.terms.items() if sum(k) == degree})
 
     def uses_only(self, allowed: tuple[str, ...]) -> bool:
         banned = [i for v, i in _VAR_INDEX.items() if v not in allowed]
@@ -264,6 +255,20 @@ class MultiPoly:
         return f"MultiPoly<{self.render()}>"
 
 
+def _accumulate(out: dict[Key, Scalar], shift, scale: Scalar, terms: dict[Key, Scalar]) -> None:
+    """out += scale * x^shift * (the polynomial with these terms); no zero is kept."""
+    s0, s1, s2 = shift
+    for (t0, t1, t2), ct in terms.items():
+        key = (s0 + t0, s1 + t1, s2 + t2)
+        c = scale * ct
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+
 def _raw(terms: dict[Key, Scalar]) -> MultiPoly:
     p = MultiPoly.__new__(MultiPoly)
     object.__setattr__(p, "terms", terms)
@@ -280,6 +285,16 @@ def _coerce(x) -> MultiPoly:
 
 _ZERO = MultiPoly()
 _ONE = MultiPoly.const(1)
+
+# Substitution images are few (affine shifts such as l+m or -l-d) and
+# exponents small, so a small bound holds every power a search reuses.
+_POWER_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_POWER_CACHE_SIZE)
+def _power(expr: MultiPoly, e: int) -> MultiPoly:
+    """expr**e, shared between calls; safe because MultiPoly is immutable."""
+    return expr**e
 
 D = MultiPoly.variable("d")
 L = MultiPoly.variable("l")

@@ -136,6 +136,15 @@ def test_profile_block_normalizes_grade_zero():
     assert all(b.is_zero() for b in prof.b_seq.values())
 
 
+def test_profile_block_with_vanishing_lambda_coefficient():
+    # where i + j = -2p the l-coefficient of p_{i,j} vanishes, so deg_l drops
+    # to 0 while the total degree stays 1 (p_{0,4} of block(-2) normalizes to d)
+    for p, a1 in ((-2, sc(Fraction(3, 2))), (Fraction(-3, 2), sc(Fraction(4, 3)))):
+        prof = profile_from_table(block(p, 12))
+        assert prof.a_seq == {i: 2 + i * (a1 - 2) for i in range(13)}
+        assert {v for v in prof.deg_choices.values() if v is not None} == {1}
+
+
 def test_profile_map_virasoro():
     prof = profile_from_table(map_virasoro_poly(9))
     assert all(a == Scalar(2) for a in prof.a_seq.values())

@@ -192,3 +192,37 @@ def test_divmod_univar():
     assert (r.degree_in("d") or 0) < b.degree_in("d")
     with pytest.raises(ValueError):
         divmod_univar(D + L, D)
+
+
+# -- substitution against the per-term definition ------------------------------
+
+
+def _naive_substitute(p, var, expr):
+    """Sum over terms of coeff * (rest monomial) * expr**e, one term at a time."""
+    idx = "dlm".index(var)
+    out = ZERO_P
+    for key, coeff in p.terms.items():
+        rest = list(key)
+        rest[idx] = 0
+        out = out + MultiPoly({tuple(rest): coeff}) * expr ** key[idx]
+    return out
+
+
+# every image a library call site substitutes, plus one nonlinear Gaussian one
+_IMAGES = (
+    ("l", M), ("l", L + M), ("l", -L - D), ("d", D + L), ("d", D + M),
+    ("d", -L - M), ("d", -L), ("m", ZERO_P), ("d", sc(1, 2) * L * L - D + 3),
+)
+
+
+@settings(max_examples=60)
+@given(polys(), st.sampled_from(_IMAGES))
+def test_substitute_matches_per_term_definition(p, image):
+    var, expr = image
+    assert p.substitute(var, expr) == _naive_substitute(p, var, expr)
+
+
+def test_substitute_powers_of_equal_images_agree():
+    # the power cache is keyed by value; an equal image built anew must agree
+    p = (D + L) ** 4 - 2 * D**3
+    assert p.substitute("d", -L - M) == p.substitute("d", -(L + M)) == _naive_substitute(p, "d", -L - M)

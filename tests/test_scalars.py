@@ -73,3 +73,59 @@ def test_inverses(a):
     assert a + (-a) == ZERO
     if not a.is_zero():
         assert a * (ONE / a) == ONE
+
+
+# -- the kernel against plain (re, im) pair arithmetic --------------------------
+
+
+def mixed_scalars():
+    """Reals (im == 0) and Gaussian values in equal measure."""
+    zero = st.just(Fraction(0))
+    return st.builds(Scalar, small_rationals(), st.one_of(zero, small_rationals()))
+
+
+def _pair(s):
+    return (s.re, s.im)
+
+
+def _pair_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+@given(mixed_scalars(), mixed_scalars())
+def test_kernel_matches_pair_arithmetic(a, b):
+    pa, pb = _pair(a), _pair(b)
+    assert _pair(a + b) == (pa[0] + pb[0], pa[1] + pb[1])
+    assert _pair(a - b) == (pa[0] - pb[0], pa[1] - pb[1])
+    assert _pair(a * b) == _pair_mul(pa, pb)
+    assert _pair(-a) == (-pa[0], -pa[1])
+    n = pb[0] * pb[0] + pb[1] * pb[1]
+    if n:
+        assert _pair(a / b) == _pair_mul(pa, (pb[0] / n, -pb[1] / n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    assert a.is_zero() == (pa == (0, 0))
+    assert (a == b) == (pa == pb)
+    assert hash(a) == hash(pa)
+    for result in (a + b, a - b, a * b, -a):
+        assert type(result.re) is Fraction and type(result.im) is Fraction
+
+
+@given(small_rationals(), st.one_of(st.just(Fraction(0)), small_rationals()))
+def test_raw_constructor_matches_validated_one(re, im):
+    from lieconformal.scalars import _make
+
+    made, built = _make(re, im), Scalar(re, im)
+    assert made == built and hash(made) == hash(built)
+    assert str(made) == str(built) and repr(made) == repr(built)
+
+
+def test_floats_are_refused():
+    for bad in (0.1, 1.0, 1j):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(1, bad)
+    with pytest.raises(TypeError):
+        sc(0.5)

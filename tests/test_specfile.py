@@ -54,6 +54,15 @@ def test_parse_error_location():
     assert err.value.column == 5
 
 
+def test_parse_error_location_multi_line():
+    with pytest.raises(ParseError) as err:
+        parse_poly("d +\n  2*l\n\t+ ?")
+    assert (err.value.line, err.value.column) == (3, 4)
+    with pytest.raises(ParseError) as err:
+        parse_poly("d +\n\n")
+    assert (err.value.line, err.value.column) == (3, 1)
+
+
 def test_parser_edge_cases():
     with pytest.raises(ParseError):
         parse_poly("1/0")
