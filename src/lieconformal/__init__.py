@@ -17,14 +17,17 @@ from .algebra import (
     abelian_constants,
     block,
     bracket,
+    check_algebra,
     check_jacobi,
     check_skew,
     current,
+    jacobi_defect,
     jth_product,
     map_virasoro,
     map_virasoro_poly,
     nonabelian2_constants,
     sl2_constants,
+    skew_image,
     truncated_polynomial_products,
     vir_semidirect_current,
     virasoro,

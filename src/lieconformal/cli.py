@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import InvalidStructure, TruncationExceeded, check_jacobi, check_skew
+from .algebra import InvalidStructure, TruncationExceeded, check_algebra
 from .annihilation import AnnihAlgebra, check_annih_lie, weight_spaces
 from .funceq import (
     FuncEqInstance,
@@ -77,9 +77,7 @@ def _scalar_arg(text: str) -> Scalar:
 
 def _cmd_check_algebra(args) -> int:
     spec = _load_spec(args.spec)
-    report = Report("algebra axioms")
-    report.checks.extend(check_skew(spec.algebra).checks)
-    report.checks.extend(check_jacobi(spec.algebra).checks)
+    report = check_algebra(spec.algebra)
     status = "pass" if report.passed else "fail"
     _emit(args, "check-algebra", status, report, {"generators": list(spec.algebra.gens)})
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

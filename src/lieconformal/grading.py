@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra, check_jacobi, check_skew
+from .algebra import ConformalAlgebra, check_algebra, jacobi_defect, skew_image
 from .funceq import FuncEqInstance, _defect_intertwiner, _monomials, _solve_by_matching
 from .poly import D, L, M, MultiPoly, exact_div
 from .reports import Report
@@ -30,8 +30,8 @@ from .scalars import ONE, Scalar, ZERO
 
 
 def _skew_condition(f: MultiPoly) -> MultiPoly:
-    """Vanishes iff f(d,l) = -f(d,-l-d); required of diagonal brackets."""
-    return f + f.substitute("l", -L - D)
+    """Vanishes iff f is its own skew image; required of diagonal brackets."""
+    return f - skew_image(f)
 
 
 class GradingError(ValueError):
@@ -101,7 +101,7 @@ def split_I0_I1(A: ConformalAlgebra) -> tuple[list[int], list[int], Report]:
                 continue
             if (i in in_I0) != (j in in_I0):
                 acting = i if i in in_I0 else j
-                a_i, b_i = _affine_parts(A, acting)
+                a_i, b_i = _affine_parts(A, acting, ONE)
                 defect = (
                     (a_i - ONE) * L - M + MultiPoly.const(b_i)
                 ) * p.substitute("l", L + M)
@@ -118,19 +118,6 @@ def split_I0_I1(A: ConformalAlgebra) -> tuple[list[int], list[int], Report]:
     return I0, I1, report
 
 
-def _affine_parts(A: ConformalAlgebra, i: int) -> tuple[Scalar, Scalar]:
-    """(a_i, b_i) of p_{0,i} = d + a_i l + b_i, for nonzero p_{0,i}."""
-    p = _single_coeff(A, 0, i)
-    if p.degrees().total not in (0, 1) or p.degree_in("l") not in (0, 1):
-        raise MalformedBracket(f"p_{{0,{i}}} = {p.render()} is not affine")
-    d_coeff = p.coeff_of("d", 1).constant_value()
-    if d_coeff != ONE:
-        raise MalformedBracket(f"p_{{0,{i}}} = {p.render()} must have unit d coefficient")
-    a = p.coeff_of("l", 1).constant_value()
-    b = p.coeff_of("l", 0).coeff_of("d", 0).constant_value()
-    return a, b
-
-
 def check_b_linear(A: ConformalAlgebra) -> Report:
     """b_i = i*b_1 for all graded lines; needs [L_1 _l L_i] nonzero in range."""
     _require_graded(A)
@@ -145,7 +132,7 @@ def check_b_linear(A: ConformalAlgebra) -> Report:
         if p.is_zero():
             report.skip(f"b({i})", "grade 0 does not act")
             continue
-        _, b_i = _affine_parts_scaled(A, i, scale)
+        _, b_i = _affine_parts(A, i, scale)
         if i == 1:
             b1 = b_i
         expected = Scalar(i) * (b1 if b1 is not None else ZERO)
@@ -169,7 +156,8 @@ def _virasoro_scale(A: ConformalAlgebra) -> Scalar:
     return u
 
 
-def _affine_parts_scaled(A: ConformalAlgebra, i: int, scale: Scalar) -> tuple[Scalar, Scalar]:
+def _affine_parts(A: ConformalAlgebra, i: int, scale: Scalar) -> tuple[Scalar, Scalar]:
+    """(a_i, b_i) of p_{0,i} / scale = d + a_i l + b_i, for nonzero p_{0,i}."""
     p = _single_coeff(A, 0, i) * (ONE / scale)
     if p.degrees().total not in (0, 1) or p.degree_in("l") not in (0, 1):
         raise MalformedBracket(f"normalized p_{{0,{i}}} = {p.render()} is not affine")
@@ -197,7 +185,7 @@ def profile_from_table(A: ConformalAlgebra) -> GradedProfile:
         p = _single_coeff(A, 0, i)
         if p.is_zero():
             continue
-        a, b = _affine_parts_scaled(A, i, scale)
+        a, b = _affine_parts(A, i, scale)
         a_seq[i] = a
         b_seq[i] = b
     deg_choices: dict[tuple[int, int], int | None] = {}
@@ -255,6 +243,16 @@ class ScanResult:
         }
 
 
+def _entry_of(table: dict[tuple[int, int], MultiPoly], unknown: tuple[int, int] | None = None):
+    """The graded table as an entry(i, j) vector function; the unknown pair reads as zero."""
+
+    def entry(i: int, j: int) -> dict[int, MultiPoly]:
+        p = table[(i, j)] if (i, j) != unknown else None
+        return {i + j: p} if p else {}
+
+    return entry
+
+
 _MAX_STEP_DEGREE = 3
 # at the unclassified zero-weight steps solutions are not bounded by the
 # table; search a little past the classified cap
@@ -307,10 +305,8 @@ class _Scan:
     def run(self) -> ScanResult:
         if not self.a1.is_real():
             return ScanResult(self.a1, self.horizon, False, None, 1)
-        table: dict[tuple[int, int], MultiPoly] = {}
-        self._seed_table(table)
+        table = self._initial_table()
         a_seq = [None, self.a1]  # 1-based
-        self._extend_zero_row(table, a_seq, 1)
         ok = self._check_new_grade(table, 0) and self._check_new_grade(table, 1)
         if not ok:
             return ScanResult(self.a1, self.horizon, False, None, 1)
@@ -321,60 +317,47 @@ class _Scan:
 
     # -- table plumbing ----------------------------------------------------
 
-    def _seed_table(self, table) -> None:
-        table[(0, 0)] = D + 2 * L
-
-    def _skew_image(self, p: MultiPoly) -> MultiPoly:
-        return -p.substitute("l", -L - D)
-
-    def _extend_zero_row(self, table, a_seq, h: int) -> bool:
-        p = D + a_seq[h] * L
-        table[(0, h)] = p
-        table[(h, 0)] = self._skew_image(p)
-        return True
+    def _initial_table(self) -> dict[tuple[int, int], MultiPoly]:
+        """Grades 0 and 1: p_{0,0} = d + 2l and p_{0,1} = d + a_1 l with its skew image."""
+        p01 = D + self.a1 * L
+        return {(0, 0): D + 2 * L, (0, 1): p01, (1, 0): skew_image(p01)}
 
     def _check_new_grade(self, table, h: int) -> bool:
         """Skew and Jacobi on everything with index sum == h."""
         for i in range(h + 1):
-            p = table[(i, h - i)]
-            if self._skew_image(p) != table[(h - i, i)]:
+            if skew_image(table[(i, h - i)]) != table[(h - i, i)]:
                 return False
-        for x in range(h + 1):
-            for y in range(h + 1 - x):
-                z = h - x - y
-                if not self._jacobi_holds(table, x, y, z):
-                    return False
-        return True
-
-    def _jacobi_holds(self, table, x, y, z) -> bool:
-        p_yz = table[(y, z)]
-        lhs = MultiPoly.zero()
-        if not p_yz.is_zero():
-            lhs = p_yz.substitute("l", M).substitute("d", D + L) * table[(x, y + z)]
-        p_xy = table[(x, y)]
-        rhs1 = MultiPoly.zero()
-        if not p_xy.is_zero():
-            rhs1 = p_xy.substitute("d", -L - M) * table[(x + y, z)].substitute("l", L + M)
-        p_xz = table[(x, z)]
-        rhs2 = MultiPoly.zero()
-        if not p_xz.is_zero():
-            rhs2 = p_xz.substitute("d", D + M) * table[(y, x + z)].substitute("l", M)
-        return (lhs - rhs1 - rhs2).is_zero()
+        entry = _entry_of(table)
+        return not any(
+            jacobi_defect(entry, x, y, h - x - y)
+            for x in range(h + 1)
+            for y in range(h + 1 - x)
+        )
 
     def _recurse_entry(self, table, i: int, j: int) -> MultiPoly | None:
-        """p_{i,j} forced by the Jacobi identity on (1, i-1, j); None if impossible."""
+        """p_{i,j} forced by the Jacobi identity on (1, i-1, j); None if impossible.
+
+        With p_{i,j} read as zero, the Jacobi defect on (1, i-1, j) is what
+        p_{1,i-1}(-l-m, l) * p_{i,j}(d, l+m) must equal.
+        """
         divisor = table[(1, i - 1)].substitute("d", -L - M)
-        numerator = (
-            table[(i - 1, j)].substitute("l", M).substitute("d", D + L) * table[(1, i - 1 + j)]
-            - table[(1, j)].substitute("d", D + M) * table[(i - 1, 1 + j)].substitute("l", M)
-        )
-        quotient = exact_div(numerator, divisor)
+        defect = jacobi_defect(_entry_of(table, unknown=(i, j)), 1, i - 1, j)
+        quotient = exact_div(defect.get(i + j, MultiPoly.zero()), divisor)
         if quotient is None:
             return None
         collapsed = quotient.substitute("m", MultiPoly.zero())
         if collapsed.substitute("l", L + M) != quotient:
             return None
         return collapsed
+
+    def _steps(self, a_prev: Scalar) -> list[tuple[int, Scalar]]:
+        """Row-one steps (k, a_{j+1}) from a_j = a_prev; each target occurs once."""
+        label = self.a1 + a_prev - ONE
+        steps = [(k, label - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
+        if label.is_real() and label.re.denominator == 1 and int(label.re) > _MAX_STEP_DEGREE:
+            # a drop to the unclassified zero weight from beyond the table cap
+            steps.append((int(label.re), ZERO))
+        return steps
 
     # -- the search ----------------------------------------------------------
 
@@ -385,12 +368,7 @@ class _Scan:
             return list(a_seq)
         j = depth  # choosing p_{1,j}, which fixes a_{j+1}
         h = depth + 1
-        steps = [(k, self.a1 + a_seq[j] - ONE - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
-        label = self.a1 + a_seq[j] - ONE
-        if label.is_real() and label.re.denominator == 1 and int(label.re) > _MAX_STEP_DEGREE:
-            # a drop to the unclassified zero weight from beyond the table cap
-            steps.append((int(label.re), ZERO))
-        for k, target in steps:
+        for k, target in self._steps(a_seq[j]):
             values = {s for s in a_seq[1:]} | {target}
             if 2 * len(values) > self.max_values:
                 continue
@@ -421,10 +399,10 @@ class _Scan:
             return None
 
         put((0, h), D + target * L)
-        put((h, 0), self._skew_image(table[(0, h)]))
+        put((h, 0), skew_image(table[(0, h)]))
         put((1, h - 1), p1j)
         if h - 1 != 1:
-            put((h - 1, 1), self._skew_image(p1j))
+            put((h - 1, 1), skew_image(p1j))
         for i in range(2, h):
             j = h - i
             if j < 1:
@@ -478,34 +456,20 @@ def assemble_witness_algebra(result: ScanResult) -> ConformalAlgebra:
     if not result.admissible or result.witness_sequence is None:
         raise ValueError("no witness to assemble")
     scan = _Scan(result.a1, result.horizon)
-    table: dict[tuple[int, int], MultiPoly] = {}
-    scan._seed_table(table)
+    table = scan._initial_table()
     a_seq = [None, result.a1]
-    scan._extend_zero_row(table, a_seq, 1)
     for target in result.witness_sequence[1:]:
         h = len(a_seq)
-        k_val = scan.a1 + a_seq[-1] - ONE - target
-        chosen = None
-        for cand_k in range(_MAX_STEP_DEGREE + 1):
-            if Scalar(cand_k) != k_val:
-                continue
-            for p1j in scan._candidates(a_seq[-1], target, cand_k, diagonal=(len(a_seq) - 1 == 1)):
-                added = scan._try_extension(table, a_seq, h, target, p1j)
-                if added is not None:
-                    chosen = p1j
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
+        ks = [k for k, t in scan._steps(a_seq[-1]) if t == target]
+        candidates = scan._candidates(a_seq[-1], target, ks[0], diagonal=(h == 2)) if ks else ()
+        if not any(scan._try_extension(table, a_seq, h, target, p1j) is not None for p1j in candidates):
             raise ValueError("witness sequence does not reassemble")
         a_seq.append(target)
     n = result.horizon + 1
     gens = tuple(f"L{i}" for i in range(n))
-    full = {
-        (i, j): ({i + j: p} if not p.is_zero() else {})
-        for (i, j), p in table.items()
-    }
+    entry = _entry_of(table)
+    full = {key: entry(*key) for key in table}
     algebra = ConformalAlgebra(gens, full, grades={i: i for i in range(n)}, truncation=result.horizon)
-    if not (check_skew(algebra).passed and check_jacobi(algebra).passed):
+    if not check_algebra(algebra).passed:
         raise AssertionError("assembled witness fails the axiom checks")
     return algebra

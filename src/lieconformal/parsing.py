@@ -20,6 +20,11 @@ from .poly import MultiPoly
 from .scalars import Scalar
 
 
+# deeper parenthesis nesting is refused rather than left to exhaust the stack
+_MAX_NESTING = 100
+_DIGITS = "0123456789"
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
@@ -48,9 +53,9 @@ class _Tokenizer:
                 i += 1
                 continue
             col = i - line_start + 1
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("int", text[i:j], line, col))
                 i = j
@@ -78,6 +83,7 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
+        self.depth = 0
 
     def parse(self) -> MultiPoly:
         value = self._expr()
@@ -134,8 +140,12 @@ class _Parser:
                 return MultiPoly.const(Scalar(Fraction(numer, int(den[1]))))
             return MultiPoly.const(Scalar(numer))
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", tok[2], tok[3])
             self.toks.take()
+            self.depth += 1
             value = self._expr()
+            self.depth -= 1
             self.toks.take(")")
             return value
         raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}", tok[2], tok[3])

@@ -43,9 +43,6 @@ class PolyMatrix:
     def __eq__(self, other):
         return isinstance(other, PolyMatrix) and self.rows == other.rows
 
-    def to_lists(self):
-        return [list(r) for r in self.rows]
-
     def render(self) -> str:
         return "; ".join(", ".join(c.render() for c in row) for row in self.rows)
 

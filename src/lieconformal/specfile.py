@@ -125,16 +125,21 @@ def _poly_entry(value: str, lineno: int) -> MultiPoly:
     return poly
 
 
+def _is_index(text: str) -> bool:
+    """True for a nonempty run of the ASCII digits 0-9 only."""
+    return text.isascii() and text.isdigit()
+
+
 def _bracket_indices(key: str, lineno: int) -> list[int]:
     """Indices from p_i_j, p_i_j_k, or the compact single-digit forms p_ij, p_ijk."""
     rest = key[2:]
     if "_" in rest:
         parts = rest.split("_")
-    elif rest.isdigit() and len(rest) in (2, 3):
+    elif _is_index(rest) and len(rest) in (2, 3):
         parts = list(rest)
     else:
         parts = [rest]
-    if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
+    if len(parts) not in (2, 3) or not all(_is_index(p) for p in parts):
         raise ParseError(f"malformed bracket key {key!r}", lineno, 1)
     return [int(p) for p in parts]
 
@@ -251,7 +256,7 @@ def _module_section(pairs, algebra: ConformalAlgebra) -> ConformalModule:
         if not key.startswith("action_"):
             continue
         idx_text = key[len("action_"):]
-        if not idx_text.isdigit():
+        if not _is_index(idx_text):
             raise ParseError(f"malformed action key {key!r}", lineno, 1)
         gen = int(idx_text)
         if gen >= algebra.n_gens:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lieconformal.algebra import (
     AlgebraElement,
@@ -13,17 +14,19 @@ from lieconformal.algebra import (
     check_jacobi,
     check_skew,
     current,
+    jacobi_defect,
     jth_product,
     map_virasoro,
     map_virasoro_poly,
     nonabelian2_constants,
+    skew_image,
     sl2_constants,
     truncated_polynomial_products,
     vir_semidirect_current,
     virasoro,
 )
 from lieconformal.poly import D, L, MultiPoly
-from lieconformal.scalars import ONE, Scalar, sc
+from lieconformal.scalars import I, ONE, Scalar, sc
 
 
 def test_virasoro_bracket():
@@ -101,6 +104,30 @@ def test_check_jacobi_rejects_nonabelian_twist():
     assert not rep.passed
     good = vir_semidirect_current(1, constants, labels)
     assert check_jacobi(good).passed
+
+
+@pytest.mark.parametrize("a", [Scalar(0), Scalar(3), ONE + I, ONE])
+def test_jacobi_defect_closed_form(a):
+    # generators L, e, f, h: only the twist of [e _m f] = h by L survives
+    A = vir_semidirect_current(a, *sl2_constants())
+    expected = {} if a == ONE else {3: (ONE - a) * L}
+    assert jacobi_defect(A.entry, 0, 1, 2) == expected
+
+
+_dl_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0)),
+    st.builds(
+        Scalar,
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    ),
+    max_size=6,
+).map(MultiPoly)
+
+
+@given(_dl_polys)
+def test_skew_image_is_an_involution(p):
+    assert skew_image(skew_image(p)) == p
 
 
 def test_current_sl2_is_lambda_free_and_consistent():

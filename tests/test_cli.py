@@ -70,6 +70,14 @@ def test_spec_error_exit_code(tmp_path):
     assert cli.run(["check-algebra", str(tmp_path / "missing.lca")]) == 2
 
 
+def test_deeply_nested_entry_exit_code(tmp_path, capsys):
+    entry = "(" * 3000 + "d" + ")" * 3000
+    spec = _write(tmp_path, "deep.lca", f"[algebra]\ngenerators = L\np_000 = {entry}\n")
+    assert cli.run(["check-algebra", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested deeper" in err
+
+
 def test_truncation_exit_code(monkeypatch):
     from lieconformal.algebra import TruncationExceeded
 

@@ -76,12 +76,29 @@ def test_parser_edge_cases():
         parse_poly("d l")  # juxtaposition is not multiplication
     with pytest.raises(ParseError):
         parse_poly("")
+    # only the ASCII digits 0-9 are digits
+    for text, column in (("\u00b2", 1), ("d^\u00b2", 3), ("\u0663*d", 1), ("2*d + 1\u0661", 8)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.column) == (1, column)
+    # nesting is bounded, so deep input is refused before it exhausts the stack
+    assert parse_poly("(" * 100 + "d" + ")" * 100) == D
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" * 3000 + "d" + ")" * 3000)
+    assert (err.value.line, err.value.column) == (1, 101)
 
 
 def test_parse_error_in_spec_entry():
     bad = VIR.replace("d + 2*l", "d + + l", 1)
     with pytest.raises(ParseError):
         parse_spec(bad)
+    for key in ("p_\u00b20", "p_\u00b2_0", "p_0_\u0661"):
+        with pytest.raises(ParseError) as err:
+            parse_spec(VIR.replace("p_00", key))
+        assert err.value.line == 5
+    with pytest.raises(ParseError) as err:
+        parse_spec(VIR.replace("action_0", "action_\u00b2"))
+    assert err.value.line == 9
 
 
 def test_unknown_generator():
