@@ -209,9 +209,12 @@ def jacobi_defect(entry, x: int, y: int, z: int) -> dict[int, MultiPoly]:
     """Defect of [g_x _l [g_y _m g_z]] = [[g_x _l g_y] _{l+m} g_z] + [g_y _m [g_x _l g_z]].
 
     entry(i, j) returns the bracket [g_i _l g_j] as a generator-indexed
-    vector.  A substituted factor is computed only when the bracket it
-    multiplies is nonzero.  Every entry the identity needs is still read,
-    so a pair beyond the truncation still raises TruncationExceeded.
+    vector.  Indices need not all be generators: check_module passes the
+    basis vectors of a module as indices past the last generator, and the
+    defect is then the module compatibility defect.  A substituted factor
+    is computed only when the bracket it multiplies is nonzero.  Every
+    entry the identity needs is still read, so a pair beyond the
+    truncation still raises TruncationExceeded.
     """
     out: dict[int, MultiPoly] = {}
 

@@ -19,7 +19,7 @@ sufficient, for the infinite statement; results record the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, check_algebra, jacobi_defect, skew_image
@@ -228,6 +228,9 @@ class ScanResult:
     admissible: bool
     witness_sequence: tuple[Scalar, ...] | None
     rejection_depth: int | None
+    # the witness table the search checked, (i, j) -> p_{i,j}: what
+    # assemble_witness_algebra builds from, not part of the result's value
+    table: dict[tuple[int, int], MultiPoly] | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -312,7 +315,7 @@ class _Scan:
             return ScanResult(self.a1, self.horizon, False, None, 1)
         found = self._dfs(table, a_seq)
         if found is not None:
-            return ScanResult(self.a1, self.horizon, True, tuple(found[1:]), None)
+            return ScanResult(self.a1, self.horizon, True, tuple(found[1:]), None, table)
         return ScanResult(self.a1, self.horizon, False, None, self.best_depth)
 
     # -- table plumbing ----------------------------------------------------
@@ -452,23 +455,13 @@ def scan_grid(values, horizon: int) -> list[ScanResult]:
 
 
 def assemble_witness_algebra(result: ScanResult) -> ConformalAlgebra:
-    """Rebuild the witness table of an admissible scan as a checked algebra."""
-    if not result.admissible or result.witness_sequence is None:
+    """The witness table of an admissible scan as a checked algebra."""
+    if not result.admissible or result.table is None:
         raise ValueError("no witness to assemble")
-    scan = _Scan(result.a1, result.horizon)
-    table = scan._initial_table()
-    a_seq = [None, result.a1]
-    for target in result.witness_sequence[1:]:
-        h = len(a_seq)
-        ks = [k for k, t in scan._steps(a_seq[-1]) if t == target]
-        candidates = scan._candidates(a_seq[-1], target, ks[0], diagonal=(h == 2)) if ks else ()
-        if not any(scan._try_extension(table, a_seq, h, target, p1j) is not None for p1j in candidates):
-            raise ValueError("witness sequence does not reassemble")
-        a_seq.append(target)
     n = result.horizon + 1
     gens = tuple(f"L{i}" for i in range(n))
-    entry = _entry_of(table)
-    full = {key: entry(*key) for key in table}
+    entry = _entry_of(result.table)
+    full = {key: entry(*key) for key in result.table}
     algebra = ConformalAlgebra(gens, full, grades={i: i for i in range(n)}, truncation=result.horizon)
     if not check_algebra(algebra).passed:
         raise AssertionError("assembled witness fails the axiom checks")

@@ -116,10 +116,11 @@ def _unquote(value: str) -> str:
 
 
 def _poly_entry(value: str, lineno: int) -> MultiPoly:
+    """The polynomial of one entry; an error names the spec line and the column in the entry."""
     try:
         poly = parse_poly(_unquote(value))
     except ParseError as exc:
-        raise ParseError(f"line {lineno}: {exc}", exc.line, exc.column) from None
+        raise ParseError(exc.message, lineno, exc.column) from None
     if not poly.uses_only(("d", "l")):
         raise ParseError("bracket entries may only use d and l", lineno, 1)
     return poly
@@ -128,6 +129,13 @@ def _poly_entry(value: str, lineno: int) -> MultiPoly:
 def _is_index(text: str) -> bool:
     """True for a nonempty run of the ASCII digits 0-9 only."""
     return text.isascii() and text.isdigit()
+
+
+def _count(text: str, lineno: int, what: str) -> int:
+    """A nonnegative integer written in the ASCII digits 0-9 only."""
+    if not _is_index(text):
+        raise ParseError(f"{what} must be a nonnegative integer, got {text!r}", lineno, 1)
+    return int(text)
 
 
 def _bracket_indices(key: str, lineno: int) -> list[int]:
@@ -165,7 +173,8 @@ def _builtin_algebra(pairs) -> ConformalAlgebra:
             if default is None:
                 raise InvalidStructure(f"builtin {name!r} needs parameter {key!r}")
             return default
-        return int(_unquote(pairs[key][1]))
+        lineno, value = pairs[key]
+        return _count(_unquote(value), lineno, key)
 
     if name == "virasoro":
         return virasoro()
@@ -174,9 +183,11 @@ def _builtin_algebra(pairs) -> ConformalAlgebra:
     if name == "map_virasoro_poly":
         return map_virasoro_poly(int_of("n"))
     if name in ("current", "vir_semidirect_current"):
-        lie = _unquote(pairs.get("lie", (0, "sl2"))[1])
+        lie_line, lie = pairs.get("lie", (0, "sl2"))
+        lie = _unquote(lie)
         if lie.startswith("abelian"):
-            constants, labels = abelian_constants(int(lie[len("abelian"):]))
+            size = _count(lie[len("abelian"):], lie_line, "abelian<n>")
+            constants, labels = abelian_constants(size)
         elif lie in _LIE_PRESETS:
             constants, labels = _LIE_PRESETS[lie]()
         else:
@@ -194,11 +205,15 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
     n = len(gens)
     grades = None
     if "grades" in pairs:
-        values = [int(x) for x in pairs["grades"][1].split()]
+        lineno, value = pairs["grades"]
+        values = [_count(x, lineno, "grades") for x in value.split()]
         if len(values) != n:
             raise InvalidStructure("grades must match the generator list")
         grades = {i: g for i, g in enumerate(values)}
-    truncation = int(pairs["truncation"][1]) if "truncation" in pairs else None
+    truncation = None
+    if "truncation" in pairs:
+        lineno, value = pairs["truncation"]
+        truncation = _count(value, lineno, "truncation")
     table: dict[tuple[int, int], dict[int, MultiPoly]] = {}
     for key, (lineno, value) in pairs.items():
         if not key.startswith("p_"):
@@ -296,5 +311,6 @@ def parse_spec(text: str) -> SpecFile:
         modules[mod_name] = _module_section(pairs, algebra)
     virasoro_gen = 0
     if algebra_pairs and "virasoro_gen" in algebra_pairs:
-        virasoro_gen = int(algebra_pairs["virasoro_gen"][1])
+        lineno, value = algebra_pairs["virasoro_gen"]
+        virasoro_gen = _count(value, lineno, "virasoro_gen")
     return SpecFile(algebra, modules, virasoro_gen)

@@ -202,8 +202,7 @@ def test_criterion_08_admissibility_scan():
     every skew and Jacobi check passing.  So the criterion asserts the
     direction the list supports: every admitted slope is on the list (7/6,
     6/5, 5/4 and 7/5 stay rejected), 5/4 is rejected, 2 is admitted, and
-    each admitted slope rebuilds a witness table that passes both axiom
-    checks.
+    each admitted slope's witness table passes both axiom checks.
 
     The list slopes 3/2 and 4/3 are rejected by the scan's bound on
     distinct values, not for want of a table: block(-2) and block(-3/2)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from lieconformal.grading import (
     HypothesisViolated,
     MalformedBracket,
     NotVirasoroAtZero,
+    ScanResult,
     assemble_witness_algebra,
     check_b_linear,
     default_grid,
@@ -192,6 +194,16 @@ def test_scan_constant_witness():
     assert r.witness_sequence == tuple([Scalar(2)] * 12)
     A = assemble_witness_algebra(r)
     assert check_skew(A).passed and check_jacobi(A).passed
+    # the algebra is the table the scan checked, entry for entry
+    assert set(A.table) == set(r.table)
+    for (i, j), p in r.table.items():
+        assert A.entry(i, j).get(i + j, MultiPoly.zero()) == p
+    # the table is carried along but is not part of the result's value
+    assert r == dataclasses.replace(r, table=None)
+    assert "table" not in r.to_dict()
+    bare = ScanResult(r.a1, r.horizon, True, r.witness_sequence, None)
+    with pytest.raises(ValueError, match="no witness to assemble"):
+        assemble_witness_algebra(bare)
 
 
 def test_scan_accepts_unit_slope():

@@ -204,3 +204,75 @@ def test_element_action_is_lambda_substituted():
     direct = apply_action(M, 0, vec)
     via_element = apply_element_action(M, {0: D}, vec)
     assert via_element == [-L * p for p in direct]
+
+
+def _module_report(status, counts, checks):
+    """A check_module report dict from (id, status, witnesses) triples."""
+    return {
+        "title": "module axioms",
+        "status": status,
+        "counts": dict(zip(("pass", "fail", "skipped"), counts)),
+        "checks": [
+            {"id": cid, "status": status, "witnesses": list(witnesses)}
+            for cid, status, witnesses in checks
+        ],
+    }
+
+
+_SPOTS = [(f"sesquilinearity-spot({t})", "pass", ()) for t in range(4)]
+
+
+def test_check_module_reports_are_pinned():
+    # full reports, witness text and order included, on a failing rank-two
+    # module, a rank-one module with failures and truncation skips, and a
+    # passing module
+    rank_two = ConformalModule(
+        ("u0", "u1"), {0: ((D + 2 * L, L * L), (MultiPoly.one(), D + L))}
+    )
+    assert check_module(virasoro(), rank_two).to_dict() == _module_report(
+        "fail",
+        (4, 1, 0),
+        [(
+            "module(0,0)",
+            "fail",
+            (
+                "defect on u0 -> u0: l^2 - m^2",
+                "defect on u0 -> u1: -l + m",
+                "defect on u1 -> u0: -2*l^2*m + 2*l*m^2",
+                "defect on u1 -> u1: -l^2 + m^2",
+            ),
+        )] + _SPOTS,
+    )
+
+    A = block(1, 3)
+    line = ConformalModule(
+        ("v",),
+        {0: ((D + L,),), 1: ((MultiPoly.one(),),), 2: ((L,),), 3: ((MultiPoly.zero(),),)},
+    )
+    beyond = ("beyond truncation",)
+    assert check_module(A, line).to_dict() == _module_report(
+        "fail",
+        (9, 5, 6),
+        [
+            ("module(0,0)", "pass", ()),
+            ("module(0,1)", "fail", ("defect on v -> v: -2*l",)),
+            ("module(0,2)", "fail", ("defect on v -> v: -3*l^2 - 2*l*m",)),
+            ("module(0,3)", "pass", ()),
+            ("module(1,0)", "fail", ("defect on v -> v: 2*m",)),
+            ("module(1,1)", "fail", ("defect on v -> v: -2*l^2 + 2*m^2",)),
+            ("module(1,2)", "pass", ()),
+            ("module(1,3)", "skipped", beyond),
+            ("module(2,0)", "fail", ("defect on v -> v: 2*l*m + 3*m^2",)),
+            ("module(2,1)", "pass", ()),
+            ("module(2,2)", "skipped", beyond),
+            ("module(2,3)", "skipped", beyond),
+            ("module(3,0)", "pass", ()),
+            ("module(3,1)", "skipped", beyond),
+            ("module(3,2)", "skipped", beyond),
+            ("module(3,3)", "skipped", beyond),
+        ] + _SPOTS,
+    )
+
+    assert check_module(virasoro(), rank_one_vir(2, 0)).to_dict() == _module_report(
+        "pass", (5, 0, 0), [("module(0,0)", "pass", ())] + _SPOTS
+    )

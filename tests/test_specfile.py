@@ -99,6 +99,28 @@ def test_parse_error_in_spec_entry():
     with pytest.raises(ParseError) as err:
         parse_spec(VIR.replace("action_0", "action_\u00b2"))
     assert err.value.line == 9
+    # an error inside an entry names the spec line, once
+    deep = "[algebra]\ngenerators = L\np_000 = " + "(" * 3000 + "d" + ")" * 3000 + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_spec(deep)
+    assert err.value.line == 3
+    assert str(err.value) == "parentheses nested deeper than 100 (line 3, column 101)"
+    # integer values take the ASCII digits 0-9 only and fail with their line
+    block = "[algebra]\nbuiltin = block\np = 1\ntruncation = 3\n"
+    semidirect = "[algebra]\nbuiltin = vir_semidirect_current\na = 1\nlie = abelian2\n"
+    for text, line in (
+        (VIR.replace("grades = 0", "grades = 0\ntruncation = \u0663"), 5),
+        (VIR.replace("grades = 0", "grades = \u0660"), 4),
+        (VIR.replace("grades = 0", "grades = 0\ntruncation = x"), 5),
+        (VIR.replace("grades = 0", "grades = 0\nvirasoro_gen = \u0660"), 5),
+        (block.replace("truncation = 3", "truncation = \u0663"), 4),
+        (semidirect.replace("abelian2", "abelian\u0662"), 4),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert err.value.line == line
+    assert parse_spec(block).algebra.truncation == 3
+    assert parse_spec(semidirect).algebra.n_gens == 3
 
 
 def test_unknown_generator():
