@@ -31,7 +31,7 @@ from .parsing import ParseError, parse_scalar
 from .polymatrix import PolyMatrix, matmul, smith_normal_form, torsion_split
 from .reports import Report
 from .scalars import Scalar
-from .specfile import DuplicateDefinition, SpecFile, UnknownGenerator, parse_spec
+from .specfile import DuplicateDefinition, SpecFile, UnknownGenerator, _is_index, parse_spec
 
 SCHEMA_VERSION = 1
 
@@ -181,19 +181,36 @@ def _cmd_verify_prop36(args) -> int:
     return EXIT_OK if result.report.passed else EXIT_CHECK_FAILED
 
 
-def _parse_grid(text: str):
+def _bound_arg(text: str) -> Fraction:
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"grid bound must be written in ASCII, got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"grid bound is not a fraction: {text!r}") from None
+
+
+def _parse_grid(text: str) -> list[Scalar]:
+    """The --grid value: comma-separated scalars, or denN[:lo:hi]; never empty."""
     if text.startswith("den"):
         parts = text.split(":")
-        bound = int(parts[0][3:])
-        lo = Fraction(parts[1]) if len(parts) > 1 else Fraction(1)
-        hi = Fraction(parts[2]) if len(parts) > 2 else Fraction(2)
-        return default_grid(bound, lo, hi)
-    return [_scalar_arg(x) for x in text.split(",")]
+        size = parts[0][3:]
+        if not _is_index(size) or len(parts) > 3:
+            raise argparse.ArgumentTypeError(
+                f"expected denN[:lo:hi] with N in the ASCII digits 0-9, got {text!r}"
+            )
+        lo = _bound_arg(parts[1]) if len(parts) > 1 else Fraction(1)
+        hi = _bound_arg(parts[2]) if len(parts) > 2 else Fraction(2)
+        grid = default_grid(int(size), lo, hi)
+    else:
+        grid = [_scalar_arg(x) for x in text.split(",")]
+    if not grid:
+        raise argparse.ArgumentTypeError(f"grid {text!r} holds no slope")
+    return grid
 
 
 def _cmd_scan_a1(args) -> int:
-    grid = _parse_grid(args.grid)
-    results = scan_grid(grid, args.horizon)
+    results = scan_grid(args.grid, args.horizon)
     for r in results:
         mark = "admissible" if r.admissible else "rejected"
         print(f"a1 = {r.a1}: {mark}")
@@ -286,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_prop36)
 
     p = sub.add_parser("scan-a1", help="admissibility scan for the grade-one slope")
-    p.add_argument("--grid", required=True,
+    p.add_argument("--grid", type=_parse_grid, required=True,
                    help="comma-separated scalars, or denN[:lo:hi] for all "
                         "denominators up to N in [lo, hi]")
     p.add_argument("--horizon", type=int, required=True)

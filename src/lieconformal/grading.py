@@ -326,15 +326,22 @@ class _Scan:
         return {(0, 0): D + 2 * L, (0, 1): p01, (1, 0): skew_image(p01)}
 
     def _check_new_grade(self, table, h: int) -> bool:
-        """Skew and Jacobi on everything with index sum == h."""
+        """Skew and Jacobi on everything with index sum == h.
+
+        Jacobi is tested on the triples with x <= y only: skew holds on
+        every pair of index sum <= h once this grade's pairs pass (earlier
+        grades passed the same check), and with skew on (x, y) the defect
+        of (y, x, z) is that of (x, y, z) with l and m swapped and the sign
+        flipped (see check_jacobi), so one vanishes iff the other does.
+        """
         for i in range(h + 1):
             if skew_image(table[(i, h - i)]) != table[(h - i, i)]:
                 return False
         entry = _entry_of(table)
         return not any(
             jacobi_defect(entry, x, y, h - x - y)
-            for x in range(h + 1)
-            for y in range(h + 1 - x)
+            for x in range(h // 2 + 1)
+            for y in range(x, h + 1 - x)
         )
 
     def _recurse_entry(self, table, i: int, j: int) -> MultiPoly | None:

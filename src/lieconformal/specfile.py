@@ -86,25 +86,33 @@ def _split_sections(text: str):
     return sections
 
 
-def _parse_pairs(lines) -> dict[str, tuple[int, str]]:
-    pairs: dict[str, tuple[int, str]] = {}
+def _parse_pairs(lines) -> dict[str, tuple[int, str, int]]:
+    """key -> (spec line, stripped value, column of the value in that line)."""
+    pairs: dict[str, tuple[int, str, int]] = {}
     for lineno, line in lines:
         # several pairs may share a line, separated by ';'; matrix values
         # also use ';' between rows, so only split when every piece is a pair
-        chunks = [c for c in line.split(";") if c.strip()]
-        if len(chunks) < 2 or not all("=" in c for c in chunks):
-            chunks = [line]
-        for chunk in chunks:
+        chunks = []
+        offset = 0
+        for piece in line.split(";"):
+            if piece.strip():
+                chunks.append((offset, piece))
+            offset += len(piece) + 1
+        if len(chunks) < 2 or not all("=" in c for _, c in chunks):
+            chunks = [(0, line)]
+        for offset, chunk in chunks:
             if "=" not in chunk:
                 raise ParseError("expected key = value", lineno, 1)
             key, value = chunk.split("=", 1)
+            # 1-based column of the first non-blank character after the '='
+            column = offset + len(key) + 2 + len(value) - len(value.lstrip())
             key = key.strip()
             value = value.strip()
             if not key:
                 raise ParseError("empty key", lineno, 1)
             if key in pairs:
                 raise DuplicateDefinition(f"duplicate key {key!r} (line {lineno})")
-            pairs[key] = (lineno, value)
+            pairs[key] = (lineno, value, column)
     return pairs
 
 
@@ -115,14 +123,26 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _poly_entry(value: str, lineno: int) -> MultiPoly:
-    """The polynomial of one entry; an error names the spec line and the column in the entry."""
+def _unquote_at(value: str, column: int) -> tuple[str, int]:
+    """_unquote(value) and its column, for a value that starts at this column of its line."""
+    text = _unquote(value)
+    # past the leading blanks, and past the opening quote if one was removed
+    return text, column + len(value) - len(value.lstrip()) + (text != value.strip())
+
+
+def _poly_entry(value: str, lineno: int, column: int) -> MultiPoly:
+    """The polynomial of one entry that starts at this column of spec line lineno.
+
+    A ParseError inside the entry names the spec line and the column counted
+    from the start of that line.
+    """
+    text, column = _unquote_at(value, column)
     try:
-        poly = parse_poly(_unquote(value))
+        poly = parse_poly(text)
     except ParseError as exc:
-        raise ParseError(exc.message, lineno, exc.column) from None
+        raise ParseError(exc.message, lineno, column + exc.column - 1) from None
     if not poly.uses_only(("d", "l")):
-        raise ParseError("bracket entries may only use d and l", lineno, 1)
+        raise ParseError("bracket entries may only use d and l", lineno, column)
     return poly
 
 
@@ -173,7 +193,7 @@ def _builtin_algebra(pairs) -> ConformalAlgebra:
             if default is None:
                 raise InvalidStructure(f"builtin {name!r} needs parameter {key!r}")
             return default
-        lineno, value = pairs[key]
+        lineno, value, _ = pairs[key]
         return _count(_unquote(value), lineno, key)
 
     if name == "virasoro":
@@ -183,7 +203,7 @@ def _builtin_algebra(pairs) -> ConformalAlgebra:
     if name == "map_virasoro_poly":
         return map_virasoro_poly(int_of("n"))
     if name in ("current", "vir_semidirect_current"):
-        lie_line, lie = pairs.get("lie", (0, "sl2"))
+        lie_line, lie, _ = pairs.get("lie", (0, "sl2", 1))
         lie = _unquote(lie)
         if lie.startswith("abelian"):
             size = _count(lie[len("abelian"):], lie_line, "abelian<n>")
@@ -205,17 +225,17 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
     n = len(gens)
     grades = None
     if "grades" in pairs:
-        lineno, value = pairs["grades"]
+        lineno, value, _ = pairs["grades"]
         values = [_count(x, lineno, "grades") for x in value.split()]
         if len(values) != n:
             raise InvalidStructure("grades must match the generator list")
         grades = {i: g for i, g in enumerate(values)}
     truncation = None
     if "truncation" in pairs:
-        lineno, value = pairs["truncation"]
+        lineno, value, _ = pairs["truncation"]
         truncation = _count(value, lineno, "truncation")
     table: dict[tuple[int, int], dict[int, MultiPoly]] = {}
-    for key, (lineno, value) in pairs.items():
+    for key, (lineno, value, column) in pairs.items():
         if not key.startswith("p_"):
             continue
         parts = _bracket_indices(key, lineno)
@@ -239,7 +259,7 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
                     f"{key!r}: no generator of grade {target_grade} (line {lineno})"
                 )
             k = matches[0]
-        poly = _poly_entry(value, lineno)
+        poly = _poly_entry(value, lineno, column)
         entry = table.setdefault((i, j), {})
         if k in entry:
             raise DuplicateDefinition(f"duplicate bracket component {key!r} (line {lineno})")
@@ -248,12 +268,15 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
     return ConformalAlgebra(gens, table, grades=grades, truncation=truncation)
 
 
-def _parse_matrix(value: str, lineno: int, size: int) -> list[list[MultiPoly]]:
-    rows = [chunk for chunk in _unquote(value).split(";")]
+def _parse_matrix(value: str, lineno: int, column: int, size: int) -> list[list[MultiPoly]]:
+    text, column = _unquote_at(value, column)
     out = []
-    for row in rows:
-        cells = [c.strip() for c in row.split(",")]
-        out.append([_poly_entry(c, lineno) for c in cells])
+    for row in text.split(";"):
+        cells = []
+        for cell in row.split(","):
+            cells.append(_poly_entry(cell, lineno, column))
+            column += len(cell) + 1
+        out.append(cells)
     if len(out) != size or any(len(r) != size for r in out):
         raise InvalidStructure(
             f"action matrix on line {lineno} must be {size}x{size}"
@@ -267,7 +290,7 @@ def _module_section(pairs, algebra: ConformalAlgebra) -> ConformalModule:
     basis = tuple(pairs["basis"][1].split())
     size = len(basis)
     actions: dict[int, list[list[MultiPoly]]] = {}
-    for key, (lineno, value) in pairs.items():
+    for key, (lineno, value, column) in pairs.items():
         if not key.startswith("action_"):
             continue
         idx_text = key[len("action_"):]
@@ -276,7 +299,7 @@ def _module_section(pairs, algebra: ConformalAlgebra) -> ConformalModule:
         gen = int(idx_text)
         if gen >= algebra.n_gens:
             raise UnknownGenerator(f"{key!r} references generator {gen} (line {lineno})")
-        actions[gen] = _parse_matrix(value, lineno, size)
+        actions[gen] = _parse_matrix(value, lineno, column, size)
     for gen in range(algebra.n_gens):
         actions.setdefault(gen, [[MultiPoly.zero()] * size for _ in range(size)])
     return ConformalModule(basis, actions)
@@ -311,6 +334,6 @@ def parse_spec(text: str) -> SpecFile:
         modules[mod_name] = _module_section(pairs, algebra)
     virasoro_gen = 0
     if algebra_pairs and "virasoro_gen" in algebra_pairs:
-        lineno, value = algebra_pairs["virasoro_gen"]
+        lineno, value, _ = algebra_pairs["virasoro_gen"]
         virasoro_gen = _count(value, lineno, "virasoro_gen")
     return SpecFile(algebra, modules, virasoro_gen)

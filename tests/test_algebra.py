@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -128,6 +130,78 @@ _dl_polys = st.dictionaries(
 @given(_dl_polys)
 def test_skew_image_is_an_involution(p):
     assert skew_image(skew_image(p)) == p
+
+
+def _swap_lm(p):
+    """p(d, m, l): the reference l <-> m swap, exponent by exponent."""
+    return MultiPoly({(e_d, e_m, e_l): c for (e_d, e_l, e_m), c in p.terms.items()})
+
+
+def _defect_or_skip(A, x, y, z):
+    try:
+        return jacobi_defect(A.entry, x, y, z)
+    except TruncationExceeded:
+        return None
+
+
+_gaussian = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+_skew_tables = st.one_of(
+    st.builds(block, _gaussian.filter(lambda p: not p.is_zero()), st.integers(1, 4)),
+    st.builds(map_virasoro_poly, st.integers(1, 4)),
+    _gaussian.map(lambda a: vir_semidirect_current(a, *sl2_constants())),
+)
+
+
+@given(_skew_tables, st.data())
+def test_jacobi_defect_swapped_pair(A, data):
+    # with skew-symmetry on (x, y), swapping the first two slots swaps l and
+    # m and flips the sign; the two orders read the same entries, so they
+    # raise TruncationExceeded together
+    x, y, z = (data.draw(st.integers(0, A.n_gens - 1)) for _ in range(3))
+    forward = _defect_or_skip(A, x, y, z)
+    swapped = _defect_or_skip(A, y, x, z)
+    assert (forward is None) == (swapped is None)
+    if forward is not None:
+        assert swapped == {k: -_swap_lm(p) for k, p in forward.items()}
+
+
+def _corrupted(A, key, k, extra):
+    """A with extra added to component k of the entry at key, nothing else changed."""
+    table = {pair: dict(vec) for pair, vec in A.table.items()}
+    vec = table[key]
+    vec[k] = vec.get(k, MultiPoly.zero()) + extra
+    return ConformalAlgebra(A.gens, table, grades=A.grades, truncation=A.truncation)
+
+
+_PINNED = os.path.join(os.path.dirname(__file__), "golden", "check_jacobi_reports.json")
+
+
+def test_check_jacobi_reports_are_pinned():
+    # full reports, witness text and order included: skew fails on the pair
+    # (1, 2) of the corrupted block table, holds on every pair of the other
+    # two, and the corrupted map_virasoro_poly(4) has truncation skips
+    tables = {
+        "block(1,4) with p_{1,2} + l^2": _corrupted(block(1, 4), (1, 2), 3, L * L),
+        "vir_semidirect_current(3, sl2)": vir_semidirect_current(3, *sl2_constants()),
+        "map_virasoro_poly(4) with p_{0,2}, p_{2,0} + l^2": _corrupted(
+            _corrupted(map_virasoro_poly(4), (0, 2), 2, L * L), (2, 0), 2, skew_image(L * L)
+        ),
+    }
+    with open(_PINNED, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    assert list(pinned) == list(tables)
+    reports = {name: check_jacobi(A).to_dict() for name, A in tables.items()}
+    assert reports == pinned
+    counts = [r["counts"] for r in reports.values()]
+    assert all(c["fail"] for c in counts)
+    assert counts[2]["skipped"]
+    assert not check_skew(tables["block(1,4) with p_{1,2} + l^2"]).passed
+    assert check_skew(tables["vir_semidirect_current(3, sl2)"]).passed
+    assert check_skew(tables["map_virasoro_poly(4) with p_{0,2}, p_{2,0} + l^2"]).passed
 
 
 def test_current_sl2_is_lambda_free_and_consistent():

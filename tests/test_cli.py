@@ -160,3 +160,17 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert cli.run(["check-algebra", spec, "--json", second]) == 0
     with open(first, "rb") as fa, open(second, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_scan_grid_argument(tmp_path, capsys):
+    out = str(tmp_path / "scan.json")
+    assert cli.run(["scan-a1", "--grid", "den2:1:3/2", "--horizon", "4", "--json", out]) == 0
+    assert [r["a1"] for r in _load(out)["data"]["results"]] == ["1", "3/2"]
+    capsys.readouterr()
+    # N takes the ASCII digits only, a bound must be a fraction, and a grid
+    # with no slope is refused rather than scanned as nothing
+    for grid in ("den٣", "den0", "den-2", "den", "den6:2:1", "den6:1/0", "den6:١",
+                 "den6:1:2:3"):
+        assert cli.run(["scan-a1", "--grid", grid, "--horizon", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --grid" in err and "Traceback" not in err

@@ -18,6 +18,22 @@ basis = v
 action_0 = d + 2*l
 """
 
+# a graded three-generator table that fails: skew holds on (0, 1) while
+# Jacobi fails on (0, 1, 1), skew fails on (0, 2) and (1, 1), and the
+# pairs past the truncation are skipped
+GRADED_FAIL = """
+[algebra]
+generators = L0 L1 L2
+grades = 0 1 2
+truncation = 2
+p_00 = d + 2*l
+p_01 = d + l
+p_10 = l
+p_02 = d + 2*l + l^2
+p_20 = -d - 2*l + (l + d)^2
+p_11 = d + l
+"""
+
 
 def _golden_bytes(name):
     with open(os.path.join(GOLDEN, name), "rb") as fh:
@@ -46,3 +62,17 @@ def test_weights_golden(tmp_path):
         "weights", str(spec), "--module", "M", "--degree", "3", "--json", str(out)
     ]) == 0
     assert out.read_bytes() == _golden_bytes("weights_vir.json")
+
+
+def test_check_algebra_failing_golden(tmp_path):
+    spec = tmp_path / "graded.lca"
+    spec.write_text(GRADED_FAIL)
+    out = tmp_path / "out.json"
+    assert cli.run(["check-algebra", str(spec), "--json", str(out)]) == 1
+    assert out.read_bytes() == _golden_bytes("check_algebra_graded_fail.json")
+
+
+def test_scan_golden(tmp_path):
+    out = tmp_path / "out.json"
+    assert cli.run(["scan-a1", "--grid", "den6", "--horizon", "8", "--json", str(out)]) == 0
+    assert out.read_bytes() == _golden_bytes("scan_den6_h8.json")

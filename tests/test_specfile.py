@@ -104,7 +104,21 @@ def test_parse_error_in_spec_entry():
     with pytest.raises(ParseError) as err:
         parse_spec(deep)
     assert err.value.line == 3
-    assert str(err.value) == "parentheses nested deeper than 100 (line 3, column 101)"
+    assert str(err.value) == "parentheses nested deeper than 100 (line 3, column 109)"
+    # the column counts from the start of the spec line: past a quote, past
+    # an earlier pair on the same line, and into the cells of an action matrix
+    algebra = "[algebra]\ngenerators = L\n"
+    module = "grades = 0\np_00 = d + 2*l\n[module M]\nbasis = u v\n"
+    for text, line, column in (
+        (algebra + "grades = 0\np_00 = 'd + + l'\n", 4, 13),
+        (algebra + "grades = 0;  p_00 =  d + + l\n", 3, 26),
+        (algebra + module + "action_0 = d, 1; 1,  d + + l\n", 7, 26),
+        (algebra + module + 'action_0 = "d, 1;  1, d*m"\n', 7, 23),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert text.splitlines()[line - 1][column - 1] in "+d"
     # integer values take the ASCII digits 0-9 only and fail with their line
     block = "[algebra]\nbuiltin = block\np = 1\ntruncation = 3\n"
     semidirect = "[algebra]\nbuiltin = vir_semidirect_current\na = 1\nlie = abelian2\n"
