@@ -47,6 +47,7 @@ from .modules import (
 from .polymatrix import PolyMatrix, SmithDecomposition, smith_normal_form, torsion_split
 from .annihilation import (
     AnnihAlgebra,
+    NonTriangularWindow,
     WeightReport,
     annih_bracket,
     check_annih_lie,

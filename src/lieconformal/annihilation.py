@@ -11,13 +11,17 @@ depth raise, and the consistency checker reports those as skipped.
 
 The module side: v -> n! * (coefficient of l^n in g _l v) gives the
 indexed actions, and the weight spaces of the index-1 action of a chosen
-Virasoro generator are computed exactly on a finite degree filtration
-(candidate weights are read from the diagonal of the filtration matrix,
-so no numerical eigensolver is involved).
+Virasoro generator are computed exactly on a finite degree filtration.
+Candidate weights are read from the diagonal of the filtration matrix, so
+no numerical eigensolver is involved.  That is exact only when the matrix
+is triangular on the window, ordered by (degree, basis index); on any
+other window `weight_spaces` raises NonTriangularWindow instead of
+dropping weights.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb, factorial
 from fractions import Fraction
@@ -32,6 +36,11 @@ from .scalars import ONE, Scalar, ZERO
 
 Symbol = tuple[int, int]  # (generator index, annihilation index)
 Combination = dict[Symbol, Scalar]
+
+
+class NonTriangularWindow(ValueError):
+    """The index-1 matrix is not triangular on the degree window, so its
+    diagonal need not hold its eigenvalues."""
 
 
 class AnnihAlgebra:
@@ -112,11 +121,13 @@ def annih_bracket(X: AnnihAlgebra, left: Symbol, right: Symbol) -> Combination:
     return out
 
 
-def _bracket_combinations(X: AnnihAlgebra, a: Combination, b: Combination) -> Combination:
+def _bracket_combinations(
+    bracket: Callable[[Symbol, Symbol], Combination], a: Combination, b: Combination
+) -> Combination:
     out: Combination = {}
     for sa, ca in a.items():
         for sb, cb in b.items():
-            inner = annih_bracket(X, sa, sb)
+            inner = bracket(sa, sb)
             for sym, coeff in inner.items():
                 _place(out, sym, ca * cb * coeff)
     return out
@@ -134,16 +145,39 @@ def render_combination(X: AnnihAlgebra, comb_: Combination) -> str:
 
 
 def check_annih_lie(X: AnnihAlgebra) -> Report:
-    """Antisymmetry and the Jacobi identity on all in-depth symbol pairs/triples."""
+    """Antisymmetry and the Jacobi identity on all in-depth symbol pairs/triples.
+
+    Each symbol bracket is computed at most once per call: the memo maps an
+    ordered pair to its combination, or to None when the bracket is out of
+    depth, and such a pair raises afresh on every use, so the identity that
+    needs it is still a skip.  Memoized combinations are shared, never
+    mutated.
+    """
     report = Report("annihilation Lie algebra")
+    memo: dict[tuple[Symbol, Symbol], Combination | None] = {}
+
+    def bracket(a: Symbol, b: Symbol) -> Combination:
+        key = (a, b)
+        if key in memo:
+            out = memo[key]
+        else:
+            try:
+                out = annih_bracket(X, a, b)
+            except TruncationExceeded:
+                out = None
+            memo[key] = out
+        if out is None:
+            raise TruncationExceeded(f"bracket {a}{b} beyond depth {X.depth}")
+        return out
+
     syms = X.symbols()
     for a in syms:
         for b in syms:
             if a > b:
                 continue
             try:
-                ab = annih_bracket(X, a, b)
-                ba = annih_bracket(X, b, a)
+                ab = bracket(a, b)
+                ba = bracket(b, a)
             except TruncationExceeded:
                 report.skip(f"antisym{a}{b}", "beyond depth")
                 continue
@@ -162,9 +196,9 @@ def check_annih_lie(X: AnnihAlgebra) -> Report:
                 if c < b:
                     continue
                 try:
-                    d1 = _bracket_combinations(X, annih_bracket(X, a, b), {c: ONE})
-                    d2 = _bracket_combinations(X, annih_bracket(X, b, c), {a: ONE})
-                    d3 = _bracket_combinations(X, annih_bracket(X, c, a), {b: ONE})
+                    d1 = _bracket_combinations(bracket, bracket(a, b), {c: ONE})
+                    d2 = _bracket_combinations(bracket, bracket(b, c), {a: ONE})
+                    d3 = _bracket_combinations(bracket, bracket(c, a), {b: ONE})
                 except TruncationExceeded:
                     report.skip(f"jacobi{a}{b}{c}", "beyond depth")
                     continue
@@ -205,6 +239,9 @@ class WeightReport:
 def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0) -> list[WeightReport]:
     """Exact eigenspaces of the index-1 action on elements of d-degree <= the bound.
 
+    The image of each window element d^t v_j may only reach elements
+    d^s v_k with (s, k) <= (t, j); then the matrix is triangular and its
+    diagonal holds every weight.  Otherwise NonTriangularWindow is raised.
     Weights are sorted by (real, imaginary) parts for deterministic output.
     """
     if degree_bound < 0:
@@ -221,6 +258,12 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
         entry: dict[tuple[int, int], Scalar] = {}
         for k, poly in enumerate(img):
             for key, coeff in poly.terms.items():
+                if (key[0], k) > (t, j):
+                    raise NonTriangularWindow(
+                        f"the index-1 matrix of generator {virasoro_gen} is not triangular "
+                        f"on the degree window: d^{t} {M_.basis[j]} reaches "
+                        f"d^{key[0]} {M_.basis[k]}, so its weights need not lie on the diagonal"
+                    )
                 entry[(k, key[0])] = coeff
                 out_keys.add((k, key[0]))
         images.append(entry)

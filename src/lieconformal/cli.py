@@ -40,6 +40,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_SPEC_ERROR = 2
 EXIT_TRUNCATION = 3
 
+# Caps on the size arguments, so that a short command line cannot ask for
+# an effectively endless run; README.md gives the measured time at each cap.
+MAX_ANNIH_DEPTH = 32
+MAX_WEIGHT_DEGREE = 40
+
 
 def _load_spec(path: str) -> SpecFile:
     with open(path, "r", encoding="utf-8") as fh:
@@ -181,6 +186,19 @@ def _cmd_verify_prop36(args) -> int:
     return EXIT_OK if result.report.passed else EXIT_CHECK_FAILED
 
 
+def _capped_int(cap: int):
+    """An argparse type: an integer from 0 to the cap in the ASCII digits 0-9."""
+
+    def parse(text: str) -> int:
+        if not _is_index(text) or int(text) > cap:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer from 0 to {cap} in the ASCII digits 0-9, got {text!r}"
+            )
+        return int(text)
+
+    return parse
+
+
 def _bound_arg(text: str) -> Fraction:
     if not text.isascii():
         raise argparse.ArgumentTypeError(f"grid bound must be written in ASCII, got {text!r}")
@@ -270,14 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annih-check", help="annihilation Lie algebra consistency")
     p.add_argument("spec")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_capped_int(MAX_ANNIH_DEPTH), required=True,
+                   help=f"largest annihilation index, at most {MAX_ANNIH_DEPTH}")
     add_json(p)
     p.set_defaults(func=_cmd_annih_check)
 
     p = sub.add_parser("weights", help="weight spaces of the index-1 action")
     p.add_argument("spec")
     p.add_argument("--module", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_capped_int(MAX_WEIGHT_DEGREE), required=True,
+                   help=f"largest d-degree in the window, at most {MAX_WEIGHT_DEGREE}")
     p.add_argument("--gen", type=int, default=None)
     add_json(p)
     p.set_defaults(func=_cmd_weights)

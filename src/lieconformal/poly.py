@@ -36,7 +36,9 @@ class Degrees:
 
 
 class MultiPoly:
-    __slots__ = ("terms",)
+    # _hash is filled on the first __hash__ call; terms never change after
+    # construction, so the cached value stays right
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict[Key, Scalar] | None = None):
         clean: dict[Key, Scalar] = {}
@@ -150,7 +152,12 @@ class MultiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self.terms.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def substitute(self, var: str, expr: "MultiPoly") -> "MultiPoly":
         """Image under the ring map var -> expr, all other variables fixed.

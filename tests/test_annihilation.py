@@ -1,13 +1,32 @@
-from lieconformal.algebra import ConformalAlgebra, block, map_virasoro_poly, virasoro
+import json
+import os
+
+import pytest
+
+from lieconformal.algebra import (
+    ConformalAlgebra,
+    block,
+    map_virasoro_poly,
+    sl2_constants,
+    vir_semidirect_current,
+    virasoro,
+)
 from lieconformal.annihilation import (
     AnnihAlgebra,
+    NonTriangularWindow,
     annih_bracket,
     check_annih_lie,
     module_action_n,
     reconstruct_lambda_action,
     weight_spaces,
 )
-from lieconformal.modules import ConformalModule, apply_action, rank_one_theorem_module, rank_one_vir
+from lieconformal.modules import (
+    ConformalModule,
+    apply_action,
+    check_module,
+    rank_one_theorem_module,
+    rank_one_vir,
+)
 from lieconformal.poly import D, L, MultiPoly
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
 
@@ -57,6 +76,38 @@ def test_check_annih_lie_catches_sign_corruption():
     corrupt = ConformalAlgebra(("L",), {(0, 0): {0: D + 3 * L}})
     rep = check_annih_lie(AnnihAlgebra(corrupt, 4))
     assert not rep.passed
+
+
+_PINNED = os.path.join(os.path.dirname(__file__), "golden", "annih_reports.json")
+
+
+def _pinned_annih_algebras():
+    return {
+        "virasoro() at depth 4": AnnihAlgebra(virasoro(), 4),
+        "block(1, 3) at depth 3": AnnihAlgebra(block(1, 3), 3),
+        "virasoro with p_00 = d + 3*l at depth 4": AnnihAlgebra(
+            ConformalAlgebra(("L",), {(0, 0): {0: D + 3 * L}}), 4
+        ),
+        "vir_semidirect_current(2, sl2) at depth 2": AnnihAlgebra(
+            vir_semidirect_current(2, *sl2_constants()), 2
+        ),
+    }
+
+
+def test_check_annih_lie_reports_are_pinned():
+    # full reports, witness text and order included: a passing one, one
+    # with truncation skips, and two that fail (the second with skips too)
+    with open(_PINNED, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    algebras = _pinned_annih_algebras()
+    assert list(pinned) == list(algebras)
+    reports = {name: check_annih_lie(X).to_dict() for name, X in algebras.items()}
+    assert reports == pinned
+    counts = [r["counts"] for r in reports.values()]
+    assert counts[0]["fail"] == 0
+    assert counts[1]["fail"] == 0 and counts[1]["skipped"]
+    assert counts[2]["fail"] == 27
+    assert counts[3]["fail"] == 27 and counts[3]["skipped"] == 122
 
 
 def test_indexed_module_actions():
@@ -120,3 +171,20 @@ def test_weight_multiplicity_bound_at_rank_one():
         assert all((w.weight - a).im == 0 for w in reports)
         diffs = [(w.weight - a).re for w in reports]
         assert all(x.denominator == 1 and x >= 0 for x in diffs)
+
+
+def test_weight_spaces_refuses_a_non_triangular_window():
+    # (d+2l) + (d) after the constant base change [[1,1],[1,-1]]: a module,
+    # yet d^t v1 reaches d^t v2, so the diagonal of the index-1 matrix holds
+    # only weights 1..4 of the direct sum's 0..5; refused, not truncated
+    line, cross = D + L, L
+    conjugated = ConformalModule(("v1", "v2"), {0: ((line, cross), (cross, line))})
+    assert check_module(virasoro(), conjugated).passed
+    with pytest.raises(NonTriangularWindow, match="not triangular on the degree window"):
+        weight_spaces(conjugated, 3)
+    zero = MultiPoly.zero()
+    direct_sum = ConformalModule(("v1", "v2"), {0: ((D + 2 * L, zero), (zero, D))})
+    reports = weight_spaces(direct_sum, 3)
+    assert [(w.weight, w.dim) for w in reports] == [
+        (Scalar(k), dim) for k, dim in enumerate((1, 1, 2, 2, 1, 1))
+    ]

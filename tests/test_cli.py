@@ -105,6 +105,23 @@ def test_check_module_and_weights(tmp_path, schema):
     assert weights == {"2": 1, "3": 1, "4": 1, "5": 1}
 
 
+CONJUGATED_SPEC = VIR_SPEC + """
+[module C]
+basis = v1 v2
+action_0 = d + l, l ; l, d + l
+"""
+
+
+def test_weights_refuses_a_non_triangular_window(tmp_path, capsys):
+    spec = _write(tmp_path, "vir.lca", CONJUGATED_SPEC)
+    assert cli.run(["check-module", spec, "--module", "C"]) == 0
+    capsys.readouterr()
+    assert cli.run(["weights", spec, "--module", "C", "--degree", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not triangular" in err
+    assert "Traceback" not in err
+
+
 def test_annih_check(tmp_path, schema):
     spec = _write(tmp_path, "vir.lca", VIR_SPEC)
     out = str(tmp_path / "annih.json")
@@ -174,3 +191,19 @@ def test_scan_grid_argument(tmp_path, capsys):
         assert cli.run(["scan-a1", "--grid", grid, "--horizon", "4"]) == 2
         err = capsys.readouterr().err
         assert "argument --grid" in err and "Traceback" not in err
+
+
+def test_size_arguments_are_capped(tmp_path, capsys):
+    spec = _write(tmp_path, "vir.lca", VIR_SPEC)
+    assert cli.run(["annih-check", spec, "--depth", str(cli.MAX_ANNIH_DEPTH)]) == 0
+    assert cli.run(["weights", spec, "--module", "M", "--degree", "0"]) == 0
+    capsys.readouterr()
+    commands = (
+        (["annih-check", spec, "--depth"], "--depth", cli.MAX_ANNIH_DEPTH),
+        (["weights", spec, "--module", "M", "--degree"], "--degree", cli.MAX_WEIGHT_DEGREE),
+    )
+    for argv, flag, cap in commands:
+        for value in (str(cap + 1), "-1", "10" * 40, "3.5", "\u0663", ""):
+            assert cli.run(argv + [value]) == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}" in err and "Traceback" not in err

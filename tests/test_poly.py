@@ -226,3 +226,19 @@ def test_substitute_powers_of_equal_images_agree():
     # the power cache is keyed by value; an equal image built anew must agree
     p = (D + L) ** 4 - 2 * D**3
     assert p.substitute("d", -L - M) == p.substitute("d", -(L + M)) == _naive_substitute(p, "d", -L - M)
+
+
+@settings(max_examples=60)
+@given(polys(), st.booleans())
+def test_hash_is_cached_consistently(p, hash_rebuilt_first):
+    # the hash is cached on first use; a distinct equal polynomial, built by
+    # __init__ or by arithmetic (the raw constructor), must hash the same
+    # whichever of the two was hashed first
+    rebuilt = MultiPoly(dict(p.terms))
+    via_arith = p + ZERO_P
+    assert rebuilt is not p and via_arith is not p
+    first, second = (rebuilt, p) if hash_rebuilt_first else (p, rebuilt)
+    h = hash(first)
+    assert hash(first) == h == hash(second) == hash(via_arith)
+    assert hash(p) == hash(frozenset(p.terms.items()))
+    assert {p: 1}[rebuilt] == 1
