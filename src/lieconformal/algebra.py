@@ -228,10 +228,11 @@ def _at_m(p: MultiPoly) -> MultiPoly:
     return p.substitute("l", M)
 
 
-# A table has few distinct entries and every triple reads them again.  The
-# benchmark's pool for one seed leaves about 880 images here on the scan
-# workload and 1,000 to 1,200 on the axioms and gaussian ones, so this bound
-# holds a whole pool.
+# A table has few distinct entries and every triple reads them again; the
+# intertwiner solver reads the images of its monomials here too.  The
+# benchmark's pool for one seed (seeds 1 to 3) leaves 915 images here on the
+# scan workload, 289 on linear (all from verify_solution_table), 920 to 1,160
+# on axioms and 1,220 to 1,290 on gaussian, so this bound holds a whole pool.
 _IMAGE_CACHE_SIZE = 2048
 
 

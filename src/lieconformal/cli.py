@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -44,6 +45,7 @@ EXIT_TRUNCATION = 3
 # an effectively endless run; README.md gives the measured time at each cap.
 MAX_ANNIH_DEPTH = 32
 MAX_WEIGHT_DEGREE = 40
+MAX_FUNCEQ_DEGREE = 10
 
 
 def _load_spec(path: str) -> SpecFile:
@@ -52,14 +54,7 @@ def _load_spec(path: str) -> SpecFile:
 
 
 def _emit(args, command: str, status: str, report: Report | None, data: dict) -> None:
-    if report is not None:
-        print(report.summary())
-        for item in report.failures:
-            print(f"  FAIL {item.check_id}")
-            for w in item.witnesses:
-                print(f"       {w}")
-        for item in report.skipped:
-            print(f"  skip {item.check_id}")
+    """Write --json, then print the report: a closed stdout cannot lose the file."""
     if getattr(args, "json", None):
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -71,6 +66,14 @@ def _emit(args, command: str, status: str, report: Report | None, data: dict) ->
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
+    if report is not None:
+        print(report.summary())
+        for item in report.failures:
+            print(f"  FAIL {item.check_id}")
+            for w in item.witnesses:
+                print(f"       {w}")
+        for item in report.skipped:
+            print(f"  skip {item.check_id}")
 
 
 def _scalar_arg(text: str) -> Scalar:
@@ -128,9 +131,9 @@ def _cmd_weights(args) -> int:
             for w in reports
         ],
     }
+    _emit(args, "weights", "pass", None, data)
     for w in reports:
         print(f"weight {w.weight}: dim {w.dim}")
-    _emit(args, "weights", "pass", None, data)
     return EXIT_OK
 
 
@@ -140,9 +143,6 @@ def _cmd_solve_funceq(args) -> int:
         args.degree_bound, args.homogeneous,
     )
     basis = bcsx_variant_solver(inst) if args.variant else solve_intertwiner(inst)
-    for p in basis.basis:
-        print(p.render())
-    print(f"dimension {basis.dimension}")
     data = {
         "dimension": basis.dimension,
         "basis": [p.render() for p in basis.basis],
@@ -156,6 +156,9 @@ def _cmd_solve_funceq(args) -> int:
         },
     }
     _emit(args, "solve-funceq", "pass", None, data)
+    for p in basis.basis:
+        print(p.render())
+    print(f"dimension {basis.dimension}")
     return EXIT_OK
 
 
@@ -229,11 +232,11 @@ def _parse_grid(text: str) -> list[Scalar]:
 
 def _cmd_scan_a1(args) -> int:
     results = scan_grid(args.grid, args.horizon)
+    data = {"horizon": args.horizon, "results": [r.to_dict() for r in results]}
+    _emit(args, "scan-a1", "pass", None, data)
     for r in results:
         mark = "admissible" if r.admissible else "rejected"
         print(f"a1 = {r.a1}: {mark}")
-    data = {"horizon": args.horizon, "results": [r.to_dict() for r in results]}
-    _emit(args, "scan-a1", "pass", None, data)
     return EXIT_OK
 
 
@@ -248,11 +251,6 @@ def _cmd_snf(args) -> int:
     free_rank, torsion = torsion_split(matrix)
     product = matmul(matmul(snf.U, matrix), snf.V)
     exact = product == snf.D
-    print("D =", snf.D.render())
-    print("U =", snf.U.render())
-    print("V =", snf.V.render())
-    print(f"free rank {free_rank}; torsion invariants: "
-          + (", ".join(p.render() for p in torsion) or "none"))
     data = {
         "D": snf.D.render(),
         "U": snf.U.render(),
@@ -262,6 +260,11 @@ def _cmd_snf(args) -> int:
         "torsion_invariants": [p.render() for p in torsion],
     }
     _emit(args, "snf", "pass" if exact else "fail", None, data)
+    print("D =", snf.D.render())
+    print("U =", snf.U.render())
+    print("V =", snf.V.render())
+    print(f"free rank {free_rank}; torsion invariants: "
+          + (", ".join(p.render() for p in torsion) or "none"))
     return EXIT_OK if exact else EXIT_CHECK_FAILED
 
 
@@ -309,8 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-i", type=_scalar_arg, default=Scalar(0))
     p.add_argument("--delta-j", type=_scalar_arg, required=True)
     p.add_argument("--c-j", type=_scalar_arg, default=Scalar(0))
-    p.add_argument("--degree-bound", type=int, required=True)
-    p.add_argument("--homogeneous", type=int, default=None)
+    p.add_argument("--degree-bound", type=_capped_int(MAX_FUNCEQ_DEGREE), required=True,
+                   help=f"largest total degree of f, at most {MAX_FUNCEQ_DEGREE}")
+    p.add_argument("--homogeneous", type=_capped_int(MAX_FUNCEQ_DEGREE), default=None,
+                   help=f"solve in this total degree only, at most {MAX_FUNCEQ_DEGREE}")
     p.add_argument("--variant", action="store_true",
                    help="solve the shifted-by-m orientation instead")
     add_json(p)
@@ -360,7 +365,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; Python flushes it again at exit,
+        # so point it at devnull first (the idiom of the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

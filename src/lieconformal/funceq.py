@@ -7,6 +7,12 @@ under an acting line with parameters (a, b):
     (-l - m + a*l + b) f(d, l+m)
         = f(d+l, m) (d + delta_i*l + c_i) - (d + m + delta_j*l + c_j) f(d, m)
 
+It is the Jacobi identity on (L_0, g_1, g_2) of four lines with
+[L_0 _l g_1] = (d + a*l + b) g_1, [L_0 _l g_2] = (d + delta_j*l + c_j) g_2,
+[L_0 _l g_3] = (d + delta_i*l + c_i) g_3, [g_1 _l g_2] = f(d, l) g_3 and every
+other bracket zero: its three terms are the equation's with the sign
+flipped, so algebra.jacobi_defect computes the defect.
+
 Its top-degree shadow drops the constants; homogeneous solutions of total
 degree k are classified (for delta_i != 0) by an eight-row table, which
 verify_solution_table reproduces by sampling exact parameter grids.
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebra import jacobi_defect
 from .linalg import nullspace
 from .poly import D, L, M, MultiPoly
 from .reports import Report
@@ -74,21 +81,20 @@ def _monomials(degree_bound: int, homogeneous: int | None) -> list[tuple[int, in
     return out
 
 
-def _defect_intertwiner(inst: FuncEqInstance, f: MultiPoly, homogeneous: bool) -> MultiPoly:
-    """Defect polynomial in (d, l, m); zero iff f solves the equation."""
-    a, b = inst.a, inst.b
-    if homogeneous:
-        lhs_factor = (a - ONE) * L - M
-        left_line = D + inst.delta_i * L
-        right_line = D + M + inst.delta_j * L
-    else:
-        lhs_factor = (a - ONE) * L - M + MultiPoly.const(b)
-        left_line = D + inst.delta_i * L + MultiPoly.const(inst.c_i)
-        right_line = D + M + inst.delta_j * L + MultiPoly.const(inst.c_j)
-    f_lm = f.substitute("l", L + M)
-    f_shift = f.substitute("l", M).substitute("d", D + L)
-    f_m = f.substitute("l", M)
-    return lhs_factor * f_lm - f_shift * left_line + right_line * f_m
+def _defect_intertwiner(inst: FuncEqInstance, f: MultiPoly) -> MultiPoly:
+    """Defect polynomial in (d, l, m); zero iff f solves the equation.
+
+    Minus the g_3 component of the Jacobi defect on (L_0, g_1, g_2) of the
+    four-line table in the module docstring.
+    """
+    table = {
+        (0, 1): {1: D + inst.a * L + MultiPoly.const(inst.b)},
+        (0, 2): {2: D + inst.delta_j * L + MultiPoly.const(inst.c_j)},
+        (0, 3): {3: D + inst.delta_i * L + MultiPoly.const(inst.c_i)},
+        (1, 2): {3: f},
+    }
+    defect = jacobi_defect(lambda i, j: table.get((i, j), {}), 0, 1, 2)
+    return -defect.get(3, MultiPoly.zero())
 
 
 def _defect_bcsx(inst: FuncEqInstance, q: MultiPoly) -> MultiPoly:
@@ -139,18 +145,14 @@ def _solve_by_matching(monomials, defect_of, extra_conditions=()) -> SolutionBas
 def solve_intertwiner(inst: FuncEqInstance) -> SolutionBasis:
     """All f with total degree <= the bound solving the inhomogeneous equation."""
     monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    return _solve_by_matching(
-        monomials, lambda f: _defect_intertwiner(inst, f, homogeneous=False)
-    )
+    return _solve_by_matching(monomials, lambda f: _defect_intertwiner(inst, f))
 
 
 def solve_homogeneous(a: Scalar, delta_i: Scalar, delta_j: Scalar, k: int) -> SolutionBasis:
     """Homogeneous solutions of total degree exactly k of the top-degree equation."""
     inst = FuncEqInstance(a, ZERO, delta_i, ZERO, delta_j, ZERO, k, homogeneous_degree=k)
     monomials = _monomials(k, k)
-    return _solve_by_matching(
-        monomials, lambda f: _defect_intertwiner(inst, f, homogeneous=True)
-    )
+    return _solve_by_matching(monomials, lambda f: _defect_intertwiner(inst, f))
 
 
 def bcsx_variant_solver(inst: FuncEqInstance) -> SolutionBasis:
@@ -174,7 +176,7 @@ def degree_offset(f: MultiPoly, a: Scalar, delta_i: Scalar, delta_j: Scalar) -> 
     if f.is_zero():
         raise NotASolution("the zero polynomial carries no degree data")
     inst = FuncEqInstance(a, ZERO, delta_i, ZERO, delta_j, ZERO, 0)
-    if not _defect_intertwiner(inst, f, homogeneous=True).is_zero():
+    if not _defect_intertwiner(inst, f).is_zero():
         raise NotASolution("polynomial does not solve the homogeneous equation")
     return DegreeOffsetResult(f.degree_in("l") or 0, a + delta_j - delta_i - ONE)
 
@@ -352,9 +354,7 @@ def verify_solution_table(
                     continue
                 di, dj, stated = row.instantiate(a, delta_i)
                 defect = _defect_intertwiner(
-                    FuncEqInstance(a, ZERO, di, ZERO, dj, ZERO, row.k),
-                    stated,
-                    homogeneous=True,
+                    FuncEqInstance(a, ZERO, di, ZERO, dj, ZERO, row.k), stated
                 )
                 basis = solve_homogeneous(a, di, dj, row.k)
                 matches = basis.dimension == 1 and _proportional(basis.basis[0], stated)

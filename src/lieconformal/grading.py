@@ -81,6 +81,8 @@ def split_I0_I1(A: ConformalAlgebra) -> tuple[list[int], list[int], Report]:
     Verified within the truncation: grade 0 annihilates the I1 part, I0 is
     closed under addition where brackets are nonzero, and the I1 part is a
     subalgebra (a bracket of annihilated lines cannot land on an acting line).
+    A nonzero bracket of an acting and an annihilated line breaks the Jacobi
+    identity on (0, i, j); its defect there is the witness.
     """
     _require_graded(A)
     if _single_coeff(A, 0, 0) != D + 2 * L:
@@ -100,11 +102,7 @@ def split_I0_I1(A: ConformalAlgebra) -> tuple[list[int], list[int], Report]:
                 report.ok(f"split({i},{j})")
                 continue
             if (i in in_I0) != (j in in_I0):
-                acting = i if i in in_I0 else j
-                a_i, b_i = _affine_parts(A, acting, ONE)
-                defect = (
-                    (a_i - ONE) * L - M + MultiPoly.const(b_i)
-                ) * p.substitute("l", L + M)
+                defect = jacobi_defect(A.entry, 0, i, j).get(i + j, MultiPoly.zero())
                 report.fail(
                     f"split({i},{j})",
                     f"acting and annihilated lines bracket nontrivially: {defect.render()}",
@@ -292,9 +290,7 @@ class _Scan:
         for t in degrees:
             inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, t, homogeneous_degree=t)
             found = _solve_by_matching(
-                _monomials(t, t),
-                lambda f: _defect_intertwiner(inst, f, homogeneous=True),
-                extra,
+                _monomials(t, t), lambda f: _defect_intertwiner(inst, f), extra
             )
             if target.is_zero() and len(found.basis) > 1:
                 # several independent solutions at one degree: basis elements

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -197,13 +199,38 @@ def test_size_arguments_are_capped(tmp_path, capsys):
     spec = _write(tmp_path, "vir.lca", VIR_SPEC)
     assert cli.run(["annih-check", spec, "--depth", str(cli.MAX_ANNIH_DEPTH)]) == 0
     assert cli.run(["weights", spec, "--module", "M", "--degree", "0"]) == 0
+    solve = ["solve-funceq", "--a", "2", "--delta-i", "3", "--delta-j", "1", "--degree-bound"]
+    cap = str(cli.MAX_FUNCEQ_DEGREE)
+    assert cli.run(solve + [cap]) == 0
+    assert cli.run(solve + ["0", "--homogeneous", cap]) == 0
     capsys.readouterr()
     commands = (
         (["annih-check", spec, "--depth"], "--depth", cli.MAX_ANNIH_DEPTH),
         (["weights", spec, "--module", "M", "--degree"], "--degree", cli.MAX_WEIGHT_DEGREE),
+        (solve, "--degree-bound", cli.MAX_FUNCEQ_DEGREE),
+        (solve + ["2", "--homogeneous"], "--homogeneous", cli.MAX_FUNCEQ_DEGREE),
     )
     for argv, flag, cap in commands:
         for value in (str(cap + 1), "-1", "10" * 40, "3.5", "\u0663", ""):
             assert cli.run(argv + [value]) == 2
             err = capsys.readouterr().err
             assert f"argument {flag}" in err and "Traceback" not in err
+
+
+def test_closed_pipe_ends_quietly_and_keeps_the_json(tmp_path):
+    spec = _write(tmp_path, "vir.lca", VIR_SPEC)
+    out = tmp_path / "annih.json"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lieconformal", "annih-check", spec, "--depth", "6",
+         "--json", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the first line
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert json.loads(out.read_text())["command"] == "annih-check"

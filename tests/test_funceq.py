@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lieconformal.funceq import (
     FuncEqInstance,
@@ -15,7 +16,7 @@ from lieconformal.funceq import (
     solve_intertwiner,
     verify_solution_table,
 )
-from lieconformal.poly import D, L, MultiPoly
+from lieconformal.poly import D, L, M, MultiPoly
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
 
 
@@ -35,7 +36,35 @@ def test_adjoint_intertwiner_found():
     assert basis.dimension == 1
     assert _proportional(basis.basis[0], D + 5 * L + MultiPoly.const(7))
     # oracle: (l-m)(d + 5(l+m) + 7) equals the right-hand side, expanded
-    assert _defect_intertwiner(inst, D + 5 * L + MultiPoly.const(7), homogeneous=False).is_zero()
+    assert _defect_intertwiner(inst, D + 5 * L + MultiPoly.const(7)).is_zero()
+
+
+def _defect_by_hand(inst, f):
+    """The equation's defect written out term by term: the reference oracle."""
+    lhs_factor = (inst.a - ONE) * L - M + MultiPoly.const(inst.b)
+    left_line = D + inst.delta_i * L + MultiPoly.const(inst.c_i)
+    right_line = D + M + inst.delta_j * L + MultiPoly.const(inst.c_j)
+    f_lm = f.substitute("l", L + M)
+    f_shift = f.substitute("l", M).substitute("d", D + L)
+    f_m = f.substitute("l", M)
+    return lhs_factor * f_lm - f_shift * left_line + right_line * f_m
+
+
+_gaussian = st.builds(
+    Scalar,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+_dl_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0)), _gaussian, max_size=6
+).map(MultiPoly)
+
+
+@given(st.tuples(*[_gaussian] * 6), _dl_polys)
+def test_defect_is_the_equation_written_out(params, f):
+    # the Jacobi defect of the four-line table is the equation's defect
+    inst = FuncEqInstance(*params, 3)
+    assert _defect_intertwiner(inst, f) == _defect_by_hand(inst, f)
 
 
 def test_constant_mismatch_kills_solutions():
@@ -148,10 +177,10 @@ def test_solver_soundness_and_linearity():
     for inst in insts:
         basis = solve_intertwiner(inst)
         for p in basis.basis:
-            assert _defect_intertwiner(inst, p, homogeneous=False).is_zero()
+            assert _defect_intertwiner(inst, p).is_zero()
         if basis.dimension:
             doubled = p * Scalar(7)
-            assert _defect_intertwiner(inst, doubled, homogeneous=False).is_zero()
+            assert _defect_intertwiner(inst, doubled).is_zero()
 
 
 def test_dimension_stable_when_doubling_bound():

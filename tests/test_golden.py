@@ -3,6 +3,8 @@ order, coefficient format, or JSON layout."""
 
 import os
 
+import pytest
+
 from lieconformal import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -76,3 +78,39 @@ def test_scan_golden(tmp_path):
     out = tmp_path / "out.json"
     assert cli.run(["scan-a1", "--grid", "den6", "--horizon", "8", "--json", str(out)]) == 0
     assert out.read_bytes() == _golden_bytes("scan_den6_h8.json")
+
+
+def test_verify_prop36_golden(tmp_path):
+    out = tmp_path / "out.json"
+    assert cli.run(["verify-prop36", "--json", str(out)]) == 0
+    assert out.read_bytes() == _golden_bytes("verify_prop36.json")
+
+
+# one solve-funceq instance per solver path: nonzero constants b, c_i and
+# c_j with a nonconstant solution, a homogeneous degree, and the variant
+SOLVE_FUNCEQ = (
+    pytest.param(
+        "solve_funceq_constants.json",
+        ["--a", "1", "--b", "1", "--delta-i", "2", "--c-i", "3",
+         "--delta-j", "4", "--c-j", "2", "--degree-bound", "3"],
+        id="constants",
+    ),
+    pytest.param(
+        "solve_funceq_homogeneous.json",
+        ["--a", "1", "--delta-i", "-1", "--delta-j", "1",
+         "--degree-bound", "2", "--homogeneous", "2"],
+        id="homogeneous",
+    ),
+    pytest.param(
+        "solve_funceq_variant.json",
+        ["--a", "3", "--delta-i", "2", "--delta-j", "1", "--degree-bound", "3", "--variant"],
+        id="variant",
+    ),
+)
+
+
+@pytest.mark.parametrize("name, argv", SOLVE_FUNCEQ)
+def test_solve_funceq_golden(tmp_path, name, argv):
+    out = tmp_path / "out.json"
+    assert cli.run(["solve-funceq", *argv, "--json", str(out)]) == 0
+    assert out.read_bytes() == _golden_bytes(name)

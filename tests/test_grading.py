@@ -16,7 +16,7 @@ from lieconformal.grading import (
     scan_a1,
     split_I0_I1,
 )
-from lieconformal.poly import D, L, MultiPoly
+from lieconformal.poly import D, L, M, MultiPoly
 from lieconformal.scalars import I, ONE, Scalar, ZERO, sc
 
 
@@ -64,6 +64,13 @@ def test_split_detects_mixed_bracket():
     I0, I1, rep = split_I0_I1(A)
     assert 1 in I0 and 2 in I1
     assert not rep.passed
+    # the witness is the Jacobi defect on (0, 1, 2): only the middle term,
+    # -p_{0,1}(-l-m, l) p_{1,2}(d, l+m), survives
+    [item] = [item for item in rep.failures if item.check_id == "split(1,2)"]
+    assert item.witnesses == (
+        "acting and annihilated lines bracket nontrivially: "
+        + (-(2 * L - M) * (2 * D + L + M)).render(),
+    )
 
 
 def test_split_detects_mixed_bracket_with_annihilated_low_index():
@@ -87,7 +94,12 @@ def test_split_detects_mixed_bracket_with_annihilated_low_index():
     I0, I1, rep = split_I0_I1(A)
     assert 1 in I1 and 2 in I0
     assert not rep.passed
-    assert any(item.witnesses for item in rep.failures)
+    # the Jacobi defect on (0, 1, 2): only -p_{0,2}(d+m, l) p_{1,2}(d, m) survives
+    [item] = [item for item in rep.failures if item.check_id == "split(1,2)"]
+    assert item.witnesses == (
+        "acting and annihilated lines bracket nontrivially: "
+        "-2*d^2 - 6*d*l - 3*d*m - 3*l*m - m^2",
+    )
 
 
 def test_split_requires_virasoro_at_zero():
