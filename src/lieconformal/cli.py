@@ -53,6 +53,10 @@ def _load_spec(path: str) -> SpecFile:
         return parse_spec(fh.read())
 
 
+class JsonPathError(Exception):
+    """The --json path cannot be opened for writing (a directory, say)."""
+
+
 def _emit(args, command: str, status: str, report: Report | None, data: dict) -> None:
     """Write --json, then print the report: a closed stdout cannot lose the file."""
     if getattr(args, "json", None):
@@ -63,7 +67,12 @@ def _emit(args, command: str, status: str, report: Report | None, data: dict) ->
             "report": report.to_dict() if report is not None else None,
             "data": data,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
+        # only the open is guarded: a BrokenPipeError on stdout must stay exit 1
+        try:
+            fh = open(args.json, "w", encoding="utf-8")
+        except OSError as exc:
+            raise JsonPathError(f"cannot open --json path: {exc}") from None
+        with fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
     if report is not None:
@@ -354,7 +363,7 @@ def run(argv: list[str]) -> int:
     try:
         code = args.func(args)
     except (ParseError, InvalidStructure, UnknownGenerator, DuplicateDefinition,
-            MissingAction, FileNotFoundError, ValueError) as exc:
+            MissingAction, JsonPathError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except TruncationExceeded as exc:

@@ -360,9 +360,10 @@ class _Scan:
         """Row-one steps (k, a_{j+1}) from a_j = a_prev; each target occurs once."""
         label = self.a1 + a_prev - ONE
         steps = [(k, label - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
-        if label.is_real() and label.re.denominator == 1 and int(label.re) > _MAX_STEP_DEGREE:
+        k = label.as_int()
+        if k is not None and k > _MAX_STEP_DEGREE:
             # a drop to the unclassified zero weight from beyond the table cap
-            steps.append((int(label.re), ZERO))
+            steps.append((k, ZERO))
         return steps
 
     # -- the search ----------------------------------------------------------

@@ -242,7 +242,7 @@ class MultiPoly:
                 body = mono
             elif coeff == Scalar(-1):
                 body = f"-{mono}"
-            elif coeff.im != 0 and coeff.re != 0:
+            elif not (coeff.is_real() or coeff.is_imaginary()):
                 body = f"({coeff})*{mono}"
             else:
                 body = f"{coeff}*{mono}"

@@ -1,39 +1,55 @@
 """Exact Gaussian-rational scalars.
 
-The coefficient field for the whole package: values re + im*i where both
-parts are arbitrary-precision rationals.  fractions.Fraction keeps each
-part in lowest terms with a positive denominator, so equality is exact and
-hashable.  Nothing downstream ever touches floating point: "this polynomial
-is identically zero" is always a decidable, exact question, and a float
-argument is refused rather than silently converted.
+The coefficient field for the whole package: values (n + m*i)/q where n,
+m and q are arbitrary-precision Python ints.  Nothing downstream ever
+touches floating point: "this polynomial is identically zero" is always a
+decidable, exact question, and a float argument is refused rather than
+silently converted.
 
-Invariant the arithmetic relies on: `re` and `im` are always normalized
-Fractions, and a real value carries `im == 0`.  So when both operands have
-a zero imaginary part, one Fraction operation on the real parts gives the
-whole result, and `_make` may store parts that are already Fractions
-without wrapping them again.
+Invariant: a Scalar stores the single triple (n, m, q) with q > 0 and
+gcd(n, m, q) == 1, so zero is (0, 0, 1).  Each value has exactly one such
+triple, which makes equality a comparison of triples.  Every operation
+computes its result with integer products and then divides out one
+gcd(n, m, q), which it skips when q == 1.  A real value is a triple with
+m == 0 and goes through the same code.  `re` and `im` are normalized
+Fractions built on request, for rendering and for callers outside the
+arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _RatLike = int | Fraction
 
-_Q0 = Fraction(0)
-
 
 class Scalar:
-    __slots__ = ("re", "im")
+    __slots__ = ("_nmq",)
 
     def __init__(self, re: _RatLike | str = 0, im: _RatLike | str = 0):
+        if type(re) is int and type(im) is int:
+            _set(self, (re, im, 1))
+            return
         if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
             raise TypeError("Scalar parts must be exact (int, Fraction or str), not float or complex")
-        _set_re(self, re if type(re) is Fraction else Fraction(re))
-        _set_im(self, im if type(im) is Fraction else Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        q = lcm(re.denominator, im.denominator)
+        # both parts are in lowest terms, so no prime divides all of n, m and q
+        _set(self, (re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        n, _, q = self._nmq
+        return Fraction(n, q)
+
+    @property
+    def im(self) -> Fraction:
+        _, m, q = self._nmq
+        return Fraction(m, q)
 
     # -- field operations ------------------------------------------------
 
@@ -50,9 +66,11 @@ class Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.im or other.im:
-            return _make(self.re + other.re, self.im + other.im)
-        return _make(self.re + other.re, _Q0)
+        an, am, aq = self._nmq
+        bn, bm, bq = other._nmq
+        if aq == bq:
+            return _reduced(an + bn, am + bm, aq)
+        return _reduced(an * bq + bn * aq, am * bq + bm * aq, aq * bq)
 
     __radd__ = __add__
 
@@ -61,9 +79,11 @@ class Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.im or other.im:
-            return _make(self.re - other.re, self.im - other.im)
-        return _make(self.re - other.re, _Q0)
+        an, am, aq = self._nmq
+        bn, bm, bq = other._nmq
+        if aq == bq:
+            return _reduced(an - bn, am - bm, aq)
+        return _reduced(an * bq - bn * aq, am * bq - bm * aq, aq * bq)
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
@@ -72,19 +92,17 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return _make(-self.re, -self.im if self.im else _Q0)
+        n, m, q = self._nmq
+        return _make(-n, -m, q)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.im or other.im:
-            return _make(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return _make(self.re * other.re, _Q0)
+        an, am, aq = self._nmq
+        bn, bm, bq = other._nmq
+        return _reduced(an * bn - am * bm, an * bm + am * bn, aq * bq)
 
     __rmul__ = __mul__
 
@@ -93,17 +111,13 @@ class Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not (self.im or other.im):
-            if not other.re:
-                raise ZeroDivisionError("division by zero Scalar")
-            return _make(self.re / other.re, _Q0)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        an, am, aq = self._nmq
+        bn, bm, bq = other._nmq
+        # multiply through by the conjugate: the new denominator aq*|b|^2 is positive
+        norm = bn * bn + bm * bm
+        if not norm:
             raise ZeroDivisionError("division by zero Scalar")
-        return _make(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced((an * bn + am * bm) * bq, (am * bn - an * bm) * bq, aq * norm)
 
     def __rtruediv__(self, other):
         other = Scalar._coerce(other)
@@ -124,25 +138,37 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return _make(self.re, -self.im)
+        n, m, q = self._nmq
+        return _make(n, -m, q)
 
     # -- predicates and hashing ------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        n, m, _ = self._nmq
+        return not (n or m)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._nmq[1]
+
+    def is_imaginary(self) -> bool:
+        """True when the real part is zero, zero itself included."""
+        return not self._nmq[0]
+
+    def as_int(self) -> int | None:
+        """The value as an int when it is a rational integer, else None."""
+        n, m, q = self._nmq
+        return n if q == 1 and not m else None
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        n, m, _ = self._nmq
+        return bool(n or m)
 
     def __eq__(self, other):
         if type(other) is not Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._nmq == other._nmq
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -156,27 +182,40 @@ class Scalar:
     # -- rendering: the golden text format -------------------------------
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        imag = f"{abs(self.im)}*i"
-        if self.re == 0:
-            return imag if self.im > 0 else f"-{imag}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = f"{abs(im)}*i"
+        if re == 0:
+            return imag if im > 0 else f"-{imag}"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{imag}"
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
 
 
-_set_re = Scalar.re.__set__
-_set_im = Scalar.im.__set__
+_set = Scalar._nmq.__set__
+_new = object.__new__
 
 
-def _make(re: Fraction, im: Fraction) -> Scalar:
-    """Scalar from parts that are already normalized Fractions; no checks."""
-    s = object.__new__(Scalar)
-    _set_re(s, re)
-    _set_im(s, im)
+def _make(n: int, m: int, q: int) -> Scalar:
+    """Scalar (n + m*i)/q from a triple that is already canonical; no checks."""
+    s = _new(Scalar)
+    _set(s, (n, m, q))
+    return s
+
+
+def _reduced(n: int, m: int, q: int) -> Scalar:
+    """Scalar (n + m*i)/q for q > 0, divided by gcd(n, m, q) to be canonical."""
+    if q != 1:
+        g = gcd(n, m, q)
+        if g != 1:
+            n //= g
+            m //= g
+            q //= g
+    s = _new(Scalar)
+    _set(s, (n, m, q))
     return s
 
 

@@ -234,3 +234,10 @@ def test_closed_pipe_ends_quietly_and_keeps_the_json(tmp_path):
     assert proc.wait() == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert json.loads(out.read_text())["command"] == "annih-check"
+
+
+def test_unopenable_json_path_is_an_argument_error(tmp_path, capsys):
+    assert cli.run(["snf", "--matrix", "d", "--json", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open --json path:") and err.count("\n") == 1
+    assert "Traceback" not in err

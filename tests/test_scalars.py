@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lieconformal.scalars import I, ONE, Scalar, ZERO, sc
 
@@ -84,6 +85,20 @@ def mixed_scalars():
     return st.builds(Scalar, small_rationals(), st.one_of(zero, small_rationals()))
 
 
+def wide_rationals():
+    return st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+def wide_scalars():
+    """Reals, pure imaginaries and Gaussian values with parts up to 2**64."""
+    zero = st.just(Fraction(0))
+    return st.one_of(
+        st.builds(Scalar, wide_rationals(), zero),
+        st.builds(Scalar, zero, wide_rationals()),
+        st.builds(Scalar, wide_rationals(), wide_rationals()),
+    )
+
+
 def _pair(s):
     return (s.re, s.im)
 
@@ -92,31 +107,62 @@ def _pair_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-@given(mixed_scalars(), mixed_scalars())
-def test_kernel_matches_pair_arithmetic(a, b):
+def _assert_canonical(s):
+    n, m, q = s._nmq
+    assert q > 0 and gcd(n, m, q) == 1
+    if not (n or m):
+        assert (n, m, q) == (0, 0, 1)
+    assert type(s.re) is Fraction and type(s.im) is Fraction
+
+
+def _check_against_pairs(a, b, e):
     pa, pb = _pair(a), _pair(b)
-    assert _pair(a + b) == (pa[0] + pb[0], pa[1] + pb[1])
-    assert _pair(a - b) == (pa[0] - pb[0], pa[1] - pb[1])
-    assert _pair(a * b) == _pair_mul(pa, pb)
-    assert _pair(-a) == (-pa[0], -pa[1])
+    results = [a + b, a - b, a * b, -a, a.conjugate(), a**e]
+    assert _pair(results[0]) == (pa[0] + pb[0], pa[1] + pb[1])
+    assert _pair(results[1]) == (pa[0] - pb[0], pa[1] - pb[1])
+    assert _pair(results[2]) == _pair_mul(pa, pb)
+    assert _pair(results[3]) == (-pa[0], -pa[1])
+    assert _pair(results[4]) == (pa[0], -pa[1])
+    power = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        power = _pair_mul(power, pa)
+    assert _pair(results[5]) == power
     n = pb[0] * pb[0] + pb[1] * pb[1]
     if n:
-        assert _pair(a / b) == _pair_mul(pa, (pb[0] / n, -pb[1] / n))
+        results.append(a / b)
+        assert _pair(results[-1]) == _pair_mul(pa, (pb[0] / n, -pb[1] / n))
     else:
         with pytest.raises(ZeroDivisionError):
             a / b
     assert a.is_zero() == (pa == (0, 0))
+    assert a.is_real() == (pa[1] == 0) and a.is_imaginary() == (pa[0] == 0)
+    assert a.as_int() == (pa[0] if pa[1] == 0 and pa[0].denominator == 1 else None)
     assert (a == b) == (pa == pb)
     assert hash(a) == hash(pa)
-    for result in (a + b, a - b, a * b, -a):
-        assert type(result.re) is Fraction and type(result.im) is Fraction
+    for result in results:
+        _assert_canonical(result)
 
 
-@given(small_rationals(), st.one_of(st.just(Fraction(0)), small_rationals()))
-def test_raw_constructor_matches_validated_one(re, im):
+@given(mixed_scalars(), mixed_scalars(), st.integers(0, 4))
+def test_kernel_matches_pair_arithmetic(a, b, e):
+    _check_against_pairs(a, b, e)
+
+
+@given(wide_scalars(), wide_scalars(), st.integers(0, 4))
+@example(Scalar(Fraction(2**64 - 1, 3), Fraction(-5, 2**64)), Scalar(-(2**64)), 3)
+@example(Scalar(Fraction(7, 2**63)), Scalar(0, Fraction(-(2**64), 3)), 2)
+@example(Scalar(0, Fraction(1, 2**64)), Scalar(Fraction(-1, 2**64)), 0)
+def test_wide_kernel_matches_pair_arithmetic(a, b, e):
+    _check_against_pairs(a, b, e)
+
+
+@given(st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+def test_raw_constructor_matches_validated_one(n, m, q):
     from lieconformal.scalars import _make
 
-    made, built = _make(re, im), Scalar(re, im)
+    g = gcd(n, m, q)
+    n, m, q = n // g, m // g, q // g
+    made, built = _make(n, m, q), Scalar(Fraction(n, q), Fraction(m, q))
     assert made == built and hash(made) == hash(built)
     assert str(made) == str(built) and repr(made) == repr(built)
 
