@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -290,3 +291,57 @@ def test_abelian_semidirect_any_twist():
 def test_element_coordinates_must_be_translation_polynomials():
     with pytest.raises(InvalidStructure):
         AlgebraElement({0: L})
+
+
+def _bracket_by_hand(A, x, y):
+    """The sesquilinear extension written out pair by pair: the reference oracle."""
+    out = {}
+    for i, f in x.coords.items():
+        f_shift = f.substitute("d", -L)
+        for j, g in y.coords.items():
+            factor = f_shift * g.substitute("d", D + L)
+            for k, p in A.entry(i, j).items():
+                out[k] = out.get(k, MultiPoly.zero()) + factor * p
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+def _jth_product_by_hand(A, x, y, j):
+    fact = Scalar(factorial(j))
+    return AlgebraElement(
+        {k: p.coeff_of("l", j) * fact for k, p in _bracket_by_hand(A, x, y).items()}
+    )
+
+
+_d_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.just(0), st.just(0)), _gaussian, max_size=3
+).map(MultiPoly)
+
+
+def _elements(A):
+    return st.dictionaries(st.integers(0, A.n_gens - 1), _d_polys, max_size=3).map(AlgebraElement)
+
+
+def _or_skip(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationExceeded:
+        return TruncationExceeded
+
+
+@given(_skew_tables, st.data(), st.integers(0, 3))
+def test_bracket_and_jth_product_match_the_loop_by_hand(A, data, j):
+    # a pair beyond the truncation raises in both, or in neither
+    x = data.draw(_elements(A))
+    y = data.draw(_elements(A))
+    assert _or_skip(bracket, A, x, y) == _or_skip(_bracket_by_hand, A, x, y)
+    assert _or_skip(jth_product, A, x, y, j) == _or_skip(_jth_product_by_hand, A, x, y, j)
+
+
+def test_negative_product_index_raises_before_the_bracket():
+    # [L1 _l L1] lies beyond the truncation of block(1, 1): the index error
+    # comes first, so no bracket was computed
+    B = block(1, 1)
+    with pytest.raises(TruncationExceeded):
+        jth_product(B, B.gen(1), B.gen(1), 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        jth_product(B, B.gen(1), B.gen(1), -1)

@@ -1,6 +1,11 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
+from hypothesis import given, strategies as st
 
 from lieconformal.algebra import ConformalAlgebra, block, map_virasoro_poly, virasoro
+from lieconformal.annihilation import module_action_n
 from lieconformal.modules import (
     ConformalModule,
     InvalidParams,
@@ -276,3 +281,82 @@ def test_check_module_reports_are_pinned():
     assert check_module(virasoro(), rank_one_vir(2, 0)).to_dict() == _module_report(
         "pass", (5, 0, 0), [("module(0,0)", "pass", ())] + _SPOTS
     )
+
+
+_gaussian = st.builds(
+    lambda n, m, q: Scalar(Fraction(n, q), Fraction(m, q)),
+    st.integers(-9, 9), st.integers(-6, 6), st.integers(1, 4),
+)
+_dl_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)), _gaussian, max_size=3
+).map(MultiPoly)
+_d_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.just(0), st.just(0)), _gaussian, max_size=3
+).map(MultiPoly)
+
+
+@st.composite
+def _actions(draw):
+    """A module of rank 1 to 3 over 1 to 3 generators, a generator, an
+    element of the algebra and a vector of the module.
+
+    The action needs no module axiom, so the matrices are arbitrary.
+    """
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    actions = {i: [[draw(_dl_polys) for _ in range(m)] for _ in range(m)] for i in range(n)}
+    M = ConformalModule(tuple(f"v{r}" for r in range(m)), actions)
+    gens = st.integers(0, n - 1)
+    coords = {draw(gens): draw(_d_polys) for _ in range(draw(st.integers(0, 3)))}
+    return M, draw(gens), coords, [draw(_d_polys) for _ in range(m)]
+
+
+def _apply_action_by_hand(M, gen, vec):
+    """g _l (sum_j f_j(d) v_j) = sum_j f_j(d+l) (g _l v_j), column by column: the oracle."""
+    mat = M.action(gen)
+    out = [MultiPoly.zero()] * M.rank
+    for j, f in enumerate(vec):
+        f_shift = f.substitute("d", D + L)
+        for k in range(M.rank):
+            out[k] = out[k] + f_shift * mat[k][j]
+    return out
+
+
+def _apply_element_action_by_hand(M, coords, vec):
+    out = [MultiPoly.zero()] * M.rank
+    for i, f in coords.items():
+        part = _apply_action_by_hand(M, i, vec)
+        for k in range(M.rank):
+            out[k] = out[k] + f.substitute("d", -L) * part[k]
+    return out
+
+
+def _module_action_n_by_hand(M, gen, n, vec):
+    fact = Scalar(factorial(n))
+    return [p.coeff_of("l", n) * fact for p in _apply_action_by_hand(M, gen, vec)]
+
+
+@given(_actions(), st.integers(0, 3))
+def test_actions_match_the_loops_by_hand(action, n):
+    M, gen, coords, vec = action
+    assert apply_action(M, gen, vec) == _apply_action_by_hand(M, gen, vec)
+    assert apply_element_action(M, coords, vec) == _apply_element_action_by_hand(M, coords, vec)
+    assert module_action_n(M, gen, n, vec) == _module_action_n_by_hand(M, gen, n, vec)
+
+
+def test_missing_action_raises_on_every_vector():
+    M = ConformalModule(("u", "w"), {0: ((D, L), (L, D))})
+    for vec in ([MultiPoly.zero()] * 2, [D, MultiPoly.one()]):
+        with pytest.raises(MissingAction):
+            apply_action(M, 1, vec)
+        with pytest.raises(MissingAction):
+            apply_element_action(M, {1: D}, vec)
+        with pytest.raises(MissingAction):
+            module_action_n(M, 1, 1, vec)
+
+
+def test_negative_action_index_raises_before_the_action():
+    # generator 1 has no action matrix: the index error comes first
+    M = rank_one_vir(2, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        module_action_n(M, 1, -1, [MultiPoly.one()])
