@@ -57,7 +57,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         coords = dict(self.coords)
         for i, f in other.coords.items():
-            coords[i] = coords.get(i, MultiPoly.zero()) + f
+            accumulate(coords, i, f)
         return AlgebraElement(coords)
 
     def __mul__(self, factor) -> "AlgebraElement":
@@ -158,37 +158,61 @@ class ConformalAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# bracket evaluation
+# the lambda-bracket kernel: algebras, modules and annihilation algebras all
+# evaluate brackets here
+
+
+_NEG_L = -L
+_D_PLUS_L = D + L
+
+
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value on a sparse vector: a key whose sum is zero is dropped."""
+    acc = out.get(key)
+    acc = value if acc is None else acc + value
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
+def lambda_bracket(entry, x: dict[int, MultiPoly], y: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
+    """[x _l y] = sum_{i,j} f_i(-l) g_j(d+l) entry(i, j) for x = {i: f_i(d)}, y = {j: g_j(d)}.
+
+    This is sesquilinearity (D'Andrea and Kac 1998).  entry(i, j) is
+    [e_i _l e_j] as an index-keyed vector, as in jacobi_defect; for a
+    module the e_j are its basis vectors and the bracket is the action.
+    Every entry named by a pair of coordinates is read, zero ones too, so
+    an unknown entry raises whatever the coordinates are.
+    """
+    out: dict[int, MultiPoly] = {}
+    y_shift = {j: g.substitute("d", _D_PLUS_L) for j, g in y.items()}
+    for i, f in x.items():
+        f_shift = f.substitute("d", _NEG_L)
+        for j, g_shift in y_shift.items():
+            factor = f_shift * g_shift
+            for k, p in entry(i, j).items():
+                accumulate(out, k, factor * p)
+    return out
+
+
+def nth_product(vec: dict[int, MultiPoly], n: int) -> dict[int, MultiPoly]:
+    """The n-th product of a bracket: n! times the l^n coefficient of each component, zeros dropped."""
+    fact = Scalar(factorial(n))
+    out = {k: p.coeff_of("l", n) * fact for k, p in vec.items()}
+    return {k: p for k, p in out.items() if not p.is_zero()}
 
 
 def bracket(A: ConformalAlgebra, x: AlgebraElement, y: AlgebraElement) -> dict[int, MultiPoly]:
     """[x _l y] extended bilinearly: [f(d)g_i _l g(d)g_j] = f(-l) g(d+l) [g_i _l g_j]."""
-    out: dict[int, MultiPoly] = {}
-    neg_l = -L
-    d_plus_l = D + L
-    for i, f in x.coords.items():
-        f_shift = f.substitute("d", neg_l)
-        for j, g in y.coords.items():
-            g_shift = g.substitute("d", d_plus_l)
-            factor = f_shift * g_shift
-            if factor.is_zero():
-                continue
-            for k, p in A.entry(i, j).items():
-                acc = out.get(k, MultiPoly.zero()) + factor * p
-                if acc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-    return out
+    return lambda_bracket(A.entry, x.coords, y.coords)
 
 
 def jth_product(A: ConformalAlgebra, x: AlgebraElement, y: AlgebraElement, j: int) -> AlgebraElement:
     """j-th product: j! times the l^j coefficient of the bracket."""
     if j < 0:
         raise ValueError("product index must be nonnegative")
-    vec = bracket(A, x, y)
-    fact = Scalar(factorial(j))
-    return AlgebraElement({k: p.coeff_of("l", j) * fact for k, p in vec.items()})
+    return AlgebraElement(nth_product(bracket(A, x, y), j))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +224,6 @@ def skew_image(p: MultiPoly) -> MultiPoly:
     return -p.substitute("l", -L - D)
 
 
-_D_PLUS_L = D + L
 _D_PLUS_M = D + M
 _L_PLUS_M = L + M
 _NEG_LM = -L - M
@@ -254,33 +277,24 @@ def jacobi_defect(entry, x: int, y: int, z: int) -> dict[int, MultiPoly]:
     truncation still raises TruncationExceeded.
     """
     out: dict[int, MultiPoly] = {}
-
-    def accumulate(k: int, p: MultiPoly) -> None:
-        acc = out.get(k)
-        acc = p if acc is None else acc + p
-        if acc.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = acc
-
     for w, q in entry(y, z).items():
         outer = entry(x, w)
         if outer:
             factor = _image(q, _at_d_plus_l_m)
             for k, p in outer.items():
-                accumulate(k, factor * p)
+                accumulate(out, k, factor * p)
     for w, r in entry(x, y).items():
         outer = entry(w, z)
         if outer:
             factor = _image(r, _neg_at_neg_l_minus_m)
             for k, p in outer.items():
-                accumulate(k, factor * _image(p, _at_l_plus_m))
+                accumulate(out, k, factor * _image(p, _at_l_plus_m))
     for w, s in entry(x, z).items():
         outer = entry(y, w)
         if outer:
             factor = _image(s, _neg_at_d_plus_m)
             for k, p in outer.items():
-                accumulate(k, factor * _image(p, _at_m))
+                accumulate(out, k, factor * _image(p, _at_m))
     return out
 
 

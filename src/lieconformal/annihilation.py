@@ -9,8 +9,11 @@ which turns the polynomial bracket table into an honest Lie algebra on
 finitely many symbols.  Brackets whose result needs an index beyond the
 depth raise, and the consistency checker reports those as skipped.
 
-The module side: v -> n! * (coefficient of l^n in g _l v) gives the
-indexed actions, and the weight spaces of the index-1 action of a chosen
+Both sides take the bracket and its n-th products from the lambda-bracket
+kernel in algebra.py: a symbol bracket reads algebra.nth_product of
+algebra.bracket, and on the module side the same nth_product of the
+action, v -> n! * (coefficient of l^n in g _l v), gives the indexed
+actions.  The weight spaces of the index-1 action of a chosen
 Virasoro generator are computed exactly on a finite degree filtration.
 Candidate weights are read from the diagonal of the filtration matrix, so
 no numerical eigensolver is involved.  That is exact only when the matrix
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra, TruncationExceeded
+from .algebra import ConformalAlgebra, TruncationExceeded, accumulate, nth_product
 from .algebra import bracket as conformal_bracket
 from .linalg import nullspace
 from .modules import ConformalModule, apply_action
@@ -58,14 +61,6 @@ class AnnihAlgebra:
         ]
 
 
-def _place(out: Combination, sym: Symbol, coeff: Scalar) -> None:
-    acc = out.get(sym, ZERO) + coeff
-    if acc.is_zero():
-        out.pop(sym, None)
-    else:
-        out[sym] = acc
-
-
 def _element_at_index(coords: dict[int, MultiPoly], r: int) -> Combination:
     """(f(d) g)_(r) expanded through (d^t g)_(r) = (-1)^t (r)_t g_(r-t).
 
@@ -81,10 +76,7 @@ def _element_at_index(coords: dict[int, MultiPoly], r: int) -> Combination:
             falling = 1
             for s in range(t):
                 falling *= r - s
-            c = coeff * Scalar((-1) ** t * falling)
-            if c.is_zero():
-                continue
-            _place(out, (gen, r - t), c)
+            accumulate(out, (gen, r - t), coeff * Scalar((-1) ** t * falling))
     return out
 
 
@@ -102,17 +94,13 @@ def annih_bracket(X: AnnihAlgebra, left: Symbol, right: Symbol) -> Combination:
         if deg is not None:
             max_s = max(max_s, deg)
     for s in range(min(m, max_s) + 1):
-        coords = {
-            k: p.coeff_of("l", s) * Scalar(factorial(s))
-            for k, p in vec.items()
-        }
-        coords = {k: f for k, f in coords.items() if not f.is_zero()}
+        coords = nth_product(vec, s)
         if not coords:
             continue
         binom = Scalar(comb(m, s))
         part = _element_at_index(coords, m + n - s)
         for sym, coeff in part.items():
-            _place(out, sym, binom * coeff)
+            accumulate(out, sym, binom * coeff)
     overflow = [sym for sym in out if sym[1] > X.depth]
     if overflow:
         raise TruncationExceeded(
@@ -129,7 +117,7 @@ def _bracket_combinations(
         for sb, cb in b.items():
             inner = bracket(sa, sb)
             for sym, coeff in inner.items():
-                _place(out, sym, ca * cb * coeff)
+                accumulate(out, sym, ca * cb * coeff)
     return out
 
 
@@ -183,7 +171,7 @@ def check_annih_lie(X: AnnihAlgebra) -> Report:
                 continue
             defect = dict(ab)
             for sym, coeff in ba.items():
-                _place(defect, sym, coeff)
+                accumulate(defect, sym, coeff)
             if defect:
                 report.fail(f"antisym{a}{b}", render_combination(X, defect))
             else:
@@ -205,7 +193,7 @@ def check_annih_lie(X: AnnihAlgebra) -> Report:
                 defect: Combination = {}
                 for d in (d1, d2, d3):
                     for sym, coeff in d.items():
-                        _place(defect, sym, coeff)
+                        accumulate(defect, sym, coeff)
                 if defect:
                     report.fail(f"jacobi{a}{b}{c}", render_combination(X, defect))
                 else:
@@ -221,9 +209,8 @@ def module_action_n(M_: ConformalModule, gen: int, n: int, vec: list[MultiPoly])
     """n! times the l^n coefficient of the action of the generator on the element."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    image = apply_action(M_, gen, vec)
-    fact = Scalar(factorial(n))
-    return [p.coeff_of("l", n) * fact for p in image]
+    image = nth_product(dict(enumerate(apply_action(M_, gen, vec))), n)
+    return [image.get(k, MultiPoly.zero()) for k in range(M_.rank)]
 
 
 @dataclass(frozen=True)
@@ -248,9 +235,7 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
         raise ValueError("degree bound must be nonnegative")
     m = M_.rank
     cols = [(j, t) for j in range(m) for t in range(degree_bound + 1)]
-    col_index = {bt: i for i, bt in enumerate(cols)}
     images = []
-    out_keys: set[tuple[int, int]] = set()
     for (j, t) in cols:
         vec = [MultiPoly.zero()] * m
         vec[j] = MultiPoly({(t, 0, 0): ONE})
@@ -265,10 +250,7 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
                         f"d^{key[0]} {M_.basis[k]}, so its weights need not lie on the diagonal"
                     )
                 entry[(k, key[0])] = coeff
-                out_keys.add((k, key[0]))
         images.append(entry)
-    out_keys.update(cols[i] for i in range(len(cols)))
-    ordered_keys = sorted(out_keys)
     candidates = []
     seen = set()
     for i, (j, t) in enumerate(cols):
@@ -280,7 +262,7 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
     reports = []
     for alpha in candidates:
         rows = []
-        for key in ordered_keys:
+        for key in cols:
             row = []
             for i, bt in enumerate(cols):
                 val = images[i].get(key, ZERO)

@@ -29,7 +29,7 @@ from .funceq import (
 from .grading import scan_grid, default_grid
 from .modules import MissingAction
 from .parsing import ParseError, parse_scalar
-from .polymatrix import PolyMatrix, matmul, smith_normal_form, torsion_split
+from .polymatrix import PolyMatrix, matmul, smith_normal_form
 from .reports import Report
 from .scalars import Scalar
 from .specfile import DuplicateDefinition, SpecFile, UnknownGenerator, _is_index, parse_spec
@@ -48,13 +48,18 @@ MAX_WEIGHT_DEGREE = 40
 MAX_FUNCEQ_DEGREE = 10
 
 
+class PathError(Exception):
+    """The spec cannot be read, or the --json path cannot be opened for writing."""
+
+
 def _load_spec(path: str) -> SpecFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
-
-
-class JsonPathError(Exception):
-    """The --json path cannot be opened for writing (a directory, say)."""
+    # only the read is guarded: a BrokenPipeError on stdout must stay exit 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise PathError(f"cannot read spec: {exc}") from None
+    return parse_spec(text)
 
 
 def _emit(args, command: str, status: str, report: Report | None, data: dict) -> None:
@@ -71,7 +76,7 @@ def _emit(args, command: str, status: str, report: Report | None, data: dict) ->
         try:
             fh = open(args.json, "w", encoding="utf-8")
         except OSError as exc:
-            raise JsonPathError(f"cannot open --json path: {exc}") from None
+            raise PathError(f"cannot open --json path: {exc}") from None
         with fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -257,7 +262,7 @@ def _cmd_snf(args) -> int:
         rows.append([parse_poly(cell.strip()) for cell in chunk.split(",")])
     matrix = PolyMatrix(rows)
     snf = smith_normal_form(matrix)
-    free_rank, torsion = torsion_split(matrix)
+    free_rank, torsion = snf.torsion_split()
     product = matmul(matmul(snf.U, matrix), snf.V)
     exact = product == snf.D
     data = {
@@ -363,7 +368,7 @@ def run(argv: list[str]) -> int:
     try:
         code = args.func(args)
     except (ParseError, InvalidStructure, UnknownGenerator, DuplicateDefinition,
-            MissingAction, JsonPathError, FileNotFoundError, ValueError) as exc:
+            MissingAction, PathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except TruncationExceeded as exc:

@@ -10,11 +10,13 @@ The compatibility axiom with the bracket,
     g_x _l (g_y _m w) = [g_x _l g_y] _{l+m} w + g_y _m (g_x _l w),
 
 is the Jacobi identity of the semidirect sum of the algebra and the
-module with its third slot in the module.  It is checked by
-algebra.jacobi_defect with the basis vector v_c as the extra index n + c,
-whose bracket with g_i is column c of A_i; each nonzero component of the
-defect is a witness.  Pairs whose bracket lies beyond the algebra's
-truncation are reported skipped.
+module with its third slot in the module.  The module reuses the
+algebra's bracket calculus through ConformalModule.column, the bracket
+g_i _l v_c as column c of A_i: the action of an element on a vector is
+algebra.lambda_bracket over the columns, and compatibility is checked by
+algebra.jacobi_defect with v_c as the extra index n + c.  Each nonzero
+component of the defect is a witness.  Pairs whose bracket lies beyond
+the algebra's truncation are reported skipped.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import ConformalAlgebra, InvalidStructure, jacobi_defect
+from .algebra import ConformalAlgebra, InvalidStructure, jacobi_defect, lambda_bracket
 from .linalg import nullspace
 from .poly import D, L, MultiPoly
 from .reports import Report
@@ -84,6 +86,10 @@ class ConformalModule:
         except KeyError as exc:
             raise MissingAction(f"no action matrix for generator {gen}") from exc
 
+    def column(self, gen: int, c: int) -> dict[int, MultiPoly]:
+        """g_gen _l v_c: column c of the action matrix, keyed by basis index, zeros dropped."""
+        return {r: row[c] for r, row in enumerate(self.action(gen)) if not row[c].is_zero()}
+
     def render_element(self, vec: list[MultiPoly]) -> str:
         parts = [
             f"({f.render()})*{name}"
@@ -93,39 +99,25 @@ class ConformalModule:
         return " + ".join(parts) if parts else "0"
 
 
-def zero_vector(M_: ConformalModule) -> list[MultiPoly]:
-    return [MultiPoly.zero() for _ in M_.basis]
-
-
 def apply_action(M_: ConformalModule, gen: int, vec: list[MultiPoly]) -> list[MultiPoly]:
     """g_gen _l (sum_j f_j(d) v_j) = sum_j f_j(d+l) (g_gen _l v_j); result in (d, l)."""
-    mat = M_.action(gen)
-    m = M_.rank
-    out = zero_vector(M_)
-    shift = D + L
-    for j, f in enumerate(vec):
-        if f.is_zero():
-            continue
-        f_sh = f.substitute("d", shift)
-        for k in range(m):
-            out[k] = out[k] + f_sh * mat[k][j]
-    return out
+    return apply_element_action(M_, {gen: MultiPoly.one()}, vec)
 
 
 def apply_element_action(M_: ConformalModule, coords: dict[int, MultiPoly], vec: list[MultiPoly]) -> list[MultiPoly]:
-    """(sum_i f_i(d) g_i) _l w = sum_i f_i(-l) (g_i _l w)."""
-    out = zero_vector(M_)
-    for i, f in coords.items():
-        factor = f.substitute("d", -L)
-        if factor.is_zero():
-            continue
-        part = apply_action(M_, i, vec)
-        for k in range(M_.rank):
-            out[k] = out[k] + factor * part[k]
-    return out
+    """(sum_i f_i(d) g_i) _l w = sum_i f_i(-l) (g_i _l w).
+
+    Every generator in coords needs an action matrix, whatever vec is.
+    """
+    image = lambda_bracket(M_.column, coords, dict(enumerate(vec)))
+    return [image.get(k, MultiPoly.zero()) for k in range(M_.rank)]
 
 
-def check_module(A: ConformalAlgebra, M_: ConformalModule, spot_checks: int = 4) -> Report:
+# sesquilinearity spot checks per check_module report, on a fixed seed
+_SPOT_CHECKS = 4
+
+
+def check_module(A: ConformalAlgebra, M_: ConformalModule) -> Report:
     """Bracket-compatibility of all generator pairs on all basis vectors.
 
     Also spot-verifies sesquilinearity d(g _l w) relations on pseudo-random
@@ -136,15 +128,12 @@ def check_module(A: ConformalAlgebra, M_: ConformalModule, spot_checks: int = 4)
     m = M_.rank
     for g in range(n):
         M_.action(g)  # raises MissingAction early
-    # g_i _l v_c is column c of A_i, keyed n + r for the basis vector v_r
-    columns = {}
-    for i in range(n):
-        mat = M_.action(i)
-        for c in range(m):
-            columns[i, c] = {n + r: mat[r][c] for r in range(m) if not mat[r][c].is_zero()}
 
     def entry(i: int, j: int) -> dict[int, MultiPoly]:
-        return A.entry(i, j) if j < n else columns[i, j - n]
+        # the basis vector v_r is the index n + r
+        if j < n:
+            return A.entry(i, j)
+        return {n + r: p for r, p in M_.column(i, j - n).items()}
 
     for x in range(n):
         for y in range(n):
@@ -164,7 +153,7 @@ def check_module(A: ConformalAlgebra, M_: ConformalModule, spot_checks: int = 4)
             else:
                 report.ok(f"module({x},{y})")
     rng = random.Random(20240)
-    for t in range(spot_checks):
+    for t in range(_SPOT_CHECKS):
         g = rng.randrange(n)
         vec = [
             MultiPoly({(rng.randrange(3), 0, 0): Scalar(rng.randint(-3, 3))})

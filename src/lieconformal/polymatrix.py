@@ -135,6 +135,18 @@ class SmithDecomposition:
         n, m = self.D.shape
         return [self.D[i, i] for i in range(min(n, m))]
 
+    def torsion_split(self) -> tuple[int, list[MultiPoly]]:
+        """(free rank, torsion invariants) of the module presented by the decomposed matrix.
+
+        Rows are generators, columns relations.  Free rank counts diagonal
+        invariants that vanish (plus generators with no invariant slot);
+        torsion invariants are the nonconstant diagonal entries, monic.
+        """
+        nonzero = [p for p in self.invariants if not p.is_zero()]
+        free_rank = self.D.shape[0] - len(nonzero)
+        torsion = [p for p in nonzero if (p.degree_in("d") or 0) > 0]
+        return free_rank, torsion
+
 
 def smith_normal_form(Mx: PolyMatrix) -> SmithDecomposition:
     """U Mx V = D with U, V unimodular and d_1 | d_2 | ... on the diagonal."""
@@ -225,15 +237,5 @@ def smith_normal_form(Mx: PolyMatrix) -> SmithDecomposition:
 
 
 def torsion_split(presentation: PolyMatrix) -> tuple[int, list[MultiPoly]]:
-    """(free rank, torsion invariants) of the module presented by the matrix.
-
-    Rows are generators, columns relations.  Free rank counts diagonal
-    invariants that vanish (plus generators with no invariant slot);
-    torsion invariants are the nonconstant diagonal entries, monic.
-    """
-    snf = smith_normal_form(presentation)
-    invariants = snf.invariants
-    nonzero = [p for p in invariants if not p.is_zero()]
-    free_rank = presentation.shape[0] - len(nonzero)
-    torsion = [p for p in nonzero if (p.degree_in("d") or 0) > 0]
-    return free_rank, torsion
+    """(free rank, torsion invariants) of the module presented by the matrix."""
+    return smith_normal_form(presentation).torsion_split()

@@ -241,3 +241,30 @@ def test_unopenable_json_path_is_an_argument_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot open --json path:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unreadable_spec_path_is_an_argument_error(tmp_path, capsys):
+    # a directory opens on some systems and fails on read on others; either
+    # way it is one error line and exit 2, like a missing file
+    for path in (tmp_path, tmp_path / "missing.lca"):
+        assert cli.run(["check-algebra", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read spec:") and err.count("\n") == 1
+        assert str(path) in err
+
+
+def test_snf_runs_the_smith_form_once(monkeypatch, capsys):
+    from lieconformal import polymatrix
+
+    calls = []
+    real = polymatrix.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(polymatrix, "smith_normal_form", counting)
+    monkeypatch.setattr(cli, "smith_normal_form", counting)
+    assert cli.run(["snf", "--matrix", "d,1;0,d"]) == 0
+    assert len(calls) == 1
+    assert "free rank 0; torsion invariants: d^2" in capsys.readouterr().out
