@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .linalg import rref
+from .linalg import nullspace
 from .poly import D, L, M, MultiPoly
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
@@ -524,29 +524,19 @@ def block(p, truncation: int) -> ConformalAlgebra:
 MultTable = list[list[list[Scalar]]]
 
 
-def _find_unit(mult: MultTable) -> list[Scalar] | None:
-    """Solve sum_k e_k (u_k u_i) = u_i for all i; None when no unit exists."""
+def _has_unit(mult: MultTable) -> bool:
+    """Is there an e with sum_k e_k (u_k u_i) = u_i for all i?
+
+    With one more unknown t the system reads sum_k e_k (u_k u_i) - t u_i = 0,
+    and a unit exists iff some solution has t != 0.
+    """
     n = len(mult)
-    rows = []
-    rhs = []
-    for i in range(n):
-        for coord in range(n):
-            rows.append([_as_scalar(mult[k][i][coord]) for k in range(n)])
-            rhs.append(ONE if coord == i else ZERO)
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if n in pivots:
-        return None
-    solution = [ZERO] * n
-    for r, c in enumerate(pivots):
-        solution[c] = reduced[r][n]
-    for row, b in zip(rows, rhs):
-        acc = ZERO
-        for x, e in zip(row, solution):
-            acc = acc + x * e
-        if acc != b:
-            return None
-    return solution
+    columns = [
+        {(i, coord): _as_scalar(mult[k][i][coord]) for i in range(n) for coord in range(n)}
+        for k in range(n)
+    ]
+    columns.append({(i, i): -ONE for i in range(n)})
+    return any(not vec[n].is_zero() for vec in nullspace(columns))
 
 
 def map_virasoro(
@@ -583,7 +573,7 @@ def map_virasoro(
                             right[t] = right[t] + ck * _as_scalar(mult[i][k][t])
                 if left != right:
                     raise InvalidStructure("multiplication table must be associative")
-    if _find_unit(mult) is None:
+    if not _has_unit(mult):
         raise InvalidStructure("multiplication table must have a unit")
     if labels is None:
         labels = tuple(f"L{i}" for i in range(n))

@@ -261,16 +261,11 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
     candidates.sort(key=lambda s: s.sort_key())
     reports = []
     for alpha in candidates:
-        rows = []
-        for key in cols:
-            row = []
-            for i, bt in enumerate(cols):
-                val = images[i].get(key, ZERO)
-                if key == bt:
-                    val = val - alpha
-                row.append(val)
-            rows.append(row)
-        basis = nullspace(rows, len(cols))
+        columns = [
+            {**img, cols[i]: img.get(cols[i], ZERO) - alpha}
+            for i, img in enumerate(images)
+        ]
+        basis = nullspace(columns)
         if not basis:
             continue
         vectors = []

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import ceil, floor
 
 from .algebra import InvalidStructure, TruncationExceeded, check_algebra
 from .annihilation import AnnihAlgebra, check_annih_lie, weight_spaces
@@ -46,6 +47,9 @@ EXIT_TRUNCATION = 3
 MAX_ANNIH_DEPTH = 32
 MAX_WEIGHT_DEGREE = 40
 MAX_FUNCEQ_DEGREE = 10
+MAX_SCAN_HORIZON = 32
+MAX_GRID_DENOMINATOR = 12
+MAX_GRID_SLOPES = 48
 
 
 class PathError(Exception):
@@ -203,13 +207,13 @@ def _cmd_verify_prop36(args) -> int:
     return EXIT_OK if result.report.passed else EXIT_CHECK_FAILED
 
 
-def _capped_int(cap: int):
-    """An argparse type: an integer from 0 to the cap in the ASCII digits 0-9."""
+def _capped_int(cap: int, least: int = 0):
+    """An argparse type: an integer from least to the cap in the ASCII digits 0-9."""
 
     def parse(text: str) -> int:
-        if not _is_index(text) or int(text) > cap:
+        if not _is_index(text) or not least <= int(text) <= cap:
             raise argparse.ArgumentTypeError(
-                f"expected an integer from 0 to {cap} in the ASCII digits 0-9, got {text!r}"
+                f"expected an integer from {least} to {cap} in the ASCII digits 0-9, got {text!r}"
             )
         return int(text)
 
@@ -227,20 +231,29 @@ def _bound_arg(text: str) -> Fraction:
 
 def _parse_grid(text: str) -> list[Scalar]:
     """The --grid value: comma-separated scalars, or denN[:lo:hi]; never empty."""
+    too_many = f"grid {text!r} holds more than {MAX_GRID_SLOPES} slopes"
     if text.startswith("den"):
         parts = text.split(":")
         size = parts[0][3:]
-        if not _is_index(size) or len(parts) > 3:
+        if not _is_index(size) or int(size) > MAX_GRID_DENOMINATOR or len(parts) > 3:
             raise argparse.ArgumentTypeError(
-                f"expected denN[:lo:hi] with N in the ASCII digits 0-9, got {text!r}"
+                f"expected denN[:lo:hi] with N at most {MAX_GRID_DENOMINATOR} "
+                f"in the ASCII digits 0-9, got {text!r}"
             )
+        n = int(size)
         lo = _bound_arg(parts[1]) if len(parts) > 1 else Fraction(1)
         hi = _bound_arg(parts[2]) if len(parts) > 2 else Fraction(2)
-        grid = default_grid(int(size), lo, hi)
+        # the slopes k/N are distinct, so a wide [lo, hi] is refused before
+        # the grid is enumerated
+        if floor(hi * n) - ceil(lo * n) + 1 > MAX_GRID_SLOPES:
+            raise argparse.ArgumentTypeError(too_many)
+        grid = default_grid(n, lo, hi)
     else:
         grid = [_scalar_arg(x) for x in text.split(",")]
     if not grid:
         raise argparse.ArgumentTypeError(f"grid {text!r} holds no slope")
+    if len(grid) > MAX_GRID_SLOPES:
+        raise argparse.ArgumentTypeError(too_many)
     return grid
 
 
@@ -344,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-a1", help="admissibility scan for the grade-one slope")
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="comma-separated scalars, or denN[:lo:hi] for all "
-                        "denominators up to N in [lo, hi]")
-    p.add_argument("--horizon", type=int, required=True)
+                        f"denominators up to N in [lo, hi]; N at most {MAX_GRID_DENOMINATOR}, "
+                        f"at most {MAX_GRID_SLOPES} slopes")
+    p.add_argument("--horizon", type=_capped_int(MAX_SCAN_HORIZON, least=2), required=True,
+                   help=f"largest grade of the search, from 2 to {MAX_SCAN_HORIZON}")
     add_json(p)
     p.set_defaults(func=_cmd_scan_a1)
 

@@ -17,11 +17,13 @@ Its top-degree shadow drops the constants; homogeneous solutions of total
 degree k are classified (for delta_i != 0) by an eight-row table, which
 verify_solution_table reproduces by sampling exact parameter grids.
 
-Everything reduces to coefficient matching: expand the defect over the
-monomial basis of (d, l, m) and take the exact nullspace of the resulting
-linear system over the scalars.  Monomials are ordered graded-lex with
-d > l > m and the nullspace basis is normalized by the reduced row echelon
-form, so bases are deterministic.
+Everything reduces to coefficient matching: the unknowns are the
+coefficients of f on the (d, l) monomials, each unknown's image is the
+defect of its monomial over the (d, l, m) monomials, and the solutions are
+the exact nullspace of that linear map over the scalars.  The unknown
+monomials are ordered graded-lex with d > l and the nullspace basis is
+normalized by the reduced row echelon form, so a basis depends on that
+monomial order only, never on the order of the defect's rows.
 """
 
 from __future__ import annotations
@@ -116,21 +118,16 @@ def _defect_bcsx(inst: FuncEqInstance, q: MultiPoly) -> MultiPoly:
 
 
 def _solve_by_matching(monomials, defect_of, extra_conditions=()) -> SolutionBasis:
-    rows: list[list[Scalar]] = []
-    for condition in (defect_of, *extra_conditions):
-        columns = []
-        keys: set = set()
-        for ed, el in monomials:
-            mono = MultiPoly({(ed, el, 0): ONE})
-            defect = condition(mono)
-            columns.append(defect)
-            keys.update(defect.terms)
-        ordered_keys = sorted(keys, key=lambda k: (-sum(k), tuple(-e for e in k)))
-        rows.extend(
-            [col.terms.get(key, ZERO) for col in columns]
-            for key in ordered_keys
-        )
-    vectors = nullspace(rows, len(monomials))
+    conditions = (defect_of, *extra_conditions)
+    columns = []
+    for ed, el in monomials:
+        mono = MultiPoly({(ed, el, 0): ONE})
+        columns.append({
+            (index, key): coeff
+            for index, condition in enumerate(conditions)
+            for key, coeff in condition(mono).terms.items()
+        })
+    vectors = nullspace(columns)
     basis = []
     for vec in vectors:
         terms = {

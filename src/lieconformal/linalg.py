@@ -3,9 +3,17 @@
 Reduced row echelon form with leading-one normalization; the nullspace
 basis it induces is deterministic (one vector per free column, with a 1 in
 the free position), which the golden outputs depend on.
+
+A linear map is handed to `nullspace` as the images of its unknowns, each a
+sparse {row key: coefficient} dict, and this module alone lays them out as a
+matrix.  The RREF depends only on the row space, so a basis depends on the
+order of the unknowns (the columns) and never on the order of the row keys,
+on repeated rows or on zero rows.
 """
 
 from __future__ import annotations
+
+from collections.abc import Hashable, Sequence
 
 from .scalars import ONE, Scalar, ZERO
 
@@ -42,11 +50,15 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     return mat, pivots
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of {x : A x = 0}, one vector per free column of the RREF."""
-    if not rows:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
-    reduced, pivots = rref(rows)
+def nullspace(columns: Sequence[dict[Hashable, Scalar]]) -> list[Row]:
+    """Basis of the kernel of the map sending unknown i to columns[i].
+
+    One row per key, in the order the keys are first seen; one basis
+    vector per free column of the RREF.
+    """
+    ncols = len(columns)
+    keys = dict.fromkeys(key for col in columns for key in col)
+    reduced, pivots = rref([[col.get(key, ZERO) for col in columns] for key in keys])
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Row] = []

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import ConformalAlgebra, InvalidStructure, jacobi_defect, lambda_bracket
-from .linalg import nullspace
+from .linalg import nullspace, rank
 from .poly import D, L, MultiPoly
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
@@ -265,14 +265,8 @@ class KernelResult:
     def contains_direction(self, direction) -> bool:
         """Is the given coefficient vector in the span of the kernel (exactly)?"""
         vec = [x if isinstance(x, Scalar) else Scalar(x) for x in direction]
-        if all(x.is_zero() for x in vec):
-            return True
-        rows = [list(c) for c in self.combinations]
-        from .linalg import rank
-
-        base = rank([list(r) for r in zip(*rows)]) if rows else 0
-        extended = rank([list(r) for r in zip(*(rows + [vec]))])
-        return extended == base
+        rows = list(self.combinations)
+        return rank(rows + [vec]) == rank(rows)
 
 
 def action_kernel(A: ConformalAlgebra, M_: ConformalModule) -> KernelResult:
@@ -284,15 +278,15 @@ def action_kernel(A: ConformalAlgebra, M_: ConformalModule) -> KernelResult:
         i for i in range(n)
         if all(M_.action(i)[r][c].is_zero() for r in range(m) for c in range(m))
     )
-    keys = set()
-    for i in range(n):
-        for r in range(m):
-            for c in range(m):
-                keys.update((r, c, k) for k in M_.action(i)[r][c].terms)
-    # one coefficient row per (matrix cell, monomial)
-    rows = [
-        [M_.action(i)[r][c].terms.get(key, ZERO) for i in range(n)]
-        for (r, c, key) in sorted(keys)
+    # the image of generator i: its action's coefficient per (matrix cell, monomial)
+    columns = [
+        {
+            (r, c, key): coeff
+            for r in range(m)
+            for c in range(m)
+            for key, coeff in M_.action(i)[r][c].terms.items()
+        }
+        for i in range(n)
     ]
-    combos = tuple(tuple(v) for v in nullspace(rows, n))
+    combos = tuple(tuple(v) for v in nullspace(columns))
     return KernelResult(zero_gens, combos)

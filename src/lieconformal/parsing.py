@@ -10,6 +10,10 @@ Grammar (juxtaposition is not multiplication; '*' is mandatory):
 rational is an unsigned integer or p/q.  'i' is the imaginary unit.  The
 leading unary minus is an extension needed so rendered polynomials
 re-parse to themselves.
+
+An exponent is at most MAX_EXPONENT, and so is the product of the
+exponents of nested powers, as 6 in (d^2)^3: a short entry cannot ask for
+a polynomial of huge degree or a constant of huge size.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .scalars import Scalar
 
 # deeper parenthesis nesting is refused rather than left to exhaust the stack
 _MAX_NESTING = 100
+MAX_EXPONENT = 16
 _DIGITS = "0123456789"
 
 
@@ -85,6 +90,8 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
         self.depth = 0
+        # the largest product of nested exponents in the factor being parsed
+        self.power = 1
 
     def parse(self) -> MultiPoly:
         value = self._expr()
@@ -115,11 +122,19 @@ class _Parser:
         return value
 
     def _factor(self) -> MultiPoly:
+        outer, self.power = self.power, 1
         value = self._atom()
         if self.toks.peek()[0] == "^":
             self.toks.take()
             tok = self.toks.take("int")
+            # a long digit string is over the cap without converting it
+            power = self.power * int(tok[1]) if len(tok[1].lstrip("0")) <= 4 else MAX_EXPONENT + 1
+            if power > MAX_EXPONENT:
+                base = f" on a base already raised to {self.power}" if self.power > 1 else ""
+                raise ParseError(f"exponent {tok[1]}{base} exceeds {MAX_EXPONENT}", tok[2], tok[3])
+            self.power = power
             value = value ** int(tok[1])
+        self.power = max(outer, self.power)
         return value
 
     def _atom(self) -> MultiPoly:

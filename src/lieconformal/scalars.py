@@ -171,7 +171,10 @@ class Scalar:
         return self._nmq == other._nmq
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # the canonical triple, so equal Scalars hash equal.  A Scalar equal
+        # to an int or a Fraction (sc(3) == 3) does not hash like it, so do
+        # not mix Scalars with ints or Fractions as keys of one dict or set.
+        return hash(self._nmq)
 
     # -- ordering: lexicographic on (re, im); only used for deterministic
     #    output ordering, not for analysis ------------------------------

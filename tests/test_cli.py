@@ -217,6 +217,29 @@ def test_size_arguments_are_capped(tmp_path, capsys):
             assert f"argument {flag}" in err and "Traceback" not in err
 
 
+def test_scan_arguments_are_capped(capsys):
+    cap = str(cli.MAX_SCAN_HORIZON)
+    assert cli.run(["scan-a1", "--grid", "2", "--horizon", cap]) == 0
+    assert cli.run(["scan-a1", "--grid", "5/4", "--horizon", "2"]) == 0
+    largest = f"den{cli.MAX_GRID_DENOMINATOR}"
+    assert len(cli._parse_grid(largest)) <= cli.MAX_GRID_SLOPES
+    capsys.readouterr()
+    # a horizon below the scan's floor of 2 is an argument error as well
+    for value in (str(cli.MAX_SCAN_HORIZON + 1), "1", "0", "-1", "10" * 40, "\u0663"):
+        assert cli.run(["scan-a1", "--grid", "2", "--horizon", value]) == 2
+        err = capsys.readouterr().err
+        assert "argument --horizon" in err and "Traceback" not in err
+    # N past its cap, an interval too wide to enumerate, and too many slopes
+    # by either form of grid
+    too_wide = f"den{cli.MAX_GRID_DENOMINATOR}:0:{10**12}"
+    too_many = ",".join(["2"] * (cli.MAX_GRID_SLOPES + 1))
+    for grid in (f"den{cli.MAX_GRID_DENOMINATOR + 1}", "den1:0:1000000000000", too_wide,
+                 f"den{cli.MAX_GRID_DENOMINATOR}:0:2", too_many):
+        assert cli.run(["scan-a1", "--grid", grid, "--horizon", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --grid" in err and "Traceback" not in err
+
+
 def test_closed_pipe_ends_quietly_and_keeps_the_json(tmp_path):
     spec = _write(tmp_path, "vir.lca", VIR_SPEC)
     out = tmp_path / "annih.json"

@@ -60,6 +60,13 @@ def test_comparison_with_ints():
     assert 2 * sc(1, 1) == sc(2, 2)
 
 
+def test_hash_is_the_canonical_triple_not_the_int_hash():
+    # a Scalar hashes its triple: equal to an int, yet hashed apart from it
+    assert sc(3) == 3 and hash(sc(3)) == hash((3, 0, 1)) != hash(3)
+    assert sc(Fraction(1, 2)) == Fraction(1, 2) and hash(sc(Fraction(1, 2))) != hash(Fraction(1, 2))
+    assert hash(sc("6/4", "-3/2")) == hash(sc(3, -3) / 2)
+
+
 @given(scalars(), scalars(), scalars())
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -138,9 +145,10 @@ def _check_against_pairs(a, b, e):
     assert a.is_real() == (pa[1] == 0) and a.is_imaginary() == (pa[0] == 0)
     assert a.as_int() == (pa[0] if pa[1] == 0 and pa[0].denominator == 1 else None)
     assert (a == b) == (pa == pb)
-    assert hash(a) == hash(pa)
-    for result in results:
+    # equal values built by two paths hash equal
+    for result in [a, *results]:
         _assert_canonical(result)
+        assert hash(result) == hash(Scalar(*_pair(result)))
 
 
 @given(mixed_scalars(), mixed_scalars(), st.integers(0, 4))

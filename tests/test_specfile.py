@@ -2,7 +2,7 @@ import pytest
 
 from lieconformal.algebra import bracket, check_jacobi, check_skew
 from lieconformal.modules import check_module
-from lieconformal.parsing import ParseError, parse_poly
+from lieconformal.parsing import MAX_EXPONENT, ParseError, parse_poly
 from lieconformal.poly import D, L
 from lieconformal.specfile import DuplicateDefinition, UnknownGenerator, parse_spec
 
@@ -86,6 +86,27 @@ def test_parser_edge_cases():
     with pytest.raises(ParseError) as err:
         parse_poly("(" * 3000 + "d" + ")" * 3000)
     assert (err.value.line, err.value.column) == (1, 101)
+
+
+def test_exponents_are_capped():
+    cap = MAX_EXPONENT
+    assert parse_poly(f"d^{cap}") == D**cap
+    assert parse_poly(f"(d^2)^{cap // 2} + l^{cap}").total_degree() == cap
+    # the cap bounds each exponent, and the product of nested exponents
+    for text, column, message in (
+        (f"d^{cap + 1}", 3, f"exponent {cap + 1} exceeds {cap}"),
+        ("2*l + d^800", 9, f"exponent 800 exceeds {cap}"),
+        ("d^" + "9" * 5000, 3, f"exponent {'9' * 5000} exceeds {cap}"),
+        (f"(d + (l^2)^2)^{cap // 4 + 1}", 15, f"exponent {cap // 4 + 1} on a base already raised to 4 exceeds {cap}"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+    # in a spec the error names the entry's line and column
+    spec = "[algebra]\ngenerators = L\ngrades = 0\np_0_0_0 = d^800 + 2*l\n"
+    with pytest.raises(ParseError) as err:
+        parse_spec(spec)
+    assert (err.value.line, err.value.column) == (4, 13)
 
 
 def test_parse_error_in_spec_entry():
