@@ -24,14 +24,23 @@ the exact nullspace of that linear map over the scalars.  The unknown
 monomials are ordered graded-lex with d > l and the nullspace basis is
 normalized by the reduced row echelon form, so a basis depends on that
 monomial order only, never on the order of the defect's rows.
+
+The defect of a monomial is affine in the six line parameters
+(a, b, delta_i, c_i, delta_j, c_j) jointly, so a solve does not rebuild
+it: _affine_images computes it once per (defect, monomial) as
+base + sum_p p * part_p, from seven evaluations of the defect itself, and
+each solve combines those parts at its parameter values.  The images sit
+in one lru_cache of _AFFINE_CACHE_SIZE entries, which holds every
+monomial of both defects up to the command-line degree cap of 10.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import jacobi_defect
+from .algebra import accumulate, jacobi_defect
 from .linalg import nullspace
 from .poly import D, L, M, MultiPoly
 from .reports import Report
@@ -117,16 +126,59 @@ def _defect_bcsx(inst: FuncEqInstance, q: MultiPoly) -> MultiPoly:
     return lhs_factor * q_lm - q_shift * left_line + right_line * q_m
 
 
-def _solve_by_matching(monomials, defect_of, extra_conditions=()) -> SolutionBasis:
-    conditions = (defect_of, *extra_conditions)
+# The FuncEqInstance fields the defects are affine in, in the order of
+# the parts _affine_images returns.
+_PARAMETERS = ("a", "b", "delta_i", "c_i", "delta_j", "c_j")
+
+# One entry per (defect, monomial): 66 monomials reach total degree 10,
+# so both defects fit at the command-line cap with room for a scan's few.
+_AFFINE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_AFFINE_CACHE_SIZE)
+def _affine_images(defect, ed: int, el: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+    """defect(inst, d^ed l^el) as base + sum_p p * part_p, p over _PARAMETERS.
+
+    This is exact: each term of the Jacobi defect is one line entry times
+    a shift of f, and each line entry is affine in its own two parameters,
+    so the defect is affine in all six jointly.  base is the defect at the
+    origin and part_p the defect at p's unit point minus base; both come
+    from defect itself, so the equations stay written in one place.
+    """
+    mono = MultiPoly({(ed, el, 0): ONE})
+
+    def at(unit: int | None) -> MultiPoly:
+        point = [ONE if p == unit else ZERO for p in range(len(_PARAMETERS))]
+        return defect(FuncEqInstance(*point, 0), mono)
+
+    base = at(None)
+    return base, tuple(at(p) - base for p in range(len(_PARAMETERS)))
+
+
+def _solve_by_matching(inst: FuncEqInstance, monomials, defect, extra_conditions=()) -> SolutionBasis:
+    """Solutions spanned by the monomials of defect(inst, f) = 0 and each extra condition.
+
+    A monomial's image is its cached base plus value * part for each
+    parameter nonzero in inst, summed by accumulate so that zero sums
+    drop: its keys are exactly those of defect(inst, monomial).  An extra
+    condition maps the monomial to a polynomial that must vanish too.
+    """
+    values = [
+        (p, value)
+        for p, value in enumerate(getattr(inst, name) for name in _PARAMETERS)
+        if not value.is_zero()
+    ]
     columns = []
     for ed, el in monomials:
+        base, parts = _affine_images(defect, ed, el)
+        column = {(0, key): coeff for key, coeff in base.terms.items()}
+        for p, value in values:
+            for key, coeff in parts[p].terms.items():
+                accumulate(column, (0, key), value * coeff)
         mono = MultiPoly({(ed, el, 0): ONE})
-        columns.append({
-            (index, key): coeff
-            for index, condition in enumerate(conditions)
-            for key, coeff in condition(mono).terms.items()
-        })
+        for index, condition in enumerate(extra_conditions, 1):
+            column.update(((index, key), coeff) for key, coeff in condition(mono).terms.items())
+        columns.append(column)
     vectors = nullspace(columns)
     basis = []
     for vec in vectors:
@@ -142,20 +194,19 @@ def _solve_by_matching(monomials, defect_of, extra_conditions=()) -> SolutionBas
 def solve_intertwiner(inst: FuncEqInstance) -> SolutionBasis:
     """All f with total degree <= the bound solving the inhomogeneous equation."""
     monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    return _solve_by_matching(monomials, lambda f: _defect_intertwiner(inst, f))
+    return _solve_by_matching(inst, monomials, _defect_intertwiner)
 
 
 def solve_homogeneous(a: Scalar, delta_i: Scalar, delta_j: Scalar, k: int) -> SolutionBasis:
     """Homogeneous solutions of total degree exactly k of the top-degree equation."""
     inst = FuncEqInstance(a, ZERO, delta_i, ZERO, delta_j, ZERO, k, homogeneous_degree=k)
-    monomials = _monomials(k, k)
-    return _solve_by_matching(monomials, lambda f: _defect_intertwiner(inst, f))
+    return _solve_by_matching(inst, _monomials(k, k), _defect_intertwiner)
 
 
 def bcsx_variant_solver(inst: FuncEqInstance) -> SolutionBasis:
     """Solutions of the variant orientation (shift by m, l on the shifted factor)."""
     monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    return _solve_by_matching(monomials, lambda q: _defect_bcsx(inst, q))
+    return _solve_by_matching(inst, monomials, _defect_bcsx)
 
 
 @dataclass(frozen=True)

@@ -289,9 +289,7 @@ class _Scan:
         basis: list[MultiPoly] = []
         for t in degrees:
             inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, t, homogeneous_degree=t)
-            found = _solve_by_matching(
-                _monomials(t, t), lambda f: _defect_intertwiner(inst, f), extra
-            )
+            found = _solve_by_matching(inst, _monomials(t, t), _defect_intertwiner, extra)
             if target.is_zero() and len(found.basis) > 1:
                 # several independent solutions at one degree: basis elements
                 # are tried individually, mixtures are not enumerated

@@ -2,7 +2,10 @@
 
 Reduced row echelon form with leading-one normalization; the nullspace
 basis it induces is deterministic (one vector per free column, with a 1 in
-the free position), which the golden outputs depend on.
+the free position), which the golden outputs depend on.  Each pivot is
+taken from the candidate row with the fewest nonzero entries, so the cost
+of an elimination does not hang on the order of the rows; the RREF itself
+is unique and does not depend on that choice.
 
 A linear map is handed to `nullspace` as the images of its unknowns, each a
 sparse {row key: coefficient} dict, and this module alone lays them out as a
@@ -29,20 +32,30 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
+        # the sparsest candidate row, the first seen on ties: it spreads the
+        # fewest entries into the rows it clears, whatever the row order
+        pivot_row, fewest = None, ncols + 1
         for rr in range(r, len(mat)):
             if not mat[rr][c].is_zero():
-                pivot_row = rr
-                break
+                count = sum(not x.is_zero() for x in mat[rr][c:])
+                if count < fewest:
+                    pivot_row, fewest = rr, count
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        row = mat[r]
+        inv = ONE / row[c]
+        # only the pivot row's nonzero entries, all at or right of c, change
+        # the rows it clears
+        support = [(j, row[j] * inv) for j in range(c, ncols) if not row[j].is_zero()]
+        for j, x in support:
+            row[j] = x
         for rr in range(len(mat)):
-            if rr != r and not mat[rr][c].is_zero():
-                f = mat[rr][c]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+            f = mat[rr][c]
+            if rr != r and not f.is_zero():
+                target = mat[rr]
+                for j, x in support:
+                    target[j] = target[j] - f * x
         pivots.append(c)
         r += 1
         if r == len(mat):

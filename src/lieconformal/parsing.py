@@ -12,7 +12,9 @@ leading unary minus is an extension needed so rendered polynomials
 re-parse to themselves.
 
 An exponent is at most MAX_EXPONENT, and so is the product of the
-exponents of nested powers, as 6 in (d^2)^3: a short entry cannot ask for
+exponents of nested powers, as 6 in (d^2)^3; every product and power has
+total degree at most MAX_DEGREE, checked before it is multiplied out; and
+a numeral has at most MAX_DIGITS digits.  So a short entry cannot ask for
 a polynomial of huge degree or a constant of huge size.
 """
 
@@ -27,6 +29,14 @@ from .scalars import Scalar
 # deeper parenthesis nesting is refused rather than left to exhaust the stack
 _MAX_NESTING = 100
 MAX_EXPONENT = 16
+# check-algebra on one entry (d + l + 1)^k + 2*l took 0.43 s at degree
+# k = 16, 1.1 s at 20, 2.7 s at 24 and 10.6 s at 32 on a 2-vCPU VM; the
+# specs of the benchmark's axioms workload have degree 2 or less
+MAX_DEGREE = 16
+# int() converts a digit string this long under every setting of the
+# interpreter's digit limit (PYTHONINTMAXSTRDIGITS), so a spec parses the
+# same everywhere
+MAX_DIGITS = 640
 _DIGITS = "0123456789"
 
 
@@ -36,6 +46,17 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.column = column
+
+
+def _numeral(tok: tuple[str, str, int, int]) -> int:
+    if len(tok[1]) > MAX_DIGITS:
+        raise ParseError(f"numeral of {len(tok[1])} digits exceeds {MAX_DIGITS}", tok[2], tok[3])
+    return int(tok[1])
+
+
+def _check_degree(degree: int, what: str, tok: tuple[str, str, int, int]) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"{what} of degree {degree} exceeds {MAX_DEGREE}", tok[2], tok[3])
 
 
 class _Tokenizer:
@@ -115,46 +136,60 @@ class _Parser:
         return value
 
     def _term(self) -> MultiPoly:
-        value = self._factor()
+        value, degree = self._factor()
         while self.toks.peek()[0] == "*":
-            self.toks.take()
-            value = value * self._factor()
+            tok = self.toks.take()
+            rhs, rhs_degree = self._factor()
+            degree += rhs_degree
+            _check_degree(degree, "product", tok)
+            value = value * rhs
         return value
 
-    def _factor(self) -> MultiPoly:
+    def _factor(self) -> tuple[MultiPoly, int]:
+        """The factor and its total degree, the zero polynomial's counted as 0.
+
+        Over Q(i) a product of nonzero factors has the sum of their degrees,
+        so _term checks the cap without measuring any product; a zero factor
+        only makes the check stricter.
+        """
         outer, self.power = self.power, 1
-        value = self._atom()
+        value, degree = self._atom()
         if self.toks.peek()[0] == "^":
             self.toks.take()
             tok = self.toks.take("int")
             # a long digit string is over the cap without converting it
-            power = self.power * int(tok[1]) if len(tok[1].lstrip("0")) <= 4 else MAX_EXPONENT + 1
+            digits = tok[1].lstrip("0") or "0"
+            exponent = int(digits) if len(digits) <= 4 else MAX_EXPONENT + 1
+            power = self.power * exponent
             if power > MAX_EXPONENT:
                 base = f" on a base already raised to {self.power}" if self.power > 1 else ""
                 raise ParseError(f"exponent {tok[1]}{base} exceeds {MAX_EXPONENT}", tok[2], tok[3])
+            degree *= exponent
+            _check_degree(degree, "power", tok)
             self.power = power
-            value = value ** int(tok[1])
+            value = value**exponent
         self.power = max(outer, self.power)
-        return value
+        return value, degree
 
-    def _atom(self) -> MultiPoly:
+    def _atom(self) -> tuple[MultiPoly, int]:
         tok = self.toks.peek()
         kind = tok[0]
         if kind == "name":
             self.toks.take()
             if tok[1] == "i":
-                return MultiPoly.const(Scalar(0, 1))
-            return MultiPoly.variable(tok[1])
+                return MultiPoly.const(Scalar(0, 1)), 0
+            return MultiPoly.variable(tok[1]), 1
         if kind == "int":
             self.toks.take()
-            numer = int(tok[1])
+            numer = _numeral(tok)
             if self.toks.peek()[0] == "/":
                 self.toks.take()
                 den = self.toks.take("int")
-                if int(den[1]) == 0:
+                denom = _numeral(den)
+                if denom == 0:
                     raise ParseError("zero denominator", den[2], den[3])
-                return MultiPoly.const(Scalar(Fraction(numer, int(den[1]))))
-            return MultiPoly.const(Scalar(numer))
+                return MultiPoly.const(Scalar(Fraction(numer, denom))), 0
+            return MultiPoly.const(Scalar(numer)), 0
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", tok[2], tok[3])
@@ -163,7 +198,7 @@ class _Parser:
             value = self._expr()
             self.depth -= 1
             self.toks.take(")")
-            return value
+            return value, value.total_degree() or 0
         raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
 
 

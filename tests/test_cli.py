@@ -80,6 +80,16 @@ def test_deeply_nested_entry_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and "nested deeper" in err
 
 
+def test_oversized_entries_exit_code(tmp_path, capsys):
+    for entry, message in (
+        ("9" * 5000, "numeral of 5000 digits exceeds 640 (line 3, column 9)"),
+        ("(d + l + 1)^12*(d + l + 1)^12 + 2*l", "product of degree 24 exceeds 16 (line 3, column 23)"),
+    ):
+        spec = _write(tmp_path, "big.lca", f"[algebra]\ngenerators = L\np_000 = {entry}\n")
+        assert cli.run(["check-algebra", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_truncation_exit_code(monkeypatch):
     from lieconformal.algebra import TruncationExceeded
 

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.funceq import (
     FuncEqInstance,
     NotASolution,
     TABLE_ROWS,
+    _PARAMETERS,
+    _affine_images,
     _defect_bcsx,
     _defect_intertwiner,
+    _monomials,
     bcsx_variant_solver,
     degree_offset,
     solve_homogeneous,
@@ -65,6 +68,50 @@ def test_defect_is_the_equation_written_out(params, f):
     # the Jacobi defect of the four-line table is the equation's defect
     inst = FuncEqInstance(*params, 3)
     assert _defect_intertwiner(inst, f) == _defect_by_hand(inst, f)
+
+
+def _combined(defect, inst, ed, el):
+    """base + sum_p p * part_p at the instance's parameter values."""
+    base, parts = _affine_images(defect, ed, el)
+    out = base
+    for name, part in zip(_PARAMETERS, parts):
+        out = out + getattr(inst, name) * part
+    return out
+
+
+@settings(max_examples=40)
+@given(st.tuples(*[_gaussian] * 6))
+def test_affine_images_recombine_to_the_defects(params):
+    inst = FuncEqInstance(*params, 4)
+    for ed, el in _monomials(4, None):
+        f = MultiPoly({(ed, el, 0): ONE})
+        direct = _defect_intertwiner(inst, f)
+        assert _combined(_defect_intertwiner, inst, ed, el) == direct
+        assert direct == _defect_by_hand(inst, f)
+        assert _combined(_defect_bcsx, inst, ed, el) == _defect_bcsx(inst, f)
+
+
+def test_cold_and_warm_images_give_identical_bases():
+    # the adjoint line at Gaussian weight and constant solves at every bound
+    delta, c = Scalar(Fraction(3, 2), 1), sc("1/2")
+    insts = (
+        FuncEqInstance(Scalar(2), ZERO, delta, c, delta, c, 4),
+        FuncEqInstance(Scalar(2, 1), sc("1/3"), delta, c, Scalar(1, -1), Scalar(0, 2), 4),
+    )
+
+    solvers = (solve_intertwiner, bcsx_variant_solver)
+    cold = []
+    for inst in insts:
+        for solve in solvers:
+            _affine_images.cache_clear()
+            cold.append(solve(inst))
+            assert _affine_images.cache_info().hits == 0
+    warm = [solve(inst) for inst in insts for solve in solvers]
+    again = [solve(inst) for inst in insts for solve in solvers]
+    assert _affine_images.cache_info().misses == 2 * len(_monomials(4, None))
+    assert cold == warm == again
+    assert cold[0].dimension == 1
+    assert _proportional(cold[0].basis[0], D + delta * L + MultiPoly.const(c))
 
 
 def test_constant_mismatch_kills_solutions():

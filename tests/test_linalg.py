@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lieconformal.algebra import InvalidStructure, map_virasoro
-from lieconformal.linalg import nullspace, rank
+from lieconformal.linalg import nullspace, rank, rref
 from lieconformal.scalars import ONE, Scalar, ZERO
 
 KEYS = range(6)
@@ -56,6 +56,42 @@ def test_basis_ignores_row_order_duplicates_and_zero_rows(cols, relabel, dup):
     # one row repeated under a fresh key, and one more row of zeros
     padded = [{**col, **({"dup": col[dup]} if dup in col else {}), "zero": ZERO} for col in cols]
     assert nullspace(padded) == expected
+
+
+def _rref_first_nonzero(rows):
+    """RREF taking each pivot from the first row with a nonzero entry: the oracle."""
+    mat = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot_row = next((rr for rr in range(r, len(mat)) if not mat[rr][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = ONE / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for rr in range(len(mat)):
+            if rr != r:
+                f = mat[rr][c]
+                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def matrices():
+    return st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entries(), min_size=n, max_size=n), max_size=7)
+    )
+
+
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_is_the_first_nonzero_oracle_under_row_permutations(rows, rnd):
+    # the RREF is unique, so the sparsest-row pivot rule changes only the cost
+    expected = _rref_first_nonzero(rows)
+    assert rref(rows) == expected
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert rref(shuffled) == expected
 
 
 @pytest.mark.parametrize("n", range(5))

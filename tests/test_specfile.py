@@ -2,8 +2,9 @@ import pytest
 
 from lieconformal.algebra import bracket, check_jacobi, check_skew
 from lieconformal.modules import check_module
-from lieconformal.parsing import MAX_EXPONENT, ParseError, parse_poly
-from lieconformal.poly import D, L
+from lieconformal.parsing import MAX_DEGREE, MAX_DIGITS, MAX_EXPONENT, ParseError, parse_poly
+from lieconformal.poly import D, L, MultiPoly
+from lieconformal.scalars import Scalar
 from lieconformal.specfile import DuplicateDefinition, UnknownGenerator, parse_spec
 
 VIR = """
@@ -107,6 +108,37 @@ def test_exponents_are_capped():
     with pytest.raises(ParseError) as err:
         parse_spec(spec)
     assert (err.value.line, err.value.column) == (4, 13)
+
+
+def test_long_numerals_are_parse_errors():
+    assert parse_poly("9" * MAX_DIGITS) == MultiPoly.const(Scalar(int("9" * MAX_DIGITS)))
+    long = "9" * (MAX_DIGITS + 1)
+    for text, column in ((long, 1), ("1/" + long, 3), ("d + " + long + "/2", 5)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        message = f"numeral of {MAX_DIGITS + 1} digits exceeds {MAX_DIGITS}"
+        assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+    # leading zeros in an exponent are no numeral to convert
+    assert parse_poly("d^" + "0" * 5000 + "2") == D * D
+
+
+def test_degrees_of_products_are_capped():
+    cap = MAX_DEGREE
+    assert parse_poly(f"(d + l + 1)^{cap // 2}*(d + l + 1)^{cap // 2}").total_degree() == cap
+    assert parse_poly(f"2^{MAX_EXPONENT}*d^{cap // 2}*l^{cap // 2}").total_degree() == cap
+    # checked before each product and power is multiplied out
+    for text, column, message in (
+        ("(d + l + 1)^12*(d + l + 1)^12 + 2*l", 15, f"product of degree 24 exceeds {cap}"),
+        (f"d^{cap}*l", 5, f"product of degree {cap + 1} exceeds {cap}"),
+        (f"(d*l)^{cap // 2 + 1}", 7, f"power of degree {cap + 2} exceeds {cap}"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+    spec = "[algebra]\ngenerators = L\ngrades = 0\np_0_0_0 = (d + l + 1)^12*(d + l + 1)^12 + 2*l\n"
+    with pytest.raises(ParseError) as err:
+        parse_spec(spec)
+    assert (err.value.line, err.value.column) == (4, 25)
 
 
 def test_parse_error_in_spec_entry():
