@@ -254,8 +254,8 @@ def _at_m(p: MultiPoly) -> MultiPoly:
 # A table has few distinct entries and every triple reads them again; the
 # intertwiner solver reads the images of its monomials here too.  The
 # benchmark's pool for one seed (seeds 1 to 3) leaves 915 images here on the
-# scan workload, 289 on linear (all from verify_solution_table), 920 to 1,160
-# on axioms and 1,220 to 1,290 on gaussian, so this bound holds a whole pool.
+# scan workload, 199 on linear, 920 to 1,156 on axioms and 1,125 to 1,177
+# on gaussian, so this bound holds a whole pool.
 _IMAGE_CACHE_SIZE = 2048
 
 

@@ -11,7 +11,8 @@ depth raise, and the consistency checker reports those as skipped.
 
 Both sides take the bracket and its n-th products from the lambda-bracket
 kernel in algebra.py: a symbol bracket reads algebra.nth_product of
-algebra.bracket, and on the module side the same nth_product of the
+algebra.bracket, built once per generator pair by AnnihAlgebra.products,
+and on the module side the same nth_product of the
 action, v -> n! * (coefficient of l^n in g _l v), gives the indexed
 actions.  The weight spaces of the index-1 action of a chosen
 Virasoro generator are computed exactly on a finite degree filtration.
@@ -52,6 +53,20 @@ class AnnihAlgebra:
             raise ValueError("depth must be nonnegative")
         self.parent = parent
         self.depth = depth
+        self._products: dict[tuple[int, int], tuple[dict[int, MultiPoly], ...]] = {}
+
+    def products(self, i: int, j: int) -> tuple[dict[int, MultiPoly], ...]:
+        """The s-th products of generators i and j, s up to their bracket's l-degree.
+
+        Built on first use and kept, so each generator pair reaches
+        conformal_bracket once per algebra however many symbols it indexes.
+        """
+        key = (i, j)
+        if key not in self._products:
+            vec = conformal_bracket(self.parent, self.parent.gen(i), self.parent.gen(j))
+            top = max((p.degree_in("l") or 0 for p in vec.values()), default=0)
+            self._products[key] = tuple(nth_product(vec, s) for s in range(top + 1))
+        return self._products[key]
 
     def symbols(self) -> list[Symbol]:
         return [
@@ -87,14 +102,7 @@ def annih_bracket(X: AnnihAlgebra, left: Symbol, right: Symbol) -> Combination:
         if not (0 <= idx <= X.depth):
             raise TruncationExceeded(f"index {idx} beyond depth {X.depth}")
     out: Combination = {}
-    vec = conformal_bracket(X.parent, X.parent.gen(i), X.parent.gen(j))
-    max_s = 0
-    for poly in vec.values():
-        deg = poly.degree_in("l")
-        if deg is not None:
-            max_s = max(max_s, deg)
-    for s in range(min(m, max_s) + 1):
-        coords = nth_product(vec, s)
+    for s, coords in enumerate(X.products(i, j)[: m + 1]):
         if not coords:
             continue
         binom = Scalar(comb(m, s))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .algebra import InvalidStructure, TruncationExceeded, check_algebra
-from .annihilation import AnnihAlgebra, check_annih_lie, weight_spaces
+from .annihilation import AnnihAlgebra, NonTriangularWindow, check_annih_lie, weight_spaces
 from .funceq import (
     FuncEqInstance,
     bcsx_variant_solver,
@@ -30,7 +30,7 @@ from .funceq import (
 from .grading import scan_grid, default_grid
 from .modules import MissingAction
 from .parsing import ParseError, parse_scalar
-from .polymatrix import PolyMatrix, matmul, smith_normal_form
+from .polymatrix import MalformedMatrix, PolyMatrix, matmul, smith_normal_form
 from .reports import Report
 from .scalars import Scalar
 from .specfile import DuplicateDefinition, SpecFile, UnknownGenerator, _is_index, parse_spec
@@ -50,6 +50,7 @@ MAX_FUNCEQ_DEGREE = 10
 MAX_SCAN_HORIZON = 32
 MAX_GRID_DENOMINATOR = 12
 MAX_GRID_SLOPES = 48
+MAX_PROP36_SAMPLES = 16
 
 
 class PathError(Exception):
@@ -182,10 +183,10 @@ def _cmd_solve_funceq(args) -> int:
 
 def _cmd_verify_prop36(args) -> int:
     kwargs = {}
-    if args.a_samples:
-        kwargs["a_samples"] = tuple(_scalar_arg(x) for x in args.a_samples.split(","))
-    if args.delta_samples:
-        kwargs["delta_samples"] = tuple(_scalar_arg(x) for x in args.delta_samples.split(","))
+    if args.a_samples is not None:
+        kwargs["a_samples"] = args.a_samples
+    if args.delta_samples is not None:
+        kwargs["delta_samples"] = args.delta_samples
     result = verify_solution_table(**kwargs)
     status = "pass" if result.report.passed else "fail"
     rows = [
@@ -255,6 +256,14 @@ def _parse_grid(text: str) -> list[Scalar]:
     if len(grid) > MAX_GRID_SLOPES:
         raise argparse.ArgumentTypeError(too_many)
     return grid
+
+
+def _samples_arg(text: str) -> tuple[Scalar, ...]:
+    """A --a-samples or --delta-samples value: comma-separated scalars, at most the cap."""
+    parts = text.split(",")
+    if len(parts) > MAX_PROP36_SAMPLES:
+        raise argparse.ArgumentTypeError(f"{text!r} holds more than {MAX_PROP36_SAMPLES} samples")
+    return tuple(_scalar_arg(x) for x in parts)
 
 
 def _cmd_scan_a1(args) -> int:
@@ -349,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve_funceq)
 
     p = sub.add_parser("verify-prop36", help="verify the homogeneous solution table")
-    p.add_argument("--a-samples", default=None)
-    p.add_argument("--delta-samples", default=None)
+    p.add_argument("--a-samples", type=_samples_arg, default=None,
+                   help=f"comma-separated values of a, at most {MAX_PROP36_SAMPLES}")
+    p.add_argument("--delta-samples", type=_samples_arg, default=None,
+                   help=f"comma-separated values of delta_i, at most {MAX_PROP36_SAMPLES}")
     add_json(p)
     p.set_defaults(func=_cmd_verify_prop36)
 
@@ -383,7 +394,7 @@ def run(argv: list[str]) -> int:
     try:
         code = args.func(args)
     except (ParseError, InvalidStructure, UnknownGenerator, DuplicateDefinition,
-            MissingAction, PathError, ValueError) as exc:
+            MissingAction, PathError, NonTriangularWindow, MalformedMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except TruncationExceeded as exc:

@@ -27,18 +27,19 @@ monomial order only, never on the order of the defect's rows.
 
 The defect of a monomial is affine in the six line parameters
 (a, b, delta_i, c_i, delta_j, c_j) jointly, so a solve does not rebuild
-it: _affine_images computes it once per (defect, monomial) as
-base + sum_p p * part_p, from seven evaluations of the defect itself, and
-each solve combines those parts at its parameter values.  The images sit
-in one lru_cache of _AFFINE_CACHE_SIZE entries, which holds every
-monomial of both defects up to the command-line degree cap of 10.
+it: it combines base + sum_p p * part_p at its parameter values, and
+_affine_part builds the base and each part from one evaluation of the
+defect itself the first time a solve needs it, a part only once a solve
+has that parameter nonzero.  The cache holds at most seven polynomials
+per monomial of each defect up to the largest degree bound solved, and a
+solve at that bound builds all of those it reads anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .algebra import accumulate, jacobi_defect
 from .linalg import nullspace
@@ -126,18 +127,14 @@ def _defect_bcsx(inst: FuncEqInstance, q: MultiPoly) -> MultiPoly:
     return lhs_factor * q_lm - q_shift * left_line + right_line * q_m
 
 
-# The FuncEqInstance fields the defects are affine in, in the order of
-# the parts _affine_images returns.
+# The FuncEqInstance fields the defects are affine in; _affine_part
+# numbers its parts by their place here.
 _PARAMETERS = ("a", "b", "delta_i", "c_i", "delta_j", "c_j")
 
-# One entry per (defect, monomial): 66 monomials reach total degree 10,
-# so both defects fit at the command-line cap with room for a scan's few.
-_AFFINE_CACHE_SIZE = 256
 
-
-@lru_cache(maxsize=_AFFINE_CACHE_SIZE)
-def _affine_images(defect, ed: int, el: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
-    """defect(inst, d^ed l^el) as base + sum_p p * part_p, p over _PARAMETERS.
+@cache
+def _affine_part(defect, ed: int, el: int, p: int | None) -> MultiPoly:
+    """Part p of defect(inst, d^ed l^el) = base + sum_p p * part_p; base when p is None.
 
     This is exact: each term of the Jacobi defect is one line entry times
     a shift of f, and each line entry is affine in its own two parameters,
@@ -145,24 +142,20 @@ def _affine_images(defect, ed: int, el: int) -> tuple[MultiPoly, tuple[MultiPoly
     origin and part_p the defect at p's unit point minus base; both come
     from defect itself, so the equations stay written in one place.
     """
-    mono = MultiPoly({(ed, el, 0): ONE})
-
-    def at(unit: int | None) -> MultiPoly:
-        point = [ONE if p == unit else ZERO for p in range(len(_PARAMETERS))]
-        return defect(FuncEqInstance(*point, 0), mono)
-
-    base = at(None)
-    return base, tuple(at(p) - base for p in range(len(_PARAMETERS)))
+    point = [ONE if q == p else ZERO for q in range(len(_PARAMETERS))]
+    image = defect(FuncEqInstance(*point, 0), MultiPoly({(ed, el, 0): ONE}))
+    return image if p is None else image - _affine_part(defect, ed, el, None)
 
 
-def _solve_by_matching(inst: FuncEqInstance, monomials, defect, extra_conditions=()) -> SolutionBasis:
-    """Solutions spanned by the monomials of defect(inst, f) = 0 and each extra condition.
+def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> SolutionBasis:
+    """Solutions f within inst's degrees of defect(inst, f) = 0 and each extra condition.
 
-    A monomial's image is its cached base plus value * part for each
-    parameter nonzero in inst, summed by accumulate so that zero sums
-    drop: its keys are exactly those of defect(inst, monomial).  An extra
-    condition maps the monomial to a polynomial that must vanish too.
+    A monomial's image is its base plus value * part for each parameter
+    nonzero in inst, summed by accumulate so that zero sums drop: its keys
+    are exactly those of defect(inst, monomial).  An extra condition maps
+    the monomial to a polynomial that must vanish too.
     """
+    monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
     values = [
         (p, value)
         for p, value in enumerate(getattr(inst, name) for name in _PARAMETERS)
@@ -170,10 +163,10 @@ def _solve_by_matching(inst: FuncEqInstance, monomials, defect, extra_conditions
     ]
     columns = []
     for ed, el in monomials:
-        base, parts = _affine_images(defect, ed, el)
+        base = _affine_part(defect, ed, el, None)
         column = {(0, key): coeff for key, coeff in base.terms.items()}
         for p, value in values:
-            for key, coeff in parts[p].terms.items():
+            for key, coeff in _affine_part(defect, ed, el, p).terms.items():
                 accumulate(column, (0, key), value * coeff)
         mono = MultiPoly({(ed, el, 0): ONE})
         for index, condition in enumerate(extra_conditions, 1):
@@ -193,20 +186,17 @@ def _solve_by_matching(inst: FuncEqInstance, monomials, defect, extra_conditions
 
 def solve_intertwiner(inst: FuncEqInstance) -> SolutionBasis:
     """All f with total degree <= the bound solving the inhomogeneous equation."""
-    monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    return _solve_by_matching(inst, monomials, _defect_intertwiner)
+    return _solve_by_matching(inst, _defect_intertwiner)
 
 
 def solve_homogeneous(a: Scalar, delta_i: Scalar, delta_j: Scalar, k: int) -> SolutionBasis:
     """Homogeneous solutions of total degree exactly k of the top-degree equation."""
-    inst = FuncEqInstance(a, ZERO, delta_i, ZERO, delta_j, ZERO, k, homogeneous_degree=k)
-    return _solve_by_matching(inst, _monomials(k, k), _defect_intertwiner)
+    return solve_intertwiner(FuncEqInstance(a, ZERO, delta_i, ZERO, delta_j, ZERO, k, homogeneous_degree=k))
 
 
 def bcsx_variant_solver(inst: FuncEqInstance) -> SolutionBasis:
     """Solutions of the variant orientation (shift by m, l on the shifted factor)."""
-    monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    return _solve_by_matching(inst, monomials, _defect_bcsx)
+    return _solve_by_matching(inst, _defect_bcsx)
 
 
 @dataclass(frozen=True)
@@ -386,8 +376,6 @@ def verify_solution_table(
     for row in TABLE_ROWS:
         if row.generic_a:
             sample_as = [a for a in a_samples if a != ONE]
-            if row.row_id == "a-generic-k2":
-                sample_as = [a for a in sample_as if a != Scalar(2)]
             if row.row_id == "a-generic-k3":
                 sample_as = [_GENERIC_K3_A]
         else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, check_algebra, jacobi_defect, skew_image
-from .funceq import FuncEqInstance, _defect_intertwiner, _monomials, _solve_by_matching
+from .funceq import FuncEqInstance, _defect_intertwiner, _solve_by_matching
 from .poly import D, L, M, MultiPoly, exact_div
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
@@ -289,7 +289,7 @@ class _Scan:
         basis: list[MultiPoly] = []
         for t in degrees:
             inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, t, homogeneous_degree=t)
-            found = _solve_by_matching(inst, _monomials(t, t), _defect_intertwiner, extra)
+            found = _solve_by_matching(inst, _defect_intertwiner, extra)
             if target.is_zero() and len(found.basis) > 1:
                 # several independent solutions at one degree: basis elements
                 # are tried individually, mixtures are not enumerated

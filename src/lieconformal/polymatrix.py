@@ -16,6 +16,10 @@ from .poly import MultiPoly, divmod_univar
 from .scalars import ONE
 
 
+class MalformedMatrix(ValueError):
+    """A matrix with an entry outside Q[d], or rows of unequal length."""
+
+
 class PolyMatrix:
     """Rectangular matrix with entries univariate in d."""
 
@@ -26,11 +30,11 @@ class PolyMatrix:
             fixed = tuple(c if isinstance(c, MultiPoly) else MultiPoly.const(c) for c in row)
             for c in fixed:
                 if not c.uses_only(("d",)):
-                    raise ValueError("entries must be univariate in d")
+                    raise MalformedMatrix("entries must be univariate in d")
             if width is None:
                 width = len(fixed)
             elif len(fixed) != width:
-                raise ValueError("ragged matrix")
+                raise MalformedMatrix("ragged matrix")
             cells.append(fixed)
         if width is None:
             width = 0

@@ -72,6 +72,23 @@ def test_check_annih_lie_passes():
     assert rep.skipped  # out-of-depth triples are visible
 
 
+def test_check_annih_lie_brackets_each_generator_pair_once(monkeypatch):
+    # the 7 symbols of virasoro() at depth 6 give 49 symbol pairs, all of
+    # one generator pair, whose bracket and n-th products are built once
+    from lieconformal import annihilation
+
+    calls = []
+    real = annihilation.conformal_bracket
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(annihilation, "conformal_bracket", counting)
+    assert check_annih_lie(AnnihAlgebra(virasoro(), 6)).passed
+    assert len(calls) == 1
+
+
 def test_check_annih_lie_catches_sign_corruption():
     corrupt = ConformalAlgebra(("L",), {(0, 0): {0: D + 3 * L}})
     rep = check_annih_lie(AnnihAlgebra(corrupt, 4))

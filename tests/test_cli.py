@@ -250,6 +250,32 @@ def test_scan_arguments_are_capped(capsys):
         assert "argument --grid" in err and "Traceback" not in err
 
 
+def test_malformed_samples_and_matrices_are_argument_errors(capsys):
+    at_cap = ",".join(["3"] * cli.MAX_PROP36_SAMPLES)
+    assert cli.run(["verify-prop36", "--a-samples", at_cap, "--delta-samples", "1"]) == 0
+    capsys.readouterr()
+    too_many = ",".join(["3"] * (cli.MAX_PROP36_SAMPLES + 1))
+    for flag in ("--a-samples", "--delta-samples"):
+        for value in ("d", "1,,2", "", too_many):
+            assert cli.run(["verify-prop36", flag, value]) == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}" in err and "Traceback" not in err
+    for matrix, message in (("l", "entries must be univariate in d"), ("d,1;0", "ragged matrix")):
+        assert cli.run(["snf", "--matrix", matrix]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_internal_value_errors_are_not_spec_errors(monkeypatch):
+    # only the spec and argument refusals map to exit 2; a ValueError from
+    # inside a computation is a bug and propagates
+    def broken(**kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "verify_solution_table", broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.run(["verify-prop36"])
+
+
 def test_closed_pipe_ends_quietly_and_keeps_the_json(tmp_path):
     spec = _write(tmp_path, "vir.lca", VIR_SPEC)
     out = tmp_path / "annih.json"

@@ -9,7 +9,7 @@ from lieconformal.funceq import (
     NotASolution,
     TABLE_ROWS,
     _PARAMETERS,
-    _affine_images,
+    _affine_part,
     _defect_bcsx,
     _defect_intertwiner,
     _monomials,
@@ -72,10 +72,9 @@ def test_defect_is_the_equation_written_out(params, f):
 
 def _combined(defect, inst, ed, el):
     """base + sum_p p * part_p at the instance's parameter values."""
-    base, parts = _affine_images(defect, ed, el)
-    out = base
-    for name, part in zip(_PARAMETERS, parts):
-        out = out + getattr(inst, name) * part
+    out = _affine_part(defect, ed, el, None)
+    for p, name in enumerate(_PARAMETERS):
+        out = out + getattr(inst, name) * _affine_part(defect, ed, el, p)
     return out
 
 
@@ -91,6 +90,10 @@ def test_affine_images_recombine_to_the_defects(params):
         assert _combined(_defect_bcsx, inst, ed, el) == _defect_bcsx(inst, f)
 
 
+def _nonzero_parameters(inst):
+    return sum(not getattr(inst, name).is_zero() for name in _PARAMETERS)
+
+
 def test_cold_and_warm_images_give_identical_bases():
     # the adjoint line at Gaussian weight and constant solves at every bound
     delta, c = Scalar(Fraction(3, 2), 1), sc("1/2")
@@ -100,18 +103,48 @@ def test_cold_and_warm_images_give_identical_bases():
     )
 
     solvers = (solve_intertwiner, bcsx_variant_solver)
+    n = len(_monomials(4, None))
     cold = []
     for inst in insts:
         for solve in solvers:
-            _affine_images.cache_clear()
+            _affine_part.cache_clear()
             cold.append(solve(inst))
-            assert _affine_images.cache_info().hits == 0
+            # a cold solve builds the base and one part per nonzero parameter
+            assert _affine_part.cache_info().misses == (1 + _nonzero_parameters(inst)) * n
     warm = [solve(inst) for inst in insts for solve in solvers]
     again = [solve(inst) for inst in insts for solve in solvers]
-    assert _affine_images.cache_info().misses == 2 * len(_monomials(4, None))
+    assert _affine_part.cache_info().misses == 2 * (1 + len(_PARAMETERS)) * n
     assert cold == warm == again
     assert cold[0].dimension == 1
     assert _proportional(cold[0].basis[0], D + delta * L + MultiPoly.const(c))
+
+
+def test_cold_homogeneous_solve_builds_only_the_parts_it_reads():
+    # b, c_i and c_j are zero in every homogeneous solve, so their parts
+    # are never built: the cache holds the base and the a, delta_i and
+    # delta_j parts of each monomial, and nothing else
+    k = 5
+    _affine_part.cache_clear()
+    solve_homogeneous(Scalar(3), sc("1/2"), Scalar(-2), k)
+    built = _affine_part.cache_info()
+    assert built.misses == built.currsize == 4 * len(_monomials(k, k))
+    read = [None] + [_PARAMETERS.index(name) for name in ("a", "delta_i", "delta_j")]
+    for ed, el in _monomials(k, k):
+        for p in read:
+            _affine_part(_defect_intertwiner, ed, el, p)
+    assert _affine_part.cache_info().misses == built.misses
+
+
+def test_repeated_solve_of_637_images_makes_no_new_miss():
+    # 91 monomials reach total degree 12; with all six parameters nonzero
+    # a solve reads 7 * 91 = 637 images, and a repeat builds none of them
+    inst = FuncEqInstance(Scalar(2, 1), sc("1/3"), Scalar(3), sc("1/2"), Scalar(1, -1), Scalar(0, 2), 12)
+    _affine_part.cache_clear()
+    first = solve_intertwiner(inst)
+    built = _affine_part.cache_info()
+    assert built.misses == built.currsize == 637
+    assert solve_intertwiner(inst) == first
+    assert _affine_part.cache_info().misses == 637
 
 
 def test_constant_mismatch_kills_solutions():
