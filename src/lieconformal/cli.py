@@ -29,11 +29,18 @@ from .funceq import (
 )
 from .grading import scan_grid, default_grid
 from .modules import MissingAction
-from .parsing import ParseError, parse_scalar
+from .parsing import ParseError, parse_poly, parse_scalar
 from .polymatrix import MalformedMatrix, PolyMatrix, matmul, smith_normal_form
 from .reports import Report
 from .scalars import Scalar
-from .specfile import DuplicateDefinition, SpecFile, UnknownGenerator, _is_index, parse_spec
+from .specfile import (
+    MAX_GENERATORS,
+    DuplicateDefinition,
+    SpecFile,
+    UnknownGenerator,
+    _is_index,
+    parse_spec,
+)
 
 SCHEMA_VERSION = 1
 
@@ -45,12 +52,23 @@ EXIT_TRUNCATION = 3
 # Caps on the size arguments, so that a short command line cannot ask for
 # an effectively endless run; README.md gives the measured time at each cap.
 MAX_ANNIH_DEPTH = 32
+# annih-check builds generators * (depth + 1) symbols, and its cost grows
+# with the cube of that number; block with truncation 3 at depth 32 is 132
+MAX_ANNIH_SYMBOLS = 132
 MAX_WEIGHT_DEGREE = 40
 MAX_FUNCEQ_DEGREE = 10
 MAX_SCAN_HORIZON = 32
 MAX_GRID_DENOMINATOR = 12
 MAX_GRID_SLOPES = 48
 MAX_PROP36_SAMPLES = 16
+# the Smith form swells its entries (ROADMAP item 5), with the size, the
+# degree and the coefficients of the input alike: dense 4x4 of degree 4
+# took 16 to 24 s with one-digit Gaussian coefficients, 4x4 of degree 3
+# with two-digit Gaussian fractions outgrew the 4300-digit limit of int
+# rendering, and 2x2 of degree 3 did so with 640-digit numerals
+MAX_SNF_SIZE = 3
+MAX_SNF_DEGREE = 3
+MAX_SNF_PART = 999
 
 
 class PathError(Exception):
@@ -124,6 +142,12 @@ def _cmd_check_module(args) -> int:
 
 def _cmd_annih_check(args) -> int:
     spec = _load_spec(args.spec)
+    symbols = spec.algebra.n_gens * (args.depth + 1)
+    if symbols > MAX_ANNIH_SYMBOLS:
+        raise InvalidStructure(
+            f"annih-check at depth {args.depth} on {spec.algebra.n_gens} generators "
+            f"builds {symbols} symbols, more than {MAX_ANNIH_SYMBOLS}"
+        )
     X = AnnihAlgebra(spec.algebra, args.depth)
     report = check_annih_lie(X)
     status = "pass" if report.passed else "fail"
@@ -276,13 +300,29 @@ def _cmd_scan_a1(args) -> int:
     return EXIT_OK
 
 
-def _cmd_snf(args) -> int:
-    rows = []
-    for chunk in args.matrix.split(";"):
-        from .parsing import parse_poly
+def _matrix_arg(text: str) -> list[list]:
+    """The --matrix value: rows split by ';', entries by ','; sizes and coefficients capped."""
+    rows = [chunk.split(",") for chunk in text.split(";")]
+    if len(rows) > MAX_SNF_SIZE or any(len(row) > MAX_SNF_SIZE for row in rows):
+        raise argparse.ArgumentTypeError(f"a matrix has at most {MAX_SNF_SIZE} rows and columns")
+    try:
+        rows = [[parse_poly(cell.strip()) for cell in row] for row in rows]
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    entries = [p for row in rows for p in row]
+    if any((p.degree_in("d") or 0) > MAX_SNF_DEGREE for p in entries):
+        raise argparse.ArgumentTypeError(f"an entry has degree in d above {MAX_SNF_DEGREE}")
+    parts = [x for p in entries for c in p.terms.values() for x in (c.re, c.im)]
+    if any(max(abs(x.numerator), x.denominator) > MAX_SNF_PART for x in parts):
+        raise argparse.ArgumentTypeError(
+            "a coefficient has a real or imaginary part whose numerator or denominator "
+            f"exceeds {MAX_SNF_PART}"
+        )
+    return rows
 
-        rows.append([parse_poly(cell.strip()) for cell in chunk.split(",")])
-    matrix = PolyMatrix(rows)
+
+def _cmd_snf(args) -> int:
+    matrix = PolyMatrix(args.matrix)
     snf = smith_normal_form(matrix)
     free_rank, torsion = snf.torsion_split()
     product = matmul(matmul(snf.U, matrix), snf.V)
@@ -337,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True)
     p.add_argument("--degree", type=_capped_int(MAX_WEIGHT_DEGREE), required=True,
                    help=f"largest d-degree in the window, at most {MAX_WEIGHT_DEGREE}")
-    p.add_argument("--gen", type=int, default=None)
+    p.add_argument("--gen", type=_capped_int(MAX_GENERATORS - 1), default=None,
+                   help="index of the generator whose index-1 action is decomposed, "
+                        f"at most {MAX_GENERATORS - 1}; the spec's virasoro_gen by default")
     add_json(p)
     p.set_defaults(func=_cmd_weights)
 
@@ -376,8 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan_a1)
 
     p = sub.add_parser("snf", help="Smith normal form of a matrix over d-polynomials")
-    p.add_argument("--matrix", required=True,
-                   help='rows split by ";", entries by ","; e.g. "d,1;0,d"')
+    p.add_argument("--matrix", type=_matrix_arg, required=True,
+                   help='rows split by ";", entries by ","; e.g. "d,1;0,d"; '
+                        f"at most {MAX_SNF_SIZE} rows and columns, degree in d at most "
+                        f"{MAX_SNF_DEGREE}, and coefficient parts p/q with |p| and q at most "
+                        f"{MAX_SNF_PART}")
     add_json(p)
     p.set_defaults(func=_cmd_snf)
 

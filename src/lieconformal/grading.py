@@ -263,10 +263,11 @@ _ZERO_TARGET_DEGREE_CAP = 4
 class _Scan:
     """Depth-first search over row-one degree choices with table assembly.
 
-    State: the value sequence a_1..a_h, row-one polynomials p_{1,j} for
-    j < h, and the assembled candidate table for all pairs with index sum
-    <= h.  Extending to h+1 adds the new diagonal and is accepted only if
-    skew and Jacobi hold on everything the new entries make checkable.
+    A search node is the value sequence a_1..a_h and the candidate table
+    for all pairs with index sum <= h, row one p_{1,j} for j < h included.
+    Extending to h+1 builds a new table with the new diagonal, accepted
+    only if skew and Jacobi hold on everything the new entries make
+    checkable; the parent's table is never changed.
     """
 
     def __init__(self, a1: Scalar, horizon: int):
@@ -274,7 +275,6 @@ class _Scan:
             raise ValueError("horizon must be at least 2")
         self.a1 = a1
         self.horizon = horizon
-        self.max_values = horizon  # 2 * count <= horizon
         self.best_depth = 1
         self.unexplored_mixtures = False
         self._solver_cache: dict = {}
@@ -303,14 +303,13 @@ class _Scan:
         if not self.a1.is_real():
             return ScanResult(self.a1, self.horizon, False, None, 1)
         table = self._initial_table()
-        a_seq = [None, self.a1]  # 1-based
-        ok = self._check_new_grade(table, 0) and self._check_new_grade(table, 1)
-        if not ok:
+        if not (self._check_new_grade(table, 0) and self._check_new_grade(table, 1)):
             return ScanResult(self.a1, self.horizon, False, None, 1)
-        found = self._dfs(table, a_seq)
-        if found is not None:
-            return ScanResult(self.a1, self.horizon, True, tuple(found[1:]), None, table)
-        return ScanResult(self.a1, self.horizon, False, None, self.best_depth)
+        found = self._dfs(table, [self.a1])
+        if found is None:
+            return ScanResult(self.a1, self.horizon, False, None, self.best_depth)
+        a_seq, table = found
+        return ScanResult(self.a1, self.horizon, True, tuple(a_seq), None, table)
 
     # -- table plumbing ----------------------------------------------------
 
@@ -366,63 +365,38 @@ class _Scan:
 
     # -- the search ----------------------------------------------------------
 
-    def _dfs(self, table, a_seq) -> list | None:
-        depth = len(a_seq) - 1
+    def _dfs(self, table, a_seq: list[Scalar]) -> tuple[list[Scalar], dict] | None:
+        """Extend a_1..a_h (a_seq[0] is a_1) to the horizon: (a_seq, table), or None."""
+        depth = len(a_seq)
         self.best_depth = max(self.best_depth, depth)
         if depth == self.horizon:
-            return list(a_seq)
-        j = depth  # choosing p_{1,j}, which fixes a_{j+1}
-        h = depth + 1
-        for k, target in self._steps(a_seq[j]):
-            values = {s for s in a_seq[1:]} | {target}
-            if 2 * len(values) > self.max_values:
+            return a_seq, table
+        # choosing p_{1,depth}, which fixes a_{depth+1}
+        for k, target in self._steps(a_seq[-1]):
+            if 2 * len({*a_seq, target}) > self.horizon:
                 continue
-            for p1j in self._candidates(a_seq[j], target, k, diagonal=(j == 1)):
-                new_entries = self._try_extension(table, a_seq, h, target, p1j)
-                if new_entries is None:
-                    continue
-                a_seq.append(target)
-                found = self._dfs(table, a_seq)
-                if found is not None:
-                    return found
-                a_seq.pop()
-                for key in new_entries:
-                    del table[key]
+            for p1j in self._candidates(a_seq[-1], target, k, diagonal=(depth == 1)):
+                extended = self._extend(table, depth + 1, target, p1j)
+                if extended is not None:
+                    found = self._dfs(extended, a_seq + [target])
+                    if found is not None:
+                        return found
         return None
 
-    def _try_extension(self, table, a_seq, h, target, p1j) -> list | None:
-        """Add the index-sum-h diagonal; return the added keys, or None on failure."""
-        added: list[tuple[int, int]] = []
-
-        def put(key, p):
-            table[key] = p
-            added.append(key)
-
-        def fail():
-            for key in added:
-                del table[key]
-            return None
-
-        put((0, h), D + target * L)
-        put((h, 0), skew_image(table[(0, h)]))
-        put((1, h - 1), p1j)
+    def _extend(self, table, h: int, target: Scalar, p1j: MultiPoly) -> dict | None:
+        """A copy of the table with the index-sum-h diagonal added and checked, or None."""
+        table = dict(table)
+        table[(0, h)] = D + target * L
+        table[(h, 0)] = skew_image(table[(0, h)])
+        table[(1, h - 1)] = p1j
         if h - 1 != 1:
-            put((h - 1, 1), skew_image(p1j))
+            table[(h - 1, 1)] = skew_image(p1j)
         for i in range(2, h):
-            j = h - i
-            if j < 1:
-                break
-            p = self._recurse_entry(table, i, j)
-            if p is None:
-                return fail()
-            if (i, j) in table:
-                if table[(i, j)] != p:
-                    return fail()
-            else:
-                put((i, j), p)
-        if not self._check_new_grade(table, h):
-            return fail()
-        return added
+            p = self._recurse_entry(table, i, h - i)
+            # (h-1, 1) is already set, and the forced entry must agree with it
+            if p is None or table.setdefault((i, h - i), p) != p:
+                return None
+        return table if self._check_new_grade(table, h) else None
 
 
 def scan_a1(a1, horizon: int) -> ScanResult:

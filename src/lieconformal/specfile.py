@@ -42,8 +42,14 @@ from .algebra import (
     virasoro,
 )
 from .modules import ConformalModule
-from .parsing import ParseError, parse_poly, parse_scalar
+from .parsing import MAX_DIGITS, ParseError, parse_poly, parse_scalar
 from .poly import MultiPoly
+
+# one cap on the generators of any algebra section, explicit or builtin,
+# checked before the algebra is built: check-algebra at the cap took at
+# most 2.2 s on a 2-vCPU VM (map_virasoro_poly, whose associativity check
+# grows with the fourth power of n, took 43 s at 64)
+MAX_GENERATORS = 32
 
 
 class UnknownGenerator(ValueError):
@@ -147,8 +153,8 @@ def _poly_entry(value: str, lineno: int, column: int) -> MultiPoly:
 
 
 def _is_index(text: str) -> bool:
-    """True for a nonempty run of the ASCII digits 0-9 only."""
-    return text.isascii() and text.isdigit()
+    """True for a nonempty run of at most MAX_DIGITS of the ASCII digits 0-9 only."""
+    return text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
 
 
 def _count(text: str, lineno: int, what: str) -> int:
@@ -156,6 +162,12 @@ def _count(text: str, lineno: int, what: str) -> int:
     if not _is_index(text):
         raise ParseError(f"{what} must be a nonnegative integer, got {text!r}", lineno, 1)
     return int(text)
+
+
+def _cap_generators(count: int, lineno: int, column: int) -> None:
+    """Refuse an algebra of more than MAX_GENERATORS generators, before it is built."""
+    if count > MAX_GENERATORS:
+        raise ParseError(f"{count} generators exceed {MAX_GENERATORS}", lineno, column)
 
 
 def _bracket_indices(key: str, lineno: int) -> list[int]:
@@ -188,25 +200,28 @@ def _builtin_algebra(pairs) -> ConformalAlgebra:
             return default
         return parse_scalar(_unquote(pairs[key][1]))
 
-    def int_of(key, default=None):
+    def size_of(key, extra=0):
+        """The integer parameter key of a builtin with key + extra generators."""
         if key not in pairs:
-            if default is None:
-                raise InvalidStructure(f"builtin {name!r} needs parameter {key!r}")
-            return default
-        lineno, value, _ = pairs[key]
-        return _count(_unquote(value), lineno, key)
+            raise InvalidStructure(f"builtin {name!r} needs parameter {key!r}")
+        lineno, value, column = pairs[key]
+        size = _count(_unquote(value), lineno, key)
+        _cap_generators(size + extra, lineno, column)
+        return size
 
     if name == "virasoro":
         return virasoro()
     if name == "block":
-        return block(scalar_of("p"), int_of("truncation"))
+        return block(scalar_of("p"), size_of("truncation", extra=1))
     if name == "map_virasoro_poly":
-        return map_virasoro_poly(int_of("n"))
+        return map_virasoro_poly(size_of("n"))
     if name in ("current", "vir_semidirect_current"):
-        lie_line, lie, _ = pairs.get("lie", (0, "sl2", 1))
+        lie_line, lie, lie_column = pairs.get("lie", (0, "sl2", 1))
         lie = _unquote(lie)
         if lie.startswith("abelian"):
             size = _count(lie[len("abelian"):], lie_line, "abelian<n>")
+            # vir_semidirect_current adds its Virasoro generator
+            _cap_generators(size + (name == "vir_semidirect_current"), lie_line, lie_column)
             constants, labels = abelian_constants(size)
         elif lie in _LIE_PRESETS:
             constants, labels = _LIE_PRESETS[lie]()
@@ -221,8 +236,10 @@ def _builtin_algebra(pairs) -> ConformalAlgebra:
 def _explicit_algebra(pairs) -> ConformalAlgebra:
     if "generators" not in pairs:
         raise InvalidStructure("algebra section needs generators or a builtin")
-    gens = tuple(pairs["generators"][1].split())
+    lineno, value, column = pairs["generators"]
+    gens = tuple(value.split())
     n = len(gens)
+    _cap_generators(n, lineno, column)
     grades = None
     if "grades" in pairs:
         lineno, value, _ = pairs["grades"]

@@ -213,10 +213,19 @@ def test_size_arguments_are_capped(tmp_path, capsys):
     cap = str(cli.MAX_FUNCEQ_DEGREE)
     assert cli.run(solve + [cap]) == 0
     assert cli.run(solve + ["0", "--homogeneous", cap]) == 0
+    # the largest generator index a spec can define
+    last = cli.MAX_GENERATORS - 1
+    gens = " ".join(f"g{i}" for i in range(last + 1))
+    wide = _write(tmp_path, "wide.lca", f"[algebra]\ngenerators = {gens}\n"
+                  f"p_{last}_{last}_{last} = d + 2*l\n"
+                  f"[module M]\nbasis = v\naction_{last} = d + 2*l\n")
+    weights = ["weights", wide, "--module", "M", "--degree", "2", "--gen"]
+    assert cli.run(weights + [str(last)]) == 0
     capsys.readouterr()
     commands = (
         (["annih-check", spec, "--depth"], "--depth", cli.MAX_ANNIH_DEPTH),
         (["weights", spec, "--module", "M", "--degree"], "--degree", cli.MAX_WEIGHT_DEGREE),
+        (weights, "--gen", last),
         (solve, "--degree-bound", cli.MAX_FUNCEQ_DEGREE),
         (solve + ["2", "--homogeneous"], "--homogeneous", cli.MAX_FUNCEQ_DEGREE),
     )
@@ -263,6 +272,67 @@ def test_malformed_samples_and_matrices_are_argument_errors(capsys):
     for matrix, message in (("l", "entries must be univariate in d"), ("d,1;0", "ragged matrix")):
         assert cli.run(["snf", "--matrix", matrix]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_spec_generators_are_capped(tmp_path, capsys):
+    block = "[algebra]\nbuiltin = block\np = 1\ntruncation = {}\n"
+    cap = cli.MAX_GENERATORS
+    assert cli.run(["check-algebra", _write(tmp_path, "cap.lca", block.format(cap - 1))]) == 0
+    capsys.readouterr()
+    for truncation in (cap, 3000):
+        path = _write(tmp_path, "big.lca", block.format(truncation))
+        assert cli.run(["check-algebra", path]) == 2
+        message = f"{truncation + 1} generators exceed {cap} (line 4, column 14)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_annih_symbols_are_capped(tmp_path, capsys, monkeypatch):
+    # the check is stubbed: at the cap it runs for seconds, and only the
+    # refusal before it is under test here
+    from lieconformal.reports import Report
+
+    depths = []
+    monkeypatch.setattr(cli, "AnnihAlgebra", lambda A, depth: depths.append(depth))
+    monkeypatch.setattr(cli, "check_annih_lie", lambda X: Report("stub"))
+    spec = "[algebra]\nbuiltin = current\nlie = abelian{}\n"
+    # 4 generators at depth 32 and 12 at depth 10 make exactly the cap
+    for n, depth in ((4, cli.MAX_ANNIH_DEPTH), (12, 10)):
+        assert n * (depth + 1) == cli.MAX_ANNIH_SYMBOLS
+        path = _write(tmp_path, "cap.lca", spec.format(n))
+        assert cli.run(["annih-check", path, "--depth", str(depth)]) == 0
+    assert depths == [cli.MAX_ANNIH_DEPTH, 10]
+    capsys.readouterr()
+    for n, depth in ((5, 32), (8, 32), (12, 11)):
+        path = _write(tmp_path, "big.lca", spec.format(n))
+        assert cli.run(["annih-check", path, "--depth", str(depth)]) == 2
+        message = (f"annih-check at depth {depth} on {n} generators builds "
+                   f"{n * (depth + 1)} symbols, more than {cli.MAX_ANNIH_SYMBOLS}")
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert depths == [cli.MAX_ANNIH_DEPTH, 10]
+
+
+def test_snf_matrix_is_capped(capsys):
+    degree, part = cli.MAX_SNF_DEGREE, cli.MAX_SNF_PART
+    assert cli.MAX_SNF_SIZE == 3
+    at_cap = f"{part}*d^{degree},0,1;0,1/{part}+{part}*i,0;0,0,-{part}/{part - 1}*d"
+    assert cli.run(["snf", "--matrix", at_cap]) == 0
+    capsys.readouterr()
+    for matrix in (
+        "d,0,0,0",  # four columns
+        "d;0;0;0",  # four rows
+        ";".join([",".join(["1"] * 5)] * 5),
+        f"d^{degree + 1}",
+        f"(d + 1)^{degree}*d",
+        f"{part + 1}*d",
+        f"1/{part + 1}",
+        f"{part + 1}*i",
+        f"(d + 10)^{degree}",  # 1000 as the constant term
+        "9" * 5000,
+        "d + + 1",
+    ):
+        assert cli.run(["snf", "--matrix", matrix]) == 2
+        err = capsys.readouterr().err
+        assert "argument --matrix" in err and "Traceback" not in err
 
 
 def test_internal_value_errors_are_not_spec_errors(monkeypatch):

@@ -80,6 +80,13 @@ def test_scan_golden(tmp_path):
     assert out.read_bytes() == _golden_bytes("scan_den6_h8.json")
 
 
+def test_scan_horizon_12_golden(tmp_path):
+    # pins the rejection depths at horizon 12, where the search goes deeper
+    out = tmp_path / "out.json"
+    assert cli.run(["scan-a1", "--grid", "den6", "--horizon", "12", "--json", str(out)]) == 0
+    assert out.read_bytes() == _golden_bytes("scan_den6_h12.json")
+
+
 def test_verify_prop36_golden(tmp_path):
     out = tmp_path / "out.json"
     assert cli.run(["verify-prop36", "--json", str(out)]) == 0

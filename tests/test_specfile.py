@@ -5,7 +5,7 @@ from lieconformal.modules import check_module
 from lieconformal.parsing import MAX_DEGREE, MAX_DIGITS, MAX_EXPONENT, ParseError, parse_poly
 from lieconformal.poly import D, L, MultiPoly
 from lieconformal.scalars import Scalar
-from lieconformal.specfile import DuplicateDefinition, UnknownGenerator, parse_spec
+from lieconformal.specfile import MAX_GENERATORS, DuplicateDefinition, UnknownGenerator, parse_spec
 
 VIR = """
 [algebra]
@@ -172,10 +172,16 @@ def test_parse_error_in_spec_entry():
             parse_spec(text)
         assert (err.value.line, err.value.column) == (line, column)
         assert text.splitlines()[line - 1][column - 1] in "+d"
-    # integer values take the ASCII digits 0-9 only and fail with their line
+    # integer values take at most 640 of the ASCII digits 0-9 only, so that
+    # int() converts them, and fail with their line
     block = "[algebra]\nbuiltin = block\np = 1\ntruncation = 3\n"
     semidirect = "[algebra]\nbuiltin = vir_semidirect_current\na = 1\nlie = abelian2\n"
+    huge = "9" * 5000
     for text, line in (
+        (block.replace("truncation = 3", f"truncation = {huge}"), 4),
+        (VIR.replace("grades = 0", f"grades = {huge}"), 4),
+        (VIR.replace("p_00", f"p_{huge}_0"), 5),
+        (VIR.replace("action_0", f"action_{huge}"), 9),
         (VIR.replace("grades = 0", "grades = 0\ntruncation = \u0663"), 5),
         (VIR.replace("grades = 0", "grades = \u0660"), 4),
         (VIR.replace("grades = 0", "grades = 0\ntruncation = x"), 5),
@@ -217,6 +223,32 @@ def test_duplicate_module_section():
     bad = VIR + "\n[module M]\nbasis = w\n"
     with pytest.raises(DuplicateDefinition):
         parse_spec(bad)
+
+
+def test_generators_are_capped():
+    cap = MAX_GENERATORS
+    explicit = "[algebra]\ngenerators = " + " ".join(f"g{i}" for i in range(cap)) + "\n"
+    block = "[algebra]\nbuiltin = block\np = 1\ntruncation = {}\n"
+    poly = "[algebra]\nbuiltin = map_virasoro_poly\nn = {}\n"
+    current = "[algebra]\nbuiltin = {}\na = 1\nlie = abelian{}\n"
+    for text in (explicit, block.format(cap - 1), current.format("current", cap),
+                 current.format("vir_semidirect_current", cap - 1)):
+        assert parse_spec(text).algebra.n_gens == cap
+    # one more is a parse error at the value on its spec line, raised before
+    # the algebra is built: block(3000) alone would take minutes
+    for text, count, line, column in (
+        (explicit.replace("= ", "= extra "), cap + 1, 2, 14),
+        (block.format(cap), cap + 1, 4, 14),
+        (block.format(3000), 3001, 4, 14),
+        (poly.format(cap + 1), cap + 1, 3, 5),
+        (current.format("current", cap + 1), cap + 1, 4, 7),
+        (current.format("vir_semidirect_current", cap), cap + 1, 4, 7),
+        (current.format("current", 3000), 3000, 4, 7),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        message = f"{count} generators exceed {cap}"
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
 
 def test_builtin_sections_with_quoted_parameters():
