@@ -552,26 +552,30 @@ def map_virasoro(
     pairs beyond the truncation are left unknown, not set to zero.
     """
     n = len(mult)
+    # u_i u_j as sparse coordinates {k: c}, converted once
+    prod = [
+        [{k: c for k, c in enumerate(map(_as_scalar, mult[i][j])) if not c.is_zero()} for j in range(n)]
+        for i in range(n)
+    ]
     for i in range(n):
         for j in range(n):
-            if [_as_scalar(x) for x in mult[i][j]] != [_as_scalar(x) for x in mult[j][i]]:
+            if prod[i][j] != prod[j][i]:
                 raise InvalidStructure("multiplication table must be commutative")
+
+    def combine(vec, rows):
+        # sum_k vec_k rows[k]
+        out: dict[int, Scalar] = {}
+        for k, ck in vec.items():
+            for t, c in rows[k].items():
+                accumulate(out, t, ck * c)
+        return out
+
+    # (u_i u_j) u_h = u_i (u_j u_h), with u_k u_h read as u_h u_k now that
+    # the table is known to be commutative
     for i in range(n):
         for j in range(n):
             for h in range(n):
-                left = [ZERO] * n
-                for k in range(n):
-                    ck = _as_scalar(mult[i][j][k])
-                    if not ck.is_zero():
-                        for t in range(n):
-                            left[t] = left[t] + ck * _as_scalar(mult[k][h][t])
-                right = [ZERO] * n
-                for k in range(n):
-                    ck = _as_scalar(mult[j][h][k])
-                    if not ck.is_zero():
-                        for t in range(n):
-                            right[t] = right[t] + ck * _as_scalar(mult[i][k][t])
-                if left != right:
+                if combine(prod[i][j], prod[h]) != combine(prod[j][h], prod[i]):
                     raise InvalidStructure("multiplication table must be associative")
     if not _has_unit(mult):
         raise InvalidStructure("multiplication table must have a unit")
@@ -584,11 +588,7 @@ def map_virasoro(
             if grades is not None and truncation is not None:
                 if grades[i] + grades[j] > truncation:
                     continue
-            table[(i, j)] = {
-                k: base * _as_scalar(mult[i][j][k])
-                for k in range(n)
-                if not _as_scalar(mult[i][j][k]).is_zero()
-            }
+            table[(i, j)] = {k: base * c for k, c in prod[i][j].items()}
     return ConformalAlgebra(labels, table, grades=grades, truncation=truncation)
 
 

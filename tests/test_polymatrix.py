@@ -1,4 +1,7 @@
 import random
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.polymatrix import (
     PolyMatrix,
@@ -7,8 +10,8 @@ from lieconformal.polymatrix import (
     smith_normal_form,
     torsion_split,
 )
-from lieconformal.poly import D, MultiPoly
-from lieconformal.scalars import Scalar
+from lieconformal.poly import D, MultiPoly, divmod_univar
+from lieconformal.scalars import ONE, Scalar
 
 ONE_P = MultiPoly.one()
 ZERO_P = MultiPoly.zero()
@@ -109,3 +112,102 @@ def test_determinism_of_pivoting():
     first = smith_normal_form(Mx)
     second = smith_normal_form(Mx)
     assert first.D == second.D and first.U == second.U and first.V == second.V
+
+
+def _cofactor_det(rows) -> MultiPoly:
+    """Oracle: the n!-term cofactor expansion along the first row."""
+    if not rows:
+        return ONE_P
+    acc = ZERO_P
+    for c, top in enumerate(rows[0]):
+        if not top.is_zero():
+            term = top * _cofactor_det([row[:c] + row[c + 1:] for row in rows[1:]])
+            acc = acc + (term if c % 2 == 0 else -term)
+    return acc
+
+
+_small = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+def _polys(max_degree):
+    return st.lists(_small, min_size=1, max_size=max_degree + 1).map(
+        lambda cs: MultiPoly({(e, 0, 0): c for e, c in enumerate(cs) if not c.is_zero()})
+    )
+
+
+@st.composite
+def _poly_matrices(draw, max_size, max_degree, square=False):
+    n = draw(st.integers(1, max_size))
+    m = n if square else draw(st.integers(1, max_size))
+    entry = _polys(max_degree)
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # a multiple of the first row: rank-deficient
+        f = draw(entry)
+        rows[-1] = [f * x for x in rows[0]]
+    return PolyMatrix(rows)
+
+
+@settings(deadline=None)
+@given(_poly_matrices(4, 2, square=True))
+def test_determinant_matches_cofactor_expansion(Mx):
+    assert determinant(Mx) == _cofactor_det([list(r) for r in Mx.rows])
+
+
+def _monic(p: MultiPoly) -> MultiPoly:
+    if p.is_zero():
+        return p
+    return p * (ONE / p.terms[(p.degree_in("d"), 0, 0)])
+
+
+def _gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    while not b.is_zero():
+        a, b = b, divmod_univar(a, b)[1]
+    return _monic(a)
+
+
+@settings(deadline=None)
+@given(_poly_matrices(3, 2))
+def test_invariant_factors_are_quotients_of_minor_gcds(Mx):
+    # d_k, the monic gcd of the k x k minors, is d_1 ... d_k of the Smith form
+    n, m = Mx.shape
+    invs = smith_normal_form(Mx).invariants
+    prev = ONE_P
+    for k in range(1, min(n, m) + 1):
+        d_k = ZERO_P
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(m), k):
+                d_k = _gcd(d_k, _cofactor_det([[Mx[r, c] for c in cols] for r in rows]))
+        if d_k.is_zero():
+            assert invs[k - 1].is_zero()
+        else:
+            q, rem = divmod_univar(d_k, prev)
+            assert rem.is_zero() and invs[k - 1] == q
+        prev = d_k
+
+
+def _coefficient_bits(Mx: PolyMatrix) -> int:
+    return max(
+        max(abs(part.numerator).bit_length(), part.denominator.bit_length())
+        for row in Mx.rows
+        for p in row
+        for c in p.terms.values()
+        for part in (c.re, c.im)
+    )
+
+
+def test_dense_quintic_size_smith_form_keeps_transforms_small():
+    # a dense 5x5 matrix of cubics with one-digit integer coefficients; the
+    # Euclidean steps alone gave transforms of 6,000 to 7,000-bit coefficients
+    rng = random.Random(15)
+    digit = [c for c in range(-9, 10) if c]
+    Mx = PolyMatrix([
+        [MultiPoly({(e, 0, 0): Scalar(rng.choice(digit)) for e in range(4)}) for _ in range(5)]
+        for _ in range(5)
+    ])
+    snf = smith_normal_form(Mx)
+    assert matmul(matmul(snf.U, Mx), snf.V) == snf.D
+    assert snf.D == PolyMatrix.diagonal([ONE_P] * 4 + [_monic(determinant(Mx))])
+    assert _is_unit(determinant(snf.U))
+    assert _is_unit(determinant(snf.V))
+    assert max(_coefficient_bits(snf.U), _coefficient_bits(snf.V)) <= 400

@@ -1,11 +1,11 @@
 import pytest
 
-from lieconformal.algebra import bracket, check_jacobi, check_skew
+from lieconformal.algebra import InvalidStructure, bracket, check_jacobi, check_skew
 from lieconformal.modules import check_module
 from lieconformal.parsing import MAX_DEGREE, MAX_DIGITS, MAX_EXPONENT, ParseError, parse_poly
 from lieconformal.poly import D, L, MultiPoly
 from lieconformal.scalars import Scalar
-from lieconformal.specfile import MAX_GENERATORS, DuplicateDefinition, UnknownGenerator, parse_spec
+from lieconformal.specfile import MAX_BASIS, MAX_GENERATORS, DuplicateDefinition, UnknownGenerator, parse_spec
 
 VIR = """
 [algebra]
@@ -249,6 +249,22 @@ def test_generators_are_capped():
             parse_spec(text)
         message = f"{count} generators exceed {cap}"
         assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+def test_module_basis_is_capped():
+    cap = MAX_BASIS
+    module = "[module M]\nbasis = {}\n"
+    names = " ".join(f"v{i}" for i in range(cap))
+    assert parse_spec(VIR + module.replace("M", "N").format(names)).modules["N"].rank == cap
+    # one more is a parse error at the value on its spec line, raised before
+    # anything is built: this algebra section would be refused when built
+    refused_algebra = "[algebra]\nbuiltin = block\np = 0\ntruncation = 3\n"
+    with pytest.raises(InvalidStructure):
+        parse_spec(refused_algebra)
+    with pytest.raises(ParseError) as err:
+        parse_spec(refused_algebra + module.format(names + " extra"))
+    message = f"{cap + 1} basis vectors exceed {cap}"
+    assert (err.value.line, err.value.column, err.value.message) == (6, 9, message)
 
 
 def test_builtin_sections_with_quoted_parameters():
