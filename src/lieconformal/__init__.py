@@ -52,7 +52,6 @@ from .annihilation import (
     annih_bracket,
     check_annih_lie,
     module_action_n,
-    reconstruct_lambda_action,
     weight_spaces,
 )
 from .funceq import (

@@ -336,58 +336,60 @@ def check_skew(A: ConformalAlgebra) -> Report:
     return report
 
 
-def check_jacobi(A: ConformalAlgebra) -> Report:
-    """Jacobi identity on every generator triple; out-of-truncation triples are skipped.
+def _pair_defects(A: ConformalAlgebra, entry, zs):
+    """Yield (x, y, [jacobi_defect(entry, x, y, z) for z in zs]) per generator pair, row-major.
 
-    Each identity is computed once per skew pair.  Write J(a, b, c)(l, m)
-    for [a_l [b_m c]] - [[a_l b]_{l+m} c] - [b_m [a_l c]].  Swap a with b
-    and l with m: J(b, a, c)(m, l) = [b_m [a_l c]] - [[b_m a]_{l+m} c] -
-    [a_l [b_m c]].  Where skew-symmetry holds on the pair, [b_m a] =
-    -[a_{-m-d} b], and sesquilinearity of the outer bracket turns d into
-    -(l+m), so [[b_m a]_{l+m} c] = -[[a_l b]_{l+m} c] and the two defects
-    cancel: J(b, a, c)(d, l, m) = -J(a, b, c)(d, m, l) (D'Andrea and Kac
-    1998, "Structure theory of finite conformal algebras").  So for x > y,
-    when skew holds on (y, x), the verdict and witness of (x, y, z) come
-    from the stored (y, x, z) defect with l and m swapped and the sign
-    flipped.  Both orders read the same entries, so a stored truncation
-    skip stays a skip.  When skew fails on the pair, the defect is
-    computed directly.  Ids, witnesses and skips keep the order x, y, z.
+    A defect is None where an entry lies beyond the truncation, and a pair
+    beyond it is skipped unread.  Each identity is computed once per skew
+    pair.  Write J(a, b, c)(l, m) for [a_l [b_m c]] - [[a_l b]_{l+m} c] -
+    [b_m [a_l c]].  Swap a with b and l with m: J(b, a, c)(m, l) =
+    [b_m [a_l c]] - [[b_m a]_{l+m} c] - [a_l [b_m c]].  Where skew-symmetry
+    holds on the pair, [b_m a] = -[a_{-m-d} b], and sesquilinearity of the
+    outer bracket turns d into -(l+m), so [[b_m a]_{l+m} c] = -[[a_l b]_{l+m} c]
+    and the two defects cancel: J(b, a, c)(d, l, m) = -J(a, b, c)(d, m, l)
+    (D'Andrea and Kac 1998, "Structure theory of finite conformal
+    algebras"), whatever c is, so c may be a module basis vector.  So for
+    x > y, when skew holds on (y, x), the defects of (x, y) are the stored
+    (y, x) ones with l and m swapped and the sign flipped.  Both orders
+    read the same entries, so a stored truncation skip stays a skip.  When
+    skew fails on the pair, the defects are computed directly.
     """
-    report = Report("jacobi")
     n = A.n_gens
-    # (x, y) with x < y and skew on the pair -> its defects by z; None beyond truncation
+    # (x, y) with x < y and skew on the pair -> its defects by z
     stored: dict[tuple[int, int], list[dict[int, MultiPoly] | None]] = {}
     for x in range(n):
         for y in range(n):
             mirror = stored.pop((y, x), None)
-            keep = (
-                x < y
-                and A.has_entry(x, y)
-                and A.has_entry(y, x)
-                and not _skew_defect(A, x, y)
-            )
-            if keep:
-                stored[(x, y)] = []
-            for z in range(n):
-                check_id = f"jacobi({x},{y},{z})"
-                if mirror is not None:
-                    swapped = mirror[z]
-                    defect = None if swapped is None else {
-                        k: -_swap_lm(p) for k, p in swapped.items()
-                    }
-                else:
-                    try:
-                        defect = jacobi_defect(A.entry, x, y, z)
-                    except TruncationExceeded:
-                        defect = None
-                    if keep:
-                        stored[(x, y)].append(defect)
-                if defect is None:
-                    report.skip(check_id, "beyond truncation")
-                elif defect:
-                    report.fail(check_id, A.render_vector(defect))
-                else:
-                    report.ok(check_id)
+            if mirror is not None:
+                yield x, y, [None if d is None else {k: -_swap_lm(p) for k, p in d.items()}
+                             for d in mirror]
+                continue
+            if not A.has_entry(x, y):
+                yield x, y, [None] * len(zs)
+                continue
+            defects = []
+            for z in zs:
+                try:
+                    defects.append(jacobi_defect(entry, x, y, z))
+                except TruncationExceeded:
+                    defects.append(None)
+            if x < y and A.has_entry(y, x) and not _skew_defect(A, x, y):
+                stored[(x, y)] = defects
+            yield x, y, defects
+
+
+def check_jacobi(A: ConformalAlgebra) -> Report:
+    """Jacobi identity on every generator triple; out-of-truncation triples are skipped."""
+    report = Report("jacobi")
+    for x, y, defects in _pair_defects(A, A.entry, range(A.n_gens)):
+        for z, defect in enumerate(defects):
+            check_id = f"jacobi({x},{y},{z})"
+            if defect is None:
+                report.skip(check_id, "beyond truncation")
+            elif defect:
+                report.fail(check_id, A.render_vector(defect))
+            else:
+                report.ok(check_id)
     return report
 
 

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import comb, factorial
-from fractions import Fraction
+from math import comb
 
 from .algebra import ConformalAlgebra, TruncationExceeded, accumulate, nth_product
 from .algebra import bracket as conformal_bracket
@@ -286,18 +285,3 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
         reports.append(WeightReport(alpha, tuple(vectors)))
     return reports
 
-
-def reconstruct_lambda_action(M_: ConformalModule, gen: int, vec: list[MultiPoly], max_index: int | None = None) -> list[MultiPoly]:
-    """Rebuild g _l v as sum_n (indexed action) l^n / n!; equals apply_action exactly."""
-    direct = apply_action(M_, gen, vec)
-    if max_index is None:
-        max_index = max((p.degree_in("l") or 0) for p in direct) if direct else 0
-    m = M_.rank
-    out = [MultiPoly.zero()] * m
-    lpoly = MultiPoly.variable("l")
-    for n in range(max_index + 1):
-        part = module_action_n(M_, gen, n, vec)
-        scale = Scalar(Fraction(1, factorial(n)))
-        for k in range(m):
-            out[k] = out[k] + part[k] * scale * lpoly**n
-    return out

@@ -61,6 +61,12 @@ MAX_SCAN_HORIZON = 32
 MAX_GRID_DENOMINATOR = 12
 MAX_GRID_SLOPES = 48
 MAX_PROP36_SAMPLES = 16
+# check-module's size: (D + 1)^5 * r^2 * sum (r + t) over the generator
+# pairs inside the truncation, with r the basis size, t the terms of the
+# pair's bracket and D the largest degree of a bracket or action entry; at
+# the cap the check took at most 8 s on a 2-vCPU VM, and one vector acting
+# by a degree-16 entry on 32 generators ran past 300 s before it
+MAX_MODULE_WORK = 2**22
 # the Smith form's cost grows with the size, the degree and the coefficient
 # height of the input: on a 2-vCPU VM a dense 3x3 cubic with three-digit
 # Gaussian parts takes about 1 s, and a 4x4 one 27 to 41 s
@@ -134,7 +140,19 @@ def _cmd_check_module(args) -> int:
     spec = _load_spec(args.spec)
     if args.module not in spec.modules:
         raise InvalidStructure(f"spec has no module {args.module!r}")
-    report = check_module(spec.algebra, spec.modules[args.module])
+    A, module = spec.algebra, spec.modules[args.module]
+    m = module.rank
+    brackets = [A.entry(x, y) for x in range(A.n_gens) for y in range(A.n_gens) if A.has_entry(x, y)]
+    entries = [p for bracket in brackets for p in bracket.values()]
+    entries += [p for matrix in module.actions.values() for row in matrix for p in row]
+    degree = max((p.total_degree() or 0 for p in entries), default=0)
+    work = (degree + 1) ** 5 * m * m * sum(m + len(bracket) for bracket in brackets)
+    if work > MAX_MODULE_WORK:
+        raise InvalidStructure(
+            f"check-module on {len(brackets)} generator pairs with basis size {m} and entries "
+            f"of degree up to {degree} has size {work}, more than {MAX_MODULE_WORK}"
+        )
+    report = check_module(A, module)
     status = "pass" if report.passed else "fail"
     _emit(args, "check-module", status, report, {"module": args.module})
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -1,5 +1,7 @@
 import json
 import os
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -17,7 +19,6 @@ from lieconformal.annihilation import (
     annih_bracket,
     check_annih_lie,
     module_action_n,
-    reconstruct_lambda_action,
     weight_spaces,
 )
 from lieconformal.modules import (
@@ -133,6 +134,17 @@ def test_indexed_module_actions():
     assert module_action_n(M, 0, 1, v) == [MultiPoly.const(sc("5/2"))]
     assert module_action_n(M, 0, 0, v) == [D - 3]
     assert module_action_n(M, 0, 3, v) == [MultiPoly.zero()]
+
+
+def reconstruct_lambda_action(M, gen, vec):
+    """Rebuild g _l v as sum_n (indexed action) l^n / n!: the oracle of apply_action."""
+    direct = apply_action(M, gen, vec)
+    out = [MultiPoly.zero()] * M.rank
+    for n in range(max(((p.degree_in("l") or 0) for p in direct), default=0) + 1):
+        scale = L**n * Scalar(Fraction(1, factorial(n)))
+        for k, part in enumerate(module_action_n(M, gen, n, vec)):
+            out[k] = out[k] + part * scale
+    return out
 
 
 def test_lambda_action_reconstruction():

@@ -311,6 +311,38 @@ def test_annih_symbols_are_capped(tmp_path, capsys, monkeypatch):
     assert depths == [cli.MAX_ANNIH_DEPTH, 10]
 
 
+def test_check_module_size_is_capped(tmp_path, capsys, monkeypatch):
+    # the check is stubbed: at the cap it runs for seconds, and only the
+    # refusal before it is under test here
+    from lieconformal import modules
+    from lieconformal.reports import Report
+
+    checked = []
+    monkeypatch.setattr(modules, "check_module", lambda A, M: checked.append(A.n_gens) or Report("stub"))
+    dense = "[module M]\nbasis = {}\n".format(" ".join(f"v{r}" for r in range(8)))
+    dense += "".join(
+        f"action_{g} = " + " ; ".join([", ".join(["d + l + 1/7 + i"] * 8)] * 8) + "\n"
+        for g in range(16)
+    )
+    # 16^2 zero brackets, 8 vectors and degree 1: 2^5 * 8^2 * 16^2 * 8 is the cap
+    at_cap = _write(tmp_path, "cap.lca", "[algebra]\nbuiltin = current\nlie = abelian16\n" + dense)
+    assert cli.run(["check-module", at_cap, "--module", "M"]) == 0
+    assert checked == [16]
+    capsys.readouterr()
+    found = "[algebra]\nbuiltin = block\np = 1\ntruncation = 31\n[module M]\nbasis = v\n"
+    found += "".join(f"action_{g} = (d + l + 1/7 + i)^16\n" for g in range(32))
+    for spec, size in (
+        ("[algebra]\nbuiltin = current\nlie = abelian17\n" + dense,
+         "289 generator pairs with basis size 8 and entries of degree up to 1 has size 4734976"),
+        (found, "528 generator pairs with basis size 1 and entries of degree up to 16 "
+                "has size 1499368992"),
+    ):
+        assert cli.run(["check-module", _write(tmp_path, "big.lca", spec), "--module", "M"]) == 2
+        message = f"check-module on {size}, more than {cli.MAX_MODULE_WORK}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert checked == [16]
+
+
 def test_snf_matrix_is_capped(capsys):
     degree, part = cli.MAX_SNF_DEGREE, cli.MAX_SNF_PART
     assert cli.MAX_SNF_SIZE == 3

@@ -4,7 +4,15 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from lieconformal.algebra import ConformalAlgebra, block, map_virasoro_poly, virasoro
+from lieconformal.algebra import (
+    ConformalAlgebra,
+    block,
+    jacobi_defect,
+    map_virasoro_poly,
+    sl2_constants,
+    vir_semidirect_current,
+    virasoro,
+)
 from lieconformal.annihilation import module_action_n
 from lieconformal.modules import (
     ConformalModule,
@@ -18,6 +26,7 @@ from lieconformal.modules import (
     rank_one_vir,
 )
 from lieconformal.poly import D, L, MultiPoly, divmod_univar
+from lieconformal.reports import Report
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
 
 
@@ -342,6 +351,66 @@ def test_actions_match_the_loops_by_hand(action, n):
     assert apply_action(M, gen, vec) == _apply_action_by_hand(M, gen, vec)
     assert apply_element_action(M, coords, vec) == _apply_element_action_by_hand(M, coords, vec)
     assert module_action_n(M, gen, n, vec) == _module_action_n_by_hand(M, gen, n, vec)
+
+
+def _block_with_broken_skew():
+    """block(1, 3) with l^2 added to p_{1,2}: skew fails on the pair (1, 2) alone."""
+    A = block(1, 3)
+    table = {pair: dict(vec) for pair, vec in A.table.items()}
+    table[(1, 2)][3] = table[(1, 2)][3] + L * L
+    return ConformalAlgebra(A.gens, table, grades=A.grades, truncation=A.truncation)
+
+
+_module_tables = st.one_of(
+    st.builds(block, _gaussian.filter(lambda p: not p.is_zero()), st.integers(1, 3)),
+    st.builds(map_virasoro_poly, st.integers(1, 3)),
+    _gaussian.map(lambda a: vir_semidirect_current(a, *sl2_constants())),
+    st.just(_block_with_broken_skew()),
+)
+
+
+def _check_module_by_hand(A, M):
+    """check_module's pair checks from jacobi_defect on every pair, with no mirror: the oracle."""
+    n, m = A.n_gens, M.rank
+
+    def entry(i, j):
+        return A.entry(i, j) if j < n else {n + r: p for r, p in M.column(i, j - n).items()}
+
+    report = Report("module axioms")
+    for x in range(n):
+        for y in range(n):
+            if not A.has_entry(x, y):
+                report.skip(f"module({x},{y})", "beyond truncation")
+                continue
+            witnesses = []
+            for c in range(m):
+                defect = jacobi_defect(entry, x, y, n + c)
+                witnesses += [
+                    f"defect on {M.basis[c]} -> {M.basis[r]}: {defect[n + r].render()}"
+                    for r in range(m)
+                    if n + r in defect
+                ]
+            if witnesses:
+                report.fail(f"module({x},{y})", *witnesses)
+            else:
+                report.ok(f"module({x},{y})")
+    return report
+
+
+@given(_module_tables, st.data())
+def test_check_module_matches_the_direct_defects(A, data):
+    # arbitrary actions mostly fail, so the mirrored defects of the skew
+    # pairs are compared witness by witness
+    m = data.draw(st.integers(1, 2))
+    actions = {
+        i: [[data.draw(_dl_polys) for _ in range(m)] for _ in range(m)] for i in range(A.n_gens)
+    }
+    M = ConformalModule(tuple(f"v{r}" for r in range(m)), actions)
+    report = check_module(A, M)
+    expected = _check_module_by_hand(A, M)
+    # the sesquilinearity spot checks follow the pairs and are not under test here
+    expected.checks += report.checks[A.n_gens**2:]
+    assert report.to_dict() == expected.to_dict()
 
 
 def test_missing_action_raises_on_every_vector():
