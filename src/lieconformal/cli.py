@@ -61,15 +61,22 @@ MAX_SCAN_HORIZON = 32
 MAX_GRID_DENOMINATOR = 12
 MAX_GRID_SLOPES = 48
 MAX_PROP36_SAMPLES = 16
-# check-module's size: (D + 1)^5 * r^2 * sum (r + t) over the generator
-# pairs inside the truncation, with r the basis size, t the terms of the
-# pair's bracket and D the largest degree of a bracket or action entry; at
-# the cap the check took at most 8 s on a 2-vCPU VM, and one vector acting
-# by a degree-16 entry on 32 generators ran past 300 s before it
-MAX_MODULE_WORK = 2**22
+# the size of check-algebra and check-module, both a Jacobi loop over the
+# generator pairs inside the truncation: (D + 1)^5 * z * w * sum (w + t),
+# with z the third arguments of a pair (the generators, or the basis
+# vectors of the module), w the terms of a bracket with one of them (the
+# most terms of a bracket, or the basis size), t the terms of the pair's
+# bracket and D the largest degree of a bracket or action entry, counted
+# as 1 when every entry is constant.  At the cap, on a 2-vCPU VM,
+# check-module took at most 8 s and check-algebra at most 10 s (16
+# generators whose brackets have 4 terms of degree 1); before it, one
+# vector acting by a degree-16 entry on 32 generators ran past 300 s, and
+# 8 generators bracketing to degree-16 entries past 120 s
+MAX_CHECK_WORK = 2**22
 # the Smith form's cost grows with the size, the degree and the coefficient
 # height of the input: on a 2-vCPU VM a dense 3x3 cubic with three-digit
-# Gaussian parts takes about 1 s, and a 4x4 one 27 to 41 s
+# Gaussian parts takes about 0.3 s, and a 4x4 one 10 to 12 s (0.7 to 0.9 s
+# and 32 to 40 s before the dense kernel); 4x4 stays out, above 10 s
 MAX_SNF_SIZE = 3
 MAX_SNF_DEGREE = 3
 MAX_SNF_PART = 999
@@ -126,8 +133,32 @@ def _scalar_arg(text: str) -> Scalar:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _refuse_large_check(command: str, A, module=None) -> None:
+    """Raise InvalidStructure when the Jacobi loop's size passes MAX_CHECK_WORK.
+
+    The third arguments are the generators of A, or the basis of the module.
+    """
+    brackets = [A.entry(x, y) for x in range(A.n_gens) for y in range(A.n_gens) if A.has_entry(x, y)]
+    entries = [p for bracket in brackets for p in bracket.values()]
+    if module is None:
+        third, width = A.n_gens, max(map(len, brackets), default=0)
+        what = f"bracket width {width}"
+    else:
+        third = width = module.rank
+        entries += [p for matrix in module.actions.values() for row in matrix for p in row]
+        what = f"basis size {width}"
+    degree = max((p.total_degree() or 0 for p in entries), default=0)
+    work = (max(degree, 1) + 1) ** 5 * third * width * sum(width + len(bracket) for bracket in brackets)
+    if work > MAX_CHECK_WORK:
+        raise InvalidStructure(
+            f"{command} on {len(brackets)} generator pairs with {what} and entries "
+            f"of degree up to {degree} has size {work}, more than {MAX_CHECK_WORK}"
+        )
+
+
 def _cmd_check_algebra(args) -> int:
     spec = _load_spec(args.spec)
+    _refuse_large_check("check-algebra", spec.algebra)
     report = check_algebra(spec.algebra)
     status = "pass" if report.passed else "fail"
     _emit(args, "check-algebra", status, report, {"generators": list(spec.algebra.gens)})
@@ -141,17 +172,7 @@ def _cmd_check_module(args) -> int:
     if args.module not in spec.modules:
         raise InvalidStructure(f"spec has no module {args.module!r}")
     A, module = spec.algebra, spec.modules[args.module]
-    m = module.rank
-    brackets = [A.entry(x, y) for x in range(A.n_gens) for y in range(A.n_gens) if A.has_entry(x, y)]
-    entries = [p for bracket in brackets for p in bracket.values()]
-    entries += [p for matrix in module.actions.values() for row in matrix for p in row]
-    degree = max((p.total_degree() or 0 for p in entries), default=0)
-    work = (degree + 1) ** 5 * m * m * sum(m + len(bracket) for bracket in brackets)
-    if work > MAX_MODULE_WORK:
-        raise InvalidStructure(
-            f"check-module on {len(brackets)} generator pairs with basis size {m} and entries "
-            f"of degree up to {degree} has size {work}, more than {MAX_MODULE_WORK}"
-        )
+    _refuse_large_check("check-module", A, module)
     report = check_module(A, module)
     status = "pass" if report.passed else "fail"
     _emit(args, "check-module", status, report, {"module": args.module})

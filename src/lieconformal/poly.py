@@ -348,18 +348,17 @@ def divmod_univar(a: MultiPoly, b: MultiPoly, var: str = "d") -> tuple[MultiPoly
     lead_key = [0, 0, 0]
     lead_key[idx] = db
     bc = b.terms[tuple(lead_key)]
-    quo = _ZERO
-    rem = a
-    while not rem.is_zero():
-        da = rem.degree_in(var)
+    quo: dict[Key, Scalar] = {}
+    rem = dict(a.terms)
+    while rem:
+        da = max(key[idx] for key in rem)
         if da < db:
             break
         shift = [0, 0, 0]
         shift[idx] = da - db
         top_key = [0, 0, 0]
         top_key[idx] = da
-        c = rem.terms[tuple(top_key)] / bc
-        t = MultiPoly({tuple(shift): c})
-        quo = quo + t
-        rem = rem - t * b
-    return quo, rem
+        c = rem[tuple(top_key)] / bc
+        quo[tuple(shift)] = c
+        _accumulate(rem, shift, -c, b.terms)
+    return _raw(quo), _raw(rem)

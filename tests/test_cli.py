@@ -338,7 +338,45 @@ def test_check_module_size_is_capped(tmp_path, capsys, monkeypatch):
                 "has size 1499368992"),
     ):
         assert cli.run(["check-module", _write(tmp_path, "big.lca", spec), "--module", "M"]) == 2
-        message = f"check-module on {size}, more than {cli.MAX_MODULE_WORK}"
+        message = f"check-module on {size}, more than {cli.MAX_CHECK_WORK}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert checked == [16]
+
+
+def _table(n, terms, entry):
+    keys = (f"p_{x}_{y}_{(x + y + s) % n}" for x in range(n) for y in range(n) for s in range(terms))
+    return "[algebra]\ngenerators = {}\n{}".format(
+        " ".join(f"g{x}" for x in range(n)), "".join(f"{key} = {entry}\n" for key in keys)
+    )
+
+
+def test_check_algebra_size_is_capped(tmp_path, capsys, monkeypatch):
+    # the check is stubbed: at the cap it runs for seconds, and only the
+    # refusal before it is under test here
+    from lieconformal.reports import Report
+
+    checked = []
+    monkeypatch.setattr(cli, "check_algebra", lambda A: checked.append(A.n_gens) or Report("stub"))
+    # 16 generators, brackets of 4 terms and degree 1: 2^5 * 16 * 4 * 16^2 * 8 is the cap
+    at_cap = _write(tmp_path, "cap.lca", _table(16, 4, "d + l + 1/7 + i"))
+    assert cli.run(["check-algebra", at_cap]) == 0
+    assert checked == [16]
+    capsys.readouterr()
+    for spec, size in (
+        (_table(16, 4, "(d + l + 1/7 + i)^2"),
+         "256 generator pairs with bracket width 4 and entries of degree up to 2 "
+         "has size 31850496"),
+        # constant brackets count as degree 1: the bookkeeping of a product dominates
+        (_table(16, 16, "1/7 + i"),
+         "256 generator pairs with bracket width 16 and entries of degree up to 0 "
+         "has size 67108864"),
+        # eight generators bracketing to degree-16 entries ran past 120 s before the cap
+        (_table(8, 1, "(d + l + 1/7 + i)^2*d^14"),
+         "64 generator pairs with bracket width 1 and entries of degree up to 16 "
+         "has size 1453933568"),
+    ):
+        assert cli.run(["check-algebra", _write(tmp_path, "big.lca", spec)]) == 2
+        message = f"check-algebra on {size}, more than {cli.MAX_CHECK_WORK}"
         assert capsys.readouterr().err == f"error: {message}\n"
     assert checked == [16]
 

@@ -1,10 +1,18 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lieconformal import polymatrix
 from lieconformal.polymatrix import (
     PolyMatrix,
+    SmithDecomposition,
+    _dense,
+    _divmod,
+    _poly,
+    _sub_mul,
     determinant,
     matmul,
     smith_normal_form,
@@ -211,3 +219,215 @@ def test_dense_quintic_size_smith_form_keeps_transforms_small():
     assert _is_unit(determinant(snf.U))
     assert _is_unit(determinant(snf.V))
     assert max(_coefficient_bits(snf.U), _coefficient_bits(snf.V)) <= 400
+
+
+_part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_real = st.builds(Scalar, _part)
+_gaussian = st.builds(Scalar, _part, _part)
+
+
+def _dense_polys(coefficient, max_degree=3):
+    # an empty list is the zero polynomial; zero coefficients drop out
+    return st.lists(coefficient, max_size=max_degree + 1).map(
+        lambda cs: MultiPoly({(e, 0, 0): c for e, c in enumerate(cs)})
+    )
+
+
+_I = Scalar(0, 1)
+
+
+def _kernel_polys(max_degree):
+    return _dense_polys(_real, max_degree) | _dense_polys(_gaussian, max_degree)
+
+
+@settings(deadline=None)
+@given(_kernel_polys(4), _kernel_polys(2), _kernel_polys(4))
+@example(D * D + ONE_P, ONE_P * (2 + _I), D)  # Gaussian constant multiplier
+@example(D * (1 + _I) + ONE_P, D - 2, D * D * Scalar(Fraction(3, 2)) + ONE_P)  # real c and b
+@example(D * D * D + ONE_P, D + ONE_P, D * D * Scalar(Fraction(3, 2), 2) + D)  # Gaussian lead
+@example(D * D * D + ONE_P, ONE_P, ONE_P * Scalar(Fraction(-3, 4), 1))  # constant divisor
+@example(D + ONE_P, ONE_P, D * D * D + D)  # dividend below the divisor's degree
+@example(ZERO_P, ONE_P, D + ONE_P)  # zero dividend
+@example(D + ONE_P, ZERO_P, D)  # zero multiplier
+def test_dense_kernel_matches_multipoly_arithmetic(a, c, b):
+    da, dc, db = _dense(a), _dense(c), _dense(b)
+    assert _poly(da) == a
+    # a - c*b, as a polynomial and as the one canonical triple of it
+    assert _sub_mul(da, dc, db) == _dense(a - c * b)
+    assert _poly(_sub_mul(da, dc, db)) == a - c * b
+    if not b.is_zero():
+        quotient, remainder = divmod_univar(a, b)
+        assert quotient * b + remainder == a
+        assert remainder.is_zero() or remainder.degree_in("d") < b.degree_in("d")
+        assert _divmod(da, db) == (_dense(quotient), _dense(remainder))
+
+
+def _reference_smith(Mx: PolyMatrix) -> SmithDecomposition:
+    """Oracle: the same Smith form on MultiPoly entries and Scalar arithmetic."""
+
+    def degree(p):
+        return p.degree_in("d")
+
+    def lead(p):
+        return p.terms[(degree(p), 0, 0)]
+
+    def find_pivot(work, t, n, m):
+        best = None
+        for r in range(t, n):
+            for c in range(t, m):
+                p = work[r][c]
+                if p.is_zero():
+                    continue
+                deg = degree(p)
+                if best is None or deg < best[0]:
+                    best = (deg, r, c)
+        return best
+
+    n, m = Mx.shape
+    work = [list(r) for r in Mx.rows]
+    U = [list(r) for r in PolyMatrix.identity(n).rows]
+    V = [list(r) for r in PolyMatrix.identity(m).rows]
+
+    def row_op(dst, src, q):
+        work[dst] = [a - q * b for a, b in zip(work[dst], work[src])]
+        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
+
+    def col_op(dst, src, q):
+        for r in range(n):
+            work[r][dst] = work[r][dst] - q * work[r][src]
+        for r in range(m):
+            V[r][dst] = V[r][dst] - q * V[r][src]
+
+    def swap_rows(a, b):
+        work[a], work[b] = work[b], work[a]
+        U[a], U[b] = U[b], U[a]
+
+    def swap_cols(a, b):
+        for r in range(n):
+            work[r][a], work[r][b] = work[r][b], work[r][a]
+        for r in range(m):
+            V[r][a], V[r][b] = V[r][b], V[r][a]
+
+    def scale_row(r, c):
+        work[r] = [c * x for x in work[r]]
+        U[r] = [c * x for x in U[r]]
+
+    h = 0
+    for c in range(m):
+        if h == n:
+            break
+        while True:
+            live = [r for r in range(h, n) if not work[r][c].is_zero()]
+            if not live:
+                break
+            pr = min(live, key=lambda r: degree(work[r][c]))
+            if pr != h:
+                swap_rows(h, pr)
+            if len(live) == 1:
+                break
+            for r in range(h + 1, n):
+                if not work[r][c].is_zero():
+                    q, _ = divmod_univar(work[r][c], work[h][c])
+                    row_op(r, h, q)
+        if work[h][c].is_zero():
+            continue
+        if lead(work[h][c]) != ONE:
+            scale_row(h, ONE / lead(work[h][c]))
+        for r in range(h):
+            q, _ = divmod_univar(work[r][c], work[h][c])
+            if not q.is_zero():
+                row_op(r, h, q)
+        h += 1
+
+    rank_bound = min(n, m)
+    for t in range(rank_bound):
+        while True:
+            pivot = find_pivot(work, t, n, m)
+            if pivot is None:
+                break
+            _, pr, pc = pivot
+            if pr != t:
+                swap_rows(t, pr)
+            if pc != t:
+                swap_cols(t, pc)
+            dirty = False
+            for r in range(t + 1, n):
+                if work[r][t].is_zero():
+                    continue
+                q, rem = divmod_univar(work[r][t], work[t][t])
+                row_op(r, t, q)
+                if not rem.is_zero():
+                    dirty = True
+            for c in range(t + 1, m):
+                if work[t][c].is_zero():
+                    continue
+                q, rem = divmod_univar(work[t][c], work[t][t])
+                col_op(c, t, q)
+                if not rem.is_zero():
+                    dirty = True
+            if dirty:
+                continue
+            if degree(work[t][t]) == 0:
+                break
+            offender = None
+            for r in range(t + 1, n):
+                for c in range(t + 1, m):
+                    if work[r][c].is_zero():
+                        continue
+                    _, rem = divmod_univar(work[r][c], work[t][t])
+                    if not rem.is_zero():
+                        offender = r
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            work[t] = [a + b for a, b in zip(work[t], work[offender])]
+            U[t] = [a + b for a, b in zip(U[t], U[offender])]
+        if work[t][t].is_zero():
+            break
+    for t in range(rank_bound):
+        p = work[t][t]
+        if not p.is_zero() and lead(p) != ONE:
+            scale_row(t, ONE / lead(p))
+    return SmithDecomposition(PolyMatrix(U), PolyMatrix(work), PolyMatrix(V))
+
+
+@st.composite
+def _smith_inputs(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = _dense_polys(draw(st.sampled_from((_real, _gaussian))))
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    kind = draw(st.sampled_from(("any", "rank-deficient", "zero")))
+    if kind == "zero":
+        rows = [[ZERO_P] * m for _ in range(n)]
+    elif kind == "rank-deficient":
+        c = draw(_gaussian)
+        rows[-1] = [c * x for x in rows[0]] if n > 1 else [ZERO_P] * m
+    return PolyMatrix(rows)
+
+
+def _assert_matches_reference(Mx: PolyMatrix) -> None:
+    got, want = smith_normal_form(Mx), _reference_smith(Mx)
+    for name in "UDV":
+        assert getattr(got, name).render() == getattr(want, name).render(), name
+
+
+@settings(deadline=None)
+@given(_smith_inputs())
+def test_smith_form_matches_the_multipoly_reference(Mx):
+    _assert_matches_reference(Mx)
+
+
+def test_block_divisibility_fold_matches_the_reference():
+    # diag(d, d + 1): the pivot d divides its row and column but not d + 1,
+    # so row 1 is folded into row 0 before the invariants come out as 1, d^2 + d
+    Mx = PolyMatrix.diagonal([D, D + ONE_P])
+    _assert_matches_reference(Mx)
+    assert smith_normal_form(Mx).invariants == [ONE_P, D * D + D]
+
+
+def test_smith_form_raises_when_its_chain_certificate_fails(monkeypatch):
+    monkeypatch.setattr(polymatrix, "divmod_univar", lambda a, b: (ZERO_P, ONE_P))
+    with pytest.raises(AssertionError, match="does not divide"):
+        smith_normal_form(PolyMatrix.diagonal([D, D * D]))
