@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 from .linalg import nullspace
-from .poly import D, L, M, MultiPoly
+from .poly import D, L, M, MultiPoly, _accumulate, _raw
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
 
@@ -276,26 +276,34 @@ def jacobi_defect(entry, x: int, y: int, z: int) -> dict[int, MultiPoly]:
     entry the identity needs is still read, so a pair beyond the
     truncation still raises TruncationExceeded.
     """
-    out: dict[int, MultiPoly] = {}
+    # each product factor * p is added term by term into its component's
+    # term dict, never built as a polynomial of its own
+    acc: dict[int, dict] = {}
+
+    def add(k, factor, p):
+        terms = acc.setdefault(k, {})
+        for key, c in factor.terms.items():
+            _accumulate(terms, key, c, p.terms)
+
     for w, q in entry(y, z).items():
         outer = entry(x, w)
         if outer:
             factor = _image(q, _at_d_plus_l_m)
             for k, p in outer.items():
-                accumulate(out, k, factor * p)
+                add(k, factor, p)
     for w, r in entry(x, y).items():
         outer = entry(w, z)
         if outer:
             factor = _image(r, _neg_at_neg_l_minus_m)
             for k, p in outer.items():
-                accumulate(out, k, factor * _image(p, _at_l_plus_m))
+                add(k, factor, _image(p, _at_l_plus_m))
     for w, s in entry(x, z).items():
         outer = entry(y, w)
         if outer:
             factor = _image(s, _neg_at_d_plus_m)
             for k, p in outer.items():
-                accumulate(out, k, factor * _image(p, _at_m))
-    return out
+                add(k, factor, _image(p, _at_m))
+    return {k: _raw(terms) for k, terms in acc.items() if terms}
 
 
 def _skew_defect(A: ConformalAlgebra, i: int, j: int) -> dict[int, MultiPoly]:

@@ -321,11 +321,29 @@ class _Scan:
     def _check_new_grade(self, table, h: int) -> bool:
         """Skew and Jacobi on everything with index sum == h.
 
-        Jacobi is tested on the triples with x <= y only: skew holds on
-        every pair of index sum <= h once this grade's pairs pass (earlier
-        grades passed the same check), and with skew on (x, y) the defect
-        of (y, x, z) is that of (x, y, z) with l and m swapped and the sign
-        flipped (see check_jacobi), so one vanishes iff the other does.
+        Jacobi is tested on the triples x <= y <= z with x != 1 only, one
+        per permutation orbit, which is exact for two reasons.  Write
+        J(x, y, z)(d, l, m) for jacobi_defect(entry, x, y, z).
+
+        The orbit lemma.  Skew holds on every pair of index sum <= h once
+        this grade's pairs pass, since earlier grades passed the same check
+        and a grade is refused on any skew failure first.  With skew on
+        (x, y), J(y, x, z) = -J(x, y, z)(d, m, l) (see check_jacobi).  With
+        skew on (y, z), (y, x + z) and (x + y, z), J(x, z, y) = -J(x, y, z)
+        with m -> -l-m-d: [z_m y] = -[y_{-m-d} z], and sesquilinearity of
+        the outer bracket in [x_l [y_{-m-d} z]] turns that d into d + l;
+        the other two terms trade places the same way (D'Andrea and Kac
+        1998).  Both substitutions are invertible, and the two swaps
+        generate all six orderings, so the defects of a triple's orderings
+        vanish together.
+
+        The forced triples.  For h >= 3, _extend solved each (1, y, z) with
+        y, z >= 1 for p_{y+1,z} in _recurse_entry: with that entry read as
+        zero the defect is defect0, the entry enters J(1, y, z) only as
+        -divisor * p_{y+1,z}(d, l+m), and exact_div made p_{y+1,z}(d, l+m)
+        the quotient defect0 / divisor.  So J(1, y, z) is exactly 0 on
+        every table _extend hands over, and a sorted triple with x == 1 is
+        one of these.  For h < 3 no sorted triple has x == 1.
         """
         for i in range(h + 1):
             if skew_image(table[(i, h - i)]) != table[(h - i, i)]:
@@ -333,8 +351,9 @@ class _Scan:
         entry = _entry_of(table)
         return not any(
             jacobi_defect(entry, x, y, h - x - y)
-            for x in range(h // 2 + 1)
-            for y in range(x, h + 1 - x)
+            for x in range(h // 3 + 1)
+            if x != 1
+            for y in range(x, (h - x) // 2 + 1)
         )
 
     def _recurse_entry(self, table, i: int, j: int) -> MultiPoly | None:

@@ -312,8 +312,12 @@ def leading_term(p: MultiPoly) -> tuple[Key, Scalar]:
     """Leading (exponent, coefficient) in graded-lex order, d > l > m."""
     if p.is_zero():
         raise ValueError("zero polynomial has no leading term")
-    key = max(p.terms, key=lambda k: (sum(k), k))
+    key = max(p.terms, key=_graded_lex)
     return key, p.terms[key]
+
+
+def _graded_lex(key: Key) -> tuple[int, Key]:
+    return sum(key), key
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
@@ -324,15 +328,16 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
         return _ZERO
     qkey, qc = leading_term(q)
     quotient: dict[Key, Scalar] = {}
-    rem = p
-    while not rem.is_zero():
-        rkey, rc = leading_term(rem)
+    # one remainder, reduced in place; each step cancels its leading term
+    rem = dict(p.terms)
+    while rem:
+        rkey = max(rem, key=_graded_lex)
         step = tuple(a - b for a, b in zip(rkey, qkey))
         if any(e < 0 for e in step):
             return None
-        c = rc / qc
+        c = rem[rkey] / qc
         quotient[step] = c
-        rem = rem - MultiPoly({step: c}) * q
+        _accumulate(rem, step, -c, q.terms)
     return _raw(quotient)
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .poly import MultiPoly, divmod_univar, exact_div
+from .poly import MultiPoly, _raw, divmod_univar, exact_div
 from .scalars import ONE, Scalar, _reduced
 
 
@@ -177,7 +177,7 @@ def _dense(p: MultiPoly):
 
 def _poly(x) -> MultiPoly:
     re, im, q = x
-    return MultiPoly({(k, 0, 0): _reduced(n, m, q) for k, (n, m) in enumerate(zip(re, im)) if n or m})
+    return _raw({(k, 0, 0): _reduced(n, m, q) for k, (n, m) in enumerate(zip(re, im)) if n or m})
 
 
 def _lead(x) -> Scalar:
@@ -271,6 +271,18 @@ def _divmod(a, b):
         [ur * x - ui * y for x, y in zip(qr, qi)], [ur * y + ui * x for x, y in zip(qr, qi)], aq * s
     )
     return quotient, _canon(rr[:db], ri[:db], aq * s)
+
+
+def _kernel_matrix(rows) -> PolyMatrix:
+    """The PolyMatrix of rows of triples, built without PolyMatrix's checks.
+
+    The kernel's triples are polynomials in d by construction, and its rows
+    have one length, so nothing is left for the constructor to check.
+    """
+    out = PolyMatrix.__new__(PolyMatrix)
+    out.rows = tuple(tuple(_poly(x) for x in row) for row in rows)
+    out.shape = (len(out.rows), len(out.rows[0]) if out.rows else 0)
+    return out
 
 
 def _find_pivot(work, t, n, m):
@@ -429,7 +441,7 @@ def smith_normal_form(Mx: PolyMatrix) -> SmithDecomposition:
         lead = _lead(p)
         if lead != ONE:
             scale_row(t, ONE / lead)
-    U, D, V = (PolyMatrix([[_poly(x) for x in row] for row in rows]) for rows in (U, work, V))
+    U, D, V = (_kernel_matrix(rows) for rows in (U, work, V))
     # certificate: the nonzero invariants form a divisibility chain
     chain = [D[t, t] for t in range(rank_bound) if not D[t, t].is_zero()]
     for a, b in zip(chain, chain[1:]):

@@ -4,7 +4,7 @@ import random
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.algebra import (
     AlgebraElement,
@@ -28,7 +28,7 @@ from lieconformal.algebra import (
     vir_semidirect_current,
     virasoro,
 )
-from lieconformal.poly import D, L, MultiPoly
+from lieconformal.poly import D, L, M, MultiPoly
 from lieconformal.scalars import I, ONE, Scalar, sc
 
 
@@ -168,6 +168,51 @@ def test_jacobi_defect_swapped_pair(A, data):
     assert (forward is None) == (swapped is None)
     if forward is not None:
         assert swapped == {k: -_swap_lm(p) for k, p in forward.items()}
+
+
+_GRADED_PAIRS = [(i, j) for i in range(5) for j in range(i, 5) if i + j <= 4]
+
+
+def _graded_skew_entry(polys):
+    """entry(i, j) of a table on grades 0..4 from one polynomial per pair i <= j.
+
+    p_{j,i} is the skew image of p_{i,j}, and a diagonal entry is f plus its
+    skew image, so skew-symmetry holds on every pair; a pair past grade 4
+    brackets to zero.  Jacobi is not imposed and mostly fails.
+    """
+    table = {}
+    for (i, j), f in zip(_GRADED_PAIRS, polys):
+        if i == j:
+            table[(i, i)] = f + skew_image(f)
+        else:
+            table[(i, j)], table[(j, i)] = f, skew_image(f)
+
+    def entry(i, j):
+        p = table.get((i, j))
+        return {i + j: p} if p else {}
+
+    return entry
+
+
+_M_TO_NEG_L_M_D = -L - M - D
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_dl_polys, min_size=len(_GRADED_PAIRS), max_size=len(_GRADED_PAIRS)),
+    st.sampled_from([(x, y, z) for x in range(5) for y in range(5) for z in range(5) if x + y + z <= 4]),
+)
+def test_jacobi_defect_orbit_under_skew(polys, triple):
+    # the permutation orbit the scan's grade check relies on: with skew on
+    # every pair, swapping the last two slots is -J with m -> -l-m-d, and
+    # swapping the first two is -J with l and m swapped
+    entry = _graded_skew_entry(polys)
+    x, y, z = triple
+    forward = jacobi_defect(entry, x, y, z)
+    assert jacobi_defect(entry, x, z, y) == {
+        k: -p.substitute("m", _M_TO_NEG_L_M_D) for k, p in forward.items()
+    }
+    assert jacobi_defect(entry, y, x, z) == {k: -_swap_lm(p) for k, p in forward.items()}
 
 
 def _corrupted(A, key, k, extra):

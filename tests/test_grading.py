@@ -3,17 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from lieconformal.algebra import ConformalAlgebra, block, check_jacobi, check_skew, map_virasoro_poly
+from lieconformal.algebra import (
+    ConformalAlgebra,
+    block,
+    check_jacobi,
+    check_skew,
+    jacobi_defect,
+    map_virasoro_poly,
+    skew_image,
+)
 from lieconformal.grading import (
     HypothesisViolated,
     MalformedBracket,
     NotVirasoroAtZero,
     ScanResult,
+    _entry_of,
+    _Scan,
     assemble_witness_algebra,
     check_b_linear,
     default_grid,
     profile_from_table,
     scan_a1,
+    scan_grid,
     split_I0_I1,
 )
 from lieconformal.poly import D, L, M, MultiPoly
@@ -300,6 +311,62 @@ def test_scan_grid_at_horizon_twelve():
     grid = default_grid()
     admissible = {str(r.a1) for v in grid for r in [scan_a1(v, 12)] if r.admissible}
     assert admissible == {"1", "2"}
+
+
+@pytest.mark.parametrize("horizon", [8, 10])
+def test_forced_triples_vanish_on_every_checked_grade(monkeypatch, horizon):
+    # the grade check skips each (1, y, z): _extend solved it for p_{y+1,z},
+    # so its defect must already be zero on every table handed to the check
+    checked = []
+    check = _Scan._check_new_grade
+
+    def recording(self, table, h):
+        checked.append((table, h))
+        return check(self, table, h)
+
+    monkeypatch.setattr(_Scan, "_check_new_grade", recording)
+    scan_grid(default_grid(6), horizon)
+    forced = [(table, h, y) for table, h in checked for y in range(1, h - 1)]
+    for table, h, y in forced:
+        assert not jacobi_defect(_entry_of(table), 1, y, h - 1 - y), (h, y)
+    assert len(forced) > 100
+
+
+def test_grade_check_refuses_a_jacobi_failure_that_skew_allows():
+    # no grid extension fails Jacobi after skew, so a hand-made table shows
+    # the check still tests it: a self-skew term of the wrong degree added
+    # to p_{2,2} breaks the grade-0 action on (0, 2, 2) only
+    table = dict(scan_a1(Scalar(2), 4).table)
+    scan = _Scan(Scalar(2), 4)
+    assert scan._check_new_grade(table, 4)
+    extra = L * L + skew_image(L * L)
+    table[(2, 2)] = table[(2, 2)] + extra
+    assert skew_image(table[(2, 2)]) == table[(2, 2)]
+    assert jacobi_defect(_entry_of(table), 0, 2, 2)
+    assert not scan._check_new_grade(table, 4)
+
+
+def _check_on_every_x_le_y(self, table, h):
+    """The grade check before the orbit reduction: skew, then Jacobi on every triple with x <= y."""
+    for i in range(h + 1):
+        if skew_image(table[(i, h - i)]) != table[(h - i, i)]:
+            return False
+    entry = _entry_of(table)
+    return not any(
+        jacobi_defect(entry, x, y, h - x - y)
+        for x in range(h // 2 + 1)
+        for y in range(x, h + 1 - x)
+    )
+
+
+@pytest.mark.parametrize("horizon", [8, 12])
+def test_scan_matches_the_check_on_every_x_le_y(monkeypatch, horizon):
+    grid = default_grid(12, Fraction(0), Fraction(3))
+    orbit = scan_grid(grid, horizon)
+    monkeypatch.setattr(_Scan, "_check_new_grade", _check_on_every_x_le_y)
+    full = scan_grid(grid, horizon)
+    assert [r.to_dict() for r in orbit] == [r.to_dict() for r in full]
+    assert [r.table for r in orbit] == [r.table for r in full]
 
 
 def test_default_grid_contents():
