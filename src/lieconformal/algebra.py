@@ -252,9 +252,9 @@ def _at_m(p: MultiPoly) -> MultiPoly:
 
 
 # A table has few distinct entries and every triple reads them again; the
-# intertwiner solver reads the images of its monomials here too.  The
-# benchmark's pool for one seed (seeds 1 to 3) leaves 915 images here on the
-# scan workload, 199 on linear, 920 to 1,156 on axioms and 1,125 to 1,177
+# intertwiner solver and the a1 scan's divisors read their images here too.
+# The benchmark's pool for one seed (seeds 1 to 3) leaves 390 images here on
+# the scan workload, 199 on linear, 920 to 1,156 on axioms and 1,125 to 1,177
 # on gaussian, so this bound holds a whole pool.
 _IMAGE_CACHE_SIZE = 2048
 

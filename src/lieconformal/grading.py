@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra, check_algebra, jacobi_defect, skew_image
+from .algebra import (
+    ConformalAlgebra,
+    _image,
+    _neg_at_neg_l_minus_m,
+    check_algebra,
+    jacobi_defect,
+    skew_image,
+)
 from .funceq import FuncEqInstance, _defect_intertwiner, _solve_by_matching
 from .poly import D, L, M, MultiPoly, exact_div
 from .reports import Report
@@ -255,8 +262,10 @@ def _entry_of(table: dict[tuple[int, int], MultiPoly], unknown: tuple[int, int] 
 
 
 _MAX_STEP_DEGREE = 3
-# at the unclassified zero-weight steps solutions are not bounded by the
-# table; search a little past the classified cap
+# At a zero-target step the degree-offset row, proved for every degree in
+# _Scan._candidates, leaves the one degree t = a_1 + a_prev - 1.  The
+# classification table covers delta_i != 0 only and does not say whether t
+# has a solution, so the cap drops exactly the steps with t > 4, unsearched.
 _ZERO_TARGET_DEGREE_CAP = 4
 
 
@@ -280,32 +289,46 @@ class _Scan:
         self._solver_cache: dict = {}
 
     def _candidates(self, a_prev: Scalar, target: Scalar, k: int, diagonal: bool) -> tuple[MultiPoly, ...]:
+        """Row-one entries p_{1,h-1} from a_{h-1} = a_prev to a_h = target.
+
+        They are the homogeneous intertwiners of degree k for (a, delta_i,
+        delta_j) = (a_1, target, a_prev), where k = a_1 + a_prev - 1 - target
+        (see _steps).  No other degree has a solution, by the degree-offset
+        row, which holds for every k.  Take b = c_i = c_j = 0 and f =
+        sum c_{p,q} d^p l^q homogeneous of degree k, and compare the terms of
+        the equation linear in l.  Those free of l cancel identically: both
+        sides give -m f(d, m).  At d^p l m^q the left side has
+        (a - 1 - q) c_{p,q} and the right side (p + delta_i - delta_j)
+        c_{p,q}, and no other unknown reaches that monomial.  So the defect's
+        coefficient there is (a - delta_i + delta_j - k - 1) c_{p,q}, and
+        f = 0 unless that offset vanishes; extra conditions such as
+        _skew_condition only add rows.  For the scan the offset is
+        a_1 + a_prev - 1 - target minus the degree, which vanishes at k only.
+
+        A zero-target step therefore solves at the one degree
+        t = k = a_1 + a_prev - 1 when t <= _ZERO_TARGET_DEGREE_CAP, and has
+        no candidates past the cap.
+        """
         key = (a_prev, target, k, diagonal)
         hit = self._solver_cache.get(key)
         if hit is not None:
             return hit
-        degrees = range(_ZERO_TARGET_DEGREE_CAP + 1) if target.is_zero() else (k,)
-        extra = (_skew_condition,) if diagonal else ()
-        basis: list[MultiPoly] = []
-        for t in degrees:
-            inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, t, homogeneous_degree=t)
-            found = _solve_by_matching(inst, _defect_intertwiner, extra)
-            if target.is_zero() and len(found.basis) > 1:
+        result: tuple[MultiPoly, ...] = ()
+        if not target.is_zero() or k <= _ZERO_TARGET_DEGREE_CAP:
+            inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, k, homogeneous_degree=k)
+            extra = (_skew_condition,) if diagonal else ()
+            result = _solve_by_matching(inst, _defect_intertwiner, extra).basis
+            if target.is_zero() and len(result) > 1:
                 # several independent solutions at one degree: basis elements
                 # are tried individually, mixtures are not enumerated
                 self.unexplored_mixtures = True
-            basis.extend(found.basis)
-        result = tuple(basis)
         self._solver_cache[key] = result
         return result
 
     def run(self) -> ScanResult:
         if not self.a1.is_real():
             return ScanResult(self.a1, self.horizon, False, None, 1)
-        table = self._initial_table()
-        if not (self._check_new_grade(table, 0) and self._check_new_grade(table, 1)):
-            return ScanResult(self.a1, self.horizon, False, None, 1)
-        found = self._dfs(table, [self.a1])
+        found = self._dfs(self._initial_table(), [self.a1])
         if found is None:
             return ScanResult(self.a1, self.horizon, False, None, self.best_depth)
         a_seq, table = found
@@ -314,20 +337,32 @@ class _Scan:
     # -- table plumbing ----------------------------------------------------
 
     def _initial_table(self) -> dict[tuple[int, int], MultiPoly]:
-        """Grades 0 and 1: p_{0,0} = d + 2l and p_{0,1} = d + a_1 l with its skew image."""
+        """Grades 0 and 1: p_{0,0} = d + 2l and p_{0,1} = d + a_1 l with its skew image.
+
+        Nothing here needs checking: _check_new_grade compares no pair and
+        tests no triple at h = 0 or 1, for the reasons its docstring gives.
+        """
         p01 = D + self.a1 * L
         return {(0, 0): D + 2 * L, (0, 1): p01, (1, 0): skew_image(p01)}
 
     def _check_new_grade(self, table, h: int) -> bool:
-        """Skew and Jacobi on everything with index sum == h.
+        """Skew and Jacobi on everything with index sum == h that _extend did not force.
 
-        Jacobi is tested on the triples x <= y <= z with x != 1 only, one
-        per permutation orbit, which is exact for two reasons.  Write
-        J(x, y, z)(d, l, m) for jacobi_defect(entry, x, y, z).
+        Skew is compared on the pairs (i, h - i) with 2 <= i <= h // 2 only.
+        skew_image is an involution, so (i, h - i) and (h - i, i) agree or
+        disagree together.  _extend set (h, 0) and (h - 1, 1) as the skew
+        images of (0, h) and (1, h - 1), and at h = 2 the solve that picked
+        p_{1,1} imposed _skew_condition on it.
+
+        Jacobi is tested on the triples x <= y <= z with x != 1 and, when
+        x == 0, y >= 2: one per permutation orbit, less those the
+        construction makes vanish.  Write J(x, y, z)(d, l, m) for
+        jacobi_defect(entry, x, y, z).
 
         The orbit lemma.  Skew holds on every pair of index sum <= h once
-        this grade's pairs pass, since earlier grades passed the same check
-        and a grade is refused on any skew failure first.  With skew on
+        this grade's compared pairs pass, since the others hold by the
+        construction above, earlier grades passed the same check, and a
+        grade is refused on any skew failure first.  With skew on
         (x, y), J(y, x, z) = -J(x, y, z)(d, m, l) (see check_jacobi).  With
         skew on (y, z), (y, x + z) and (x + y, z), J(x, z, y) = -J(x, y, z)
         with m -> -l-m-d: [z_m y] = -[y_{-m-d} z], and sesquilinearity of
@@ -344,33 +379,45 @@ class _Scan:
         the quotient defect0 / divisor.  So J(1, y, z) is exactly 0 on
         every table _extend hands over, and a sorted triple with x == 1 is
         one of these.  For h < 3 no sorted triple has x == 1.
+
+        The grade-0 triples.  J(0, 0, h) reads only p_{0,0} = d + 2l and
+        p_{0,h} = d + a_h l: it is the identity of the rank-one Virasoro
+        module d + a l, which holds for every slope a.  J(0, 1, h - 1) reads
+        p_{0,1}, p_{0,h-1}, p_{0,h} and p_{1,h-1}, exactly the four lines of
+        the intertwiner equation that _candidates solved for p_{1,h-1} (see
+        funceq), and p_{1,h-1} is a vector of that defect's exact nullspace;
+        so both vanish.  What is left, (0, y, z) with y >= 2 and the triples
+        with x >= 2, is the only Jacobi content the construction does not
+        force.
         """
-        for i in range(h + 1):
+        for i in range(2, h // 2 + 1):
             if skew_image(table[(i, h - i)]) != table[(h - i, i)]:
                 return False
         entry = _entry_of(table)
         return not any(
             jacobi_defect(entry, x, y, h - x - y)
-            for x in range(h // 3 + 1)
-            if x != 1
-            for y in range(x, (h - x) // 2 + 1)
+            for x in (0, *range(2, h // 3 + 1))
+            for y in range(max(x, 2), (h - x) // 2 + 1)
         )
 
     def _recurse_entry(self, table, i: int, j: int) -> MultiPoly | None:
         """p_{i,j} forced by the Jacobi identity on (1, i-1, j); None if impossible.
 
         With p_{i,j} read as zero, the Jacobi defect on (1, i-1, j) is what
-        p_{1,i-1}(-l-m, l) * p_{i,j}(d, l+m) must equal.
+        p_{1,i-1}(-l-m, l) * p_{i,j}(d, l+m) must equal.  The divisor is
+        taken negated from the memo of images that jacobi_defect multiplies
+        by, since p_{1,i-1} is inherited unchanged by every extension, so the
+        quotient is -p_{i,j}(d, l+m).
         """
-        divisor = table[(1, i - 1)].substitute("d", -L - M)
         defect = jacobi_defect(_entry_of(table, unknown=(i, j)), 1, i - 1, j)
+        divisor = _image(table[(1, i - 1)], _neg_at_neg_l_minus_m)
         quotient = exact_div(defect.get(i + j, MultiPoly.zero()), divisor)
         if quotient is None:
             return None
         collapsed = quotient.substitute("m", MultiPoly.zero())
         if collapsed.substitute("l", L + M) != quotient:
             return None
-        return collapsed
+        return -collapsed
 
     def _steps(self, a_prev: Scalar) -> list[tuple[int, Scalar]]:
         """Row-one steps (k, a_{j+1}) from a_j = a_prev; each target occurs once."""

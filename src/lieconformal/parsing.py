@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MultiPoly
+from .poly import MultiPoly, _power
 from .scalars import Scalar
 
 
@@ -167,7 +167,8 @@ class _Parser:
             degree *= exponent
             _check_degree(degree, "power", tok)
             self.power = power
-            value = value**exponent
+            # a spec repeats its powers, so each distinct one expands once
+            value = _power(value, exponent)
         self.power = max(outer, self.power)
         return value, degree
 

@@ -294,7 +294,8 @@ _ZERO = MultiPoly()
 _ONE = MultiPoly.const(1)
 
 # Substitution images are few (affine shifts such as l+m or -l-d) and
-# exponents small, so a small bound holds every power a search reuses.
+# exponents small, so a small bound holds every power a search reuses; the
+# parser's powers are shared here too, since a spec repeats them.
 _POWER_CACHE_SIZE = 256
 
 

@@ -274,6 +274,26 @@ def test_dimension_stable_when_doubling_bound():
         assert low.dimension == high.dimension == 1
 
 
+@settings(max_examples=40)
+@given(st.tuples(*[_gaussian] * 3), st.integers(0, 6), st.booleans())
+def test_degree_offset_row_leaves_one_degree(params, k, on_row):
+    # the terms linear in l: only d^p l^q reaches d^p l m^q, with the
+    # coefficient a - delta_i + delta_j - k - 1, so f = 0 unless it vanishes
+    a, delta_i, delta_j = params
+    if on_row:
+        delta_j = delta_i - a + Scalar(k + 1)
+    offset = a - delta_i + delta_j - Scalar(k + 1)
+    inst = FuncEqInstance(a, ZERO, delta_i, ZERO, delta_j, ZERO, k, homogeneous_degree=k)
+    monomials = _monomials(k, k)
+    for fd, fl in monomials:
+        image = _defect_intertwiner(inst, MultiPoly({(fd, fl, 0): ONE}))
+        for ed, el in monomials:
+            expected = offset if (fd, fl) == (ed, el) else ZERO
+            assert image.terms.get((ed, 1, el), ZERO) == expected, ((fd, fl), (ed, el))
+    if not offset.is_zero():
+        assert solve_homogeneous(a, delta_i, delta_j, k).dimension == 0
+
+
 def test_no_homogeneous_solutions_past_degree_three():
     # the classification cap: at the would-be difference pattern for higher
     # degrees, the solution space stays empty

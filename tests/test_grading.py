@@ -12,6 +12,7 @@ from lieconformal.algebra import (
     map_virasoro_poly,
     skew_image,
 )
+from lieconformal.funceq import FuncEqInstance, _defect_intertwiner, _solve_by_matching
 from lieconformal.grading import (
     HypothesisViolated,
     MalformedBracket,
@@ -19,6 +20,7 @@ from lieconformal.grading import (
     ScanResult,
     _entry_of,
     _Scan,
+    _skew_condition,
     assemble_witness_algebra,
     check_b_linear,
     default_grid,
@@ -332,6 +334,31 @@ def test_forced_triples_vanish_on_every_checked_grade(monkeypatch, horizon):
     assert len(forced) > 100
 
 
+@pytest.mark.parametrize("horizon", [8, 10])
+def test_grade_zero_triples_and_unchecked_skew_hold_on_every_checked_grade(monkeypatch, horizon):
+    # the grade check tests neither J(0, 0, h) nor J(0, 1, h - 1), and
+    # compares skew only on (i, h - i) with 2 <= i <= h // 2: on every table
+    # handed to it those triples vanish, the pairs _extend built are skew,
+    # and each pair is skew exactly when its mirror is
+    checked = []
+    check = _Scan._check_new_grade
+
+    def recording(self, table, h):
+        checked.append((table, h))
+        return check(self, table, h)
+
+    monkeypatch.setattr(_Scan, "_check_new_grade", recording)
+    scan_grid(default_grid(6), horizon)
+    for table, h in checked:
+        entry = _entry_of(table)
+        assert not jacobi_defect(entry, 0, 0, h), h
+        assert not jacobi_defect(entry, 0, 1, h - 1), h
+        skew = [skew_image(table[(i, h - i)]) == table[(h - i, i)] for i in range(h + 1)]
+        assert skew[0] and skew[1] and skew[h - 1] and skew[h], h
+        assert skew == skew[::-1], h
+    assert {h for _, h in checked} == set(range(2, horizon + 1))
+
+
 def test_grade_check_refuses_a_jacobi_failure_that_skew_allows():
     # no grid extension fails Jacobi after skew, so a hand-made table shows
     # the check still tests it: a self-skew term of the wrong degree added
@@ -367,6 +394,39 @@ def test_scan_matches_the_check_on_every_x_le_y(monkeypatch, horizon):
     full = scan_grid(grid, horizon)
     assert [r.to_dict() for r in orbit] == [r.to_dict() for r in full]
     assert [r.table for r in orbit] == [r.table for r in full]
+
+
+def _candidates_at_every_degree_to_four(self, a_prev, target, k, diagonal):
+    """_candidates before the degree-offset row: a zero-target step solves at each degree 0..4."""
+    key = (a_prev, target, k, diagonal)
+    if key not in self._solver_cache:
+        degrees = range(5) if target.is_zero() else (k,)
+        extra = (_skew_condition,) if diagonal else ()
+        basis = []
+        for t in degrees:
+            inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, t, homogeneous_degree=t)
+            basis.extend(_solve_by_matching(inst, _defect_intertwiner, extra).basis)
+        self._solver_cache[key] = tuple(basis)
+    return self._solver_cache[key]
+
+
+@pytest.mark.parametrize("horizon", [8, 12])
+def test_scan_matches_the_candidates_at_every_degree_to_four(monkeypatch, horizon):
+    grid = default_grid(12, Fraction(0), Fraction(3))
+    one = scan_grid(grid, horizon)
+    zero_steps = []
+
+    def recording(self, a_prev, target, k, diagonal):
+        if target.is_zero():
+            zero_steps.append(k)
+        return _candidates_at_every_degree_to_four(self, a_prev, target, k, diagonal)
+
+    monkeypatch.setattr(_Scan, "_candidates", recording)
+    five = scan_grid(grid, horizon)
+    assert [r.to_dict() for r in one] == [r.to_dict() for r in five]
+    assert [r.table for r in one] == [r.table for r in five]
+    # zero-target steps below and past the cap were both searched
+    assert min(zero_steps) <= 4 < max(zero_steps)
 
 
 def test_default_grid_contents():

@@ -3,6 +3,7 @@ import pytest
 from lieconformal.algebra import InvalidStructure, bracket, check_jacobi, check_skew
 from lieconformal.modules import check_module
 from lieconformal.parsing import MAX_DEGREE, MAX_DIGITS, MAX_EXPONENT, ParseError, parse_poly
+from lieconformal import poly
 from lieconformal.poly import D, L, MultiPoly
 from lieconformal.scalars import Scalar
 from lieconformal.specfile import MAX_BASIS, MAX_GENERATORS, DuplicateDefinition, UnknownGenerator, parse_spec
@@ -331,3 +332,22 @@ def test_rendering_round_trip_through_grammar():
     ]
     for p in samples:
         assert parse_poly(p.render()) == p
+
+
+def test_a_repeated_power_expands_once(monkeypatch):
+    # 32 equal (...)^16 entries share one expansion through poly._power;
+    # the memo is emptied first, since another test may have filled it
+    exponents = []
+    power = MultiPoly.__pow__
+
+    def counting(self, n):
+        exponents.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", counting)
+    poly._power.cache_clear()
+    spec = "[algebra]\nbuiltin = block\np = 1\ntruncation = 31\n[module M]\nbasis = v\n"
+    spec += "".join(f"action_{g} = (d + l + 1/7 + i)^16\n" for g in range(32))
+    module = parse_spec(spec).modules["M"]
+    assert exponents == [16]
+    assert module.actions[31] == module.actions[0]
