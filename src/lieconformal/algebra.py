@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 from .linalg import nullspace
-from .poly import D, L, M, MultiPoly, _accumulate, _raw
+from .poly import D, L, M, MultiPoly, _add_products, _raw, _reduce_sums
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
 
@@ -120,6 +120,9 @@ class ConformalAlgebra:
                 vec[k] = p
             clean[(i, j)] = vec
         self.table = clean
+        # _skew_defect's results by pair: the table never changes, so each
+        # pair is compared once, however many checks ask
+        self._skew_defects: dict[tuple[int, int], dict[int, MultiPoly]] = {}
 
     # -- table access ------------------------------------------------------
 
@@ -277,45 +280,47 @@ def jacobi_defect(entry, x: int, y: int, z: int) -> dict[int, MultiPoly]:
     truncation still raises TruncationExceeded.
     """
     # each product factor * p is added term by term into its component's
-    # term dict, never built as a polynomial of its own
+    # unreduced sums, never built as a polynomial of its own; each
+    # coefficient is reduced once at the end
     acc: dict[int, dict] = {}
-
-    def add(k, factor, p):
-        terms = acc.setdefault(k, {})
-        for key, c in factor.terms.items():
-            _accumulate(terms, key, c, p.terms)
-
     for w, q in entry(y, z).items():
         outer = entry(x, w)
         if outer:
-            factor = _image(q, _at_d_plus_l_m)
+            factor = _image(q, _at_d_plus_l_m).terms
             for k, p in outer.items():
-                add(k, factor, p)
+                _add_products(acc.setdefault(k, {}), factor, p.terms)
     for w, r in entry(x, y).items():
         outer = entry(w, z)
         if outer:
-            factor = _image(r, _neg_at_neg_l_minus_m)
+            factor = _image(r, _neg_at_neg_l_minus_m).terms
             for k, p in outer.items():
-                add(k, factor, _image(p, _at_l_plus_m))
+                _add_products(acc.setdefault(k, {}), factor, _image(p, _at_l_plus_m).terms)
     for w, s in entry(x, z).items():
         outer = entry(y, w)
         if outer:
-            factor = _image(s, _neg_at_d_plus_m)
+            factor = _image(s, _neg_at_d_plus_m).terms
             for k, p in outer.items():
-                add(k, factor, _image(p, _at_m))
-    return {k: _raw(terms) for k, terms in acc.items() if terms}
+                _add_products(acc.setdefault(k, {}), factor, _image(p, _at_m).terms)
+    return {k: _raw(terms) for k, sums in acc.items() if (terms := _reduce_sums(sums))}
 
 
 def _skew_defect(A: ConformalAlgebra, i: int, j: int) -> dict[int, MultiPoly]:
-    """p_{i,j} minus the skew image of p_{j,i}, by component; empty iff skew holds on the pair."""
+    """p_{i,j} minus the skew image of p_{j,i}, by component; empty iff skew holds on the pair.
+
+    Computed once per pair of A and kept on it; callers only read it.
+    """
+    out = A._skew_defects.get((i, j))
+    if out is not None:
+        return out
     left = A.entry(i, j)
     right = A.entry(j, i)
-    out: dict[int, MultiPoly] = {}
+    out = {}
     for k in sorted(set(left) | set(right)):
         p = left.get(k, MultiPoly.zero())
         image = skew_image(right.get(k, MultiPoly.zero()))
         if p != image:
             out[k] = p - image
+    A._skew_defects[(i, j)] = out
     return out
 
 

@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .algebra import accumulate, jacobi_defect
+from .algebra import jacobi_defect
 from .linalg import nullspace
-from .poly import D, L, M, MultiPoly
+from .poly import _ZERO_KEY, D, L, M, MultiPoly, _add_products, _reduce_sums
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
 
@@ -151,26 +151,28 @@ def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> Sol
     """Solutions f within inst's degrees of defect(inst, f) = 0 and each extra condition.
 
     A monomial's image is its base plus value * part for each parameter
-    nonzero in inst, summed by accumulate so that zero sums drop: its keys
-    are exactly those of defect(inst, monomial).  An extra condition maps
-    the monomial to a polynomial that must vanish too.
+    nonzero in inst, summed by poly._add_products and reduced once per
+    key, zero sums dropped: its keys are exactly those of
+    defect(inst, monomial).  An extra condition maps the monomial to a
+    polynomial that must vanish too.
     """
     monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    values = [
-        (p, value)
+    # (part, its scale as a constant's terms): the base, then each parameter nonzero in inst
+    scaled_parts = [(None, {_ZERO_KEY: ONE})] + [
+        (p, {_ZERO_KEY: value})
         for p, value in enumerate(getattr(inst, name) for name in _PARAMETERS)
         if not value.is_zero()
     ]
     columns = []
     for ed, el in monomials:
-        base = _affine_part(defect, ed, el, None)
-        column = {(0, key): coeff for key, coeff in base.terms.items()}
-        for p, value in values:
-            for key, coeff in _affine_part(defect, ed, el, p).terms.items():
-                accumulate(column, (0, key), value * coeff)
-        mono = MultiPoly({(ed, el, 0): ONE})
-        for index, condition in enumerate(extra_conditions, 1):
-            column.update(((index, key), coeff) for key, coeff in condition(mono).terms.items())
+        sums: dict = {}
+        for p, scale in scaled_parts:
+            _add_products(sums, scale, _affine_part(defect, ed, el, p).terms)
+        column = {(0, key): coeff for key, coeff in _reduce_sums(sums).items()}
+        if extra_conditions:
+            mono = MultiPoly({(ed, el, 0): ONE})
+            for index, condition in enumerate(extra_conditions, 1):
+                column.update(((index, key), coeff) for key, coeff in condition(mono).terms.items())
         columns.append(column)
     vectors = nullspace(columns)
     basis = []

@@ -10,14 +10,32 @@ The universe is fixed on purpose: every identity in the bracket calculus
 lives in at most three variables (d, plus l and m for nested brackets), and
 a closed universe keeps substitution total.  Degree of the zero polynomial
 is the sentinel None, never -1.
+
+A sum of many products reduces each coefficient once: _add_products keeps
+its running sums as unreduced Gaussian-integer triples, and _reduce_sums
+divides out one gcd per coefficient at the end.  substitute uses it, and so
+do algebra.jacobi_defect and the solver's columns in funceq.  __mul__ and
+the divisions (exact_div and divmod_univar, which read the remainder's
+leading coefficient at every step) stay on _accumulate, which reduces
+each sum in place.  The values are the same either way, since each has one
+canonical triple; only the order of a term dict can differ, where a
+partial sum cancels and comes back (a zero sum keeps its place here, and
+_accumulate drops it and appends it again).  No output reads that order:
+equality compares dicts, the hash is over a frozenset, rendering sorts,
+leading terms take a maximum under a total order, and linalg.nullspace,
+which lays rows out in first-seen key order, returns the basis of the
+unique RREF.  The one reader that names the first term it meets,
+weight_spaces' NonTriangularWindow message, reads brackets whose only
+substitutions are of single terms, where no two products share a key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, _reduced
 
 VARS = ("d", "l", "m")
 _VAR_INDEX = {"d": 0, "l": 1, "m": 2}
@@ -165,7 +183,7 @@ class MultiPoly:
         The substitution is simultaneous: expr may itself contain var.
         """
         idx = _VAR_INDEX[var]
-        out: dict[Key, Scalar] = {}
+        sums: dict[Key, tuple[int, int, int]] = {}
         powers: dict[int, MultiPoly] = {0: _ONE, 1: expr}
         for key, coeff in self.terms.items():
             e = key[idx]
@@ -174,8 +192,8 @@ class MultiPoly:
                 power = powers[e] = _power(expr, e)
             rest = list(key)
             rest[idx] = 0
-            _accumulate(out, rest, coeff, power.terms)
-        return _raw(out)
+            _add_products(sums, {tuple(rest): coeff}, power.terms)
+        return _raw(_reduce_sums(sums))
 
     def coeff_of(self, var: str, k: int) -> "MultiPoly":
         """Polynomial coefficient of var**k (a polynomial in the others)."""
@@ -274,6 +292,42 @@ def _accumulate(out: dict[Key, Scalar], shift, scale: Scalar, terms: dict[Key, S
             out.pop(key, None)
         else:
             out[key] = s
+
+
+def _add_products(sums: dict, left: dict[Key, Scalar], right: dict[Key, Scalar]) -> None:
+    """sums += (the polynomial with terms left) * (the one with terms right), unreduced.
+
+    Each value of sums is a triple (n, m, q) for (n + m*i)/q with q > 0,
+    not divided by its gcd: a product is integer arithmetic only, a sum
+    over equal denominators adds the numerators, and a sum over unequal
+    ones moves both onto their lcm, which costs one gcd.  A zero sum stays
+    in place; _reduce_sums makes every value canonical and drops the zeros.
+    """
+    get = sums.get
+    for (s0, s1, s2), a in left.items():
+        an, am, aq = a._nmq
+        for (t0, t1, t2), b in right.items():
+            bn, bm, bq = b._nmq
+            key = (s0 + t0, s1 + t1, s2 + t2)
+            n = an * bn - am * bm
+            m = an * bm + am * bn
+            q = aq * bq
+            prev = get(key)
+            if prev is None:
+                sums[key] = (n, m, q)
+            else:
+                pn, pm, pq = prev
+                if pq == q:
+                    sums[key] = (pn + n, pm + m, q)
+                else:
+                    g = gcd(pq, q)
+                    u, v = q // g, pq // g
+                    sums[key] = (pn * u + n * v, pm * u + m * v, pq * u)
+
+
+def _reduce_sums(sums: dict) -> dict:
+    """The canonical Scalar of each nonzero sum that _add_products built, one gcd per key."""
+    return {key: _reduced(n, m, q) for key, (n, m, q) in sums.items() if n or m}
 
 
 def _raw(terms: dict[Key, Scalar]) -> MultiPoly:

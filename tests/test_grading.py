@@ -435,3 +435,21 @@ def test_default_grid_contents():
         "1", "7/6", "6/5", "5/4", "4/3", "7/5", "3/2",
         "8/5", "5/3", "7/4", "9/5", "11/6", "2",
     }
+
+
+@pytest.mark.parametrize("k, solves", [(4, True), (5, False)])
+def test_zero_target_step_solves_up_to_degree_four_only(monkeypatch, k, solves):
+    # the cap is pinned, not read from grading: a zero-target step at degree 4
+    # reaches the solver, and one at degree 5 is dropped unsearched
+    calls = []
+
+    def recording(inst, defect, extra_conditions=()):
+        calls.append(inst.homogeneous_degree)
+        return _solve_by_matching(inst, defect, extra_conditions)
+
+    monkeypatch.setattr("lieconformal.grading._solve_by_matching", recording)
+    # a_1 = 2 and a_prev = k - 1, so k = a_1 + a_prev - 1 is the step's degree
+    result = _Scan(sc(2), 8)._candidates(sc(k - 1), ZERO, k, False)
+    assert calls == ([k] if solves else [])
+    if not solves:
+        assert result == ()

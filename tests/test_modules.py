@@ -7,8 +7,11 @@ from hypothesis import given, strategies as st
 from lieconformal.algebra import (
     ConformalAlgebra,
     block,
+    check_jacobi,
+    check_skew,
     jacobi_defect,
     map_virasoro_poly,
+    skew_image,
     sl2_constants,
     vir_semidirect_current,
     virasoro,
@@ -429,3 +432,25 @@ def test_negative_action_index_raises_before_the_action():
     M = rank_one_vir(2, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         module_action_n(M, 1, -1, [MultiPoly.one()])
+
+
+def test_each_skew_pair_is_compared_once_per_algebra(monkeypatch):
+    # check_skew, check_jacobi's and check_module's pair loops all ask for
+    # the skew defect of the same pairs: the algebra keeps each answer, so
+    # only check_skew computes skew images, and every report equals the one
+    # checks on a fresh copy of the algebra give
+    def build():
+        A = _block_with_broken_skew()
+        return A, rank_one_theorem_module(A, "a1!=2", sc(1), sc("2/7"))
+
+    A, M = build()
+    expected = [check_skew(A).to_dict(), check_jacobi(A).to_dict(), check_module(A, M).to_dict()]
+    images = []
+    monkeypatch.setattr("lieconformal.algebra.skew_image", lambda p: images.append(p) or skew_image(p))
+    A, M = build()
+    reports = [check_skew(A).to_dict()]
+    compared = len(images)
+    reports += [check_jacobi(A).to_dict(), check_module(A, M).to_dict()]
+    assert compared > 0 and len(images) == compared
+    assert reports == expected
+    assert expected[0]["counts"]["fail"] == 1

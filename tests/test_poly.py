@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieconformal.algebra import TruncationExceeded, block, jacobi_defect, map_virasoro_poly
 from lieconformal.parsing import parse_poly
 from lieconformal.poly import (
     D,
@@ -242,3 +243,96 @@ def test_hash_is_cached_consistently(p, hash_rebuilt_first):
     assert hash(first) == h == hash(second) == hash(via_arith)
     assert hash(p) == hash(frozenset(p.terms.items()))
     assert {p: 1}[rebuilt] == 1
+
+
+# -- the unreduced sums against the reduced per-operation path ---------------
+#
+# substitute and jacobi_defect sum their products as unreduced triples and
+# reduce each coefficient once; the oracles below reduce after every product
+# and every sum.  Coefficients have three-digit Gaussian parts, so the sums
+# move onto lcms of unequal denominators, and each input is built so that
+# some sums cancel exactly.
+
+_big_coeffs = st.builds(
+    Scalar,
+    st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999)),
+    st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999)),
+)
+_big_polys = st.dictionaries(keys(), _big_coeffs, max_size=5).map(MultiPoly)
+_big_dl_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)), _big_coeffs, max_size=4
+).map(MultiPoly)
+
+
+def _swapped_lm(p):
+    return MultiPoly({(e_d, e_m, e_l): c for (e_d, e_l, e_m), c in p.terms.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_big_polys, _big_polys, st.sampled_from(_IMAGES))
+def test_substitute_with_cancelling_sums_matches_the_reduced_path(r, g, image):
+    # g(d, l, m) - g(d, m, l) vanishes under l -> m, so there every sum
+    # from g cancels; under the other images its terms still collide
+    p = r + g - _swapped_lm(g)
+    var, expr = image
+    image_p = p.substitute(var, expr)
+    assert image_p == _naive_substitute(p, var, expr)
+    assert not any(c.is_zero() for c in image_p.terms.values())
+    if image == ("l", M):
+        assert image_p == _naive_substitute(r, var, expr)
+
+
+def _naive_jacobi_defect(entry, x, y, z):
+    """jacobi_defect with every image, product and sum a reduced MultiPoly operation."""
+    out = {}
+
+    def add(k, value):
+        out[k] = out.get(k, ZERO_P) + value
+
+    for w, q in entry(y, z).items():
+        factor = _naive_substitute(_naive_substitute(q, "l", M), "d", D + L)
+        for k, p in entry(x, w).items():
+            add(k, factor * p)
+    for w, r in entry(x, y).items():
+        factor = -_naive_substitute(r, "d", -L - M)
+        for k, p in entry(w, z).items():
+            add(k, factor * _naive_substitute(p, "l", L + M))
+    for w, s in entry(x, z).items():
+        factor = -_naive_substitute(s, "d", D + M)
+        for k, p in entry(y, w).items():
+            add(k, factor * _naive_substitute(p, "l", M))
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+_big_gaussian = _big_coeffs.filter(lambda c: not c.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.builds(block, _big_gaussian, st.just(3)),
+        st.builds(map_virasoro_poly, st.integers(2, 4)),
+    ),
+    st.data(),
+)
+def test_jacobi_defect_with_cancelling_sums_matches_the_reduced_path(A, data):
+    # block(p) and map_virasoro_poly satisfy Jacobi, so their defects cancel
+    # to zero; an added three-digit Gaussian polynomial leaves a partial sum
+    table = {pair: dict(vec) for pair, vec in A.table.items()}
+    pair = data.draw(st.sampled_from(sorted(table)))
+    k = data.draw(st.integers(0, A.n_gens - 1))
+    table[pair][k] = table[pair].get(k, ZERO_P) + data.draw(_big_dl_polys)
+
+    def entry(i, j):
+        if (i, j) not in table:
+            raise TruncationExceeded(f"({i},{j})")
+        return {c: p for c, p in table[(i, j)].items() if p}
+
+    x, y, z = (data.draw(st.integers(0, A.n_gens - 1)) for _ in range(3))
+    try:
+        expected = _naive_jacobi_defect(entry, x, y, z)
+    except TruncationExceeded:
+        with pytest.raises(TruncationExceeded):
+            jacobi_defect(entry, x, y, z)
+        return
+    assert jacobi_defect(entry, x, y, z) == expected
