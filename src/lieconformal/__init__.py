@@ -7,7 +7,7 @@ intertwiner equation solver, and the graded admissibility scan.
 """
 
 from .scalars import I, ONE, Scalar, ZERO, sc
-from .poly import D, L, M, Degrees, MultiPoly
+from .poly import D, L, M, MultiPoly
 from .parsing import ParseError, parse_poly, parse_scalar
 from .algebra import (
     AlgebraElement,

@@ -558,7 +558,6 @@ def map_virasoro(
     mult: MultTable,
     grades: dict[int, int] | None = None,
     truncation: int | None = None,
-    labels: tuple[str, ...] | None = None,
 ) -> ConformalAlgebra:
     """Virasoro tensored with a commutative unital algebra given by its basis products.
 
@@ -594,8 +593,7 @@ def map_virasoro(
                     raise InvalidStructure("multiplication table must be associative")
     if not _has_unit(mult):
         raise InvalidStructure("multiplication table must have a unit")
-    if labels is None:
-        labels = tuple(f"L{i}" for i in range(n))
+    labels = tuple(f"L{i}" for i in range(n))
     base = D + 2 * L
     table: Table = {}
     for i in range(n):

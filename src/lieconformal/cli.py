@@ -472,6 +472,12 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # solve-funceq solves in one degree, which must be within the bound
+        if getattr(args, "homogeneous", None) is not None and args.homogeneous > args.degree_bound:
+            parser.error(
+                f"argument --homogeneous: degree {args.homogeneous} is past "
+                f"--degree-bound {args.degree_bound}"
+            )
     except SystemExit as exc:
         return EXIT_SPEC_ERROR if exc.code not in (0, None) else 0
     started = time.monotonic()

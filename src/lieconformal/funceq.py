@@ -37,6 +37,7 @@ solve at that bound builds all of those it reads anyway.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -68,6 +69,8 @@ class FuncEqInstance:
             raise ValueError("degree bound must be nonnegative")
         if self.homogeneous_degree is not None and self.homogeneous_degree < 0:
             raise ValueError("homogeneous degree must be nonnegative")
+        if self.homogeneous_degree is not None and self.homogeneous_degree > self.degree_bound:
+            raise ValueError("homogeneous degree must not exceed the degree bound")
 
 
 @dataclass(frozen=True)
@@ -227,29 +230,37 @@ def degree_offset(f: MultiPoly, a: Scalar, delta_i: Scalar, delta_j: Scalar) -> 
 
 @dataclass(frozen=True)
 class TableRow:
-    """One row: regime on a, the degree k, the constraint pinning the deltas,
-    and the solution up to scalar."""
+    """One row: its degree k, the a it holds at, its pinned delta_i if any,
+    and its solution up to scalar.
+
+    delta_j is not stated: the degree-offset row gives delta_j = delta_i +
+    k + 1 - a for every nonzero solution of degree k.
+    """
 
     row_id: str
-    generic_a: bool  # True: holds for a != 1; False: the a = 1 regime
     k: int
-    # given (a, delta_i) return delta_j, or None when the row pins delta_i itself
-    delta_j_of: object
-    pinned: object  # given a: (delta_i, delta_j) for pinned rows, else None
-    formula: object  # (a, delta_i) -> MultiPoly
+    a: Scalar | None  # the one a the row holds at; None for every a != 1
+    delta_i_of: Callable[[Scalar], Scalar] | None  # a -> the pinned delta_i; None when free
+    formula: Callable[[Scalar, Scalar], MultiPoly]  # (a, delta_i) -> the solution
 
     def instantiate(self, a: Scalar, delta_i: Scalar) -> tuple[Scalar, Scalar, MultiPoly]:
-        if self.pinned is not None:
-            delta_i, delta_j = self.pinned(a)
-        else:
-            delta_j = self.delta_j_of(a, delta_i)
-        return delta_i, delta_j, self.formula(a, delta_i)
+        """(delta_i, delta_j, solution) at a; a pinned row ignores the delta_i given."""
+        if self.delta_i_of is not None:
+            delta_i = self.delta_i_of(a)
+        return delta_i, delta_i + Scalar(self.k + 1) - a, self.formula(a, delta_i)
+
+    def instances(self, a_samples, delta_samples):
+        """(a, delta_i, delta_j, solution) at each sampled point the row holds at."""
+        pinned = self.delta_i_of is not None
+        for a in [self.a] if self.a is not None else [a for a in a_samples if a != ONE]:
+            for delta_i in [self.delta_i_of(a)] if pinned else delta_samples:
+                yield (a, *self.instantiate(a, delta_i))
 
 
 def _rows() -> tuple[TableRow, ...]:
     one = ONE
 
-    def r_a0(a, di):
+    def r_const(a, di):
         return MultiPoly.one()
 
     def r_a1(a, di):
@@ -266,9 +277,6 @@ def _rows() -> tuple[TableRow, ...]:
             - L**3
         )
 
-    def r_b0(a, di):
-        return MultiPoly.one()
-
     def r_b1(a, di):
         return L
 
@@ -279,32 +287,23 @@ def _rows() -> tuple[TableRow, ...]:
         return L * (D * D + 3 * D * L + 2 * L * L)
 
     return (
-        TableRow("a-generic-k0", True, 0, lambda a, di: di + (one - a), None, r_a0),
-        TableRow("a-generic-k1", True, 1, lambda a, di: di + (Scalar(2) - a), None, r_a1),
-        TableRow(
-            "a-generic-k2", True, 2, None,
-            lambda a: (a - Scalar(2), one), r_a2,
-        ),
-        TableRow(
-            "a-generic-k3", True, 3, None,
-            lambda a: (Scalar(Fraction(-2, 3)), Scalar(Fraction(5, 3))), r_a3,
-        ),
-        TableRow("a-one-k0", False, 0, lambda a, di: di, None, r_b0),
-        TableRow("a-one-k1", False, 1, lambda a, di: di + one, None, r_b1),
-        TableRow("a-one-k2", False, 2, lambda a, di: di + Scalar(2), None, r_b2),
+        TableRow("a-generic-k0", 0, None, None, r_const),
+        TableRow("a-generic-k1", 1, None, None, r_a1),
+        TableRow("a-generic-k2", 2, None, lambda a: a - Scalar(2), r_a2),
+        # The generic cubic only solves at a = 5/3, with delta_j = 5/3.
+        TableRow("a-generic-k3", 3, Scalar(Fraction(5, 3)), lambda a: Scalar(Fraction(-2, 3)), r_a3),
+        TableRow("a-one-k0", 0, one, None, r_const),
+        TableRow("a-one-k1", 1, one, None, r_b1),
+        TableRow("a-one-k2", 2, one, None, r_b2),
         # The k=3 row in the a=1 regime: the solution only exists at
         # (delta_i, delta_j) = (-2, 1); coefficient matching rejects the
         # transposed pair (-1, 2) even though both satisfy the degree
         # offset s = a + delta_j - delta_i - 1 = 3.
-        TableRow("a-one-k3", False, 3, None, lambda a: (Scalar(-2), Scalar(1)), r_b3),
+        TableRow("a-one-k3", 3, one, lambda a: Scalar(-2), r_b3),
     )
 
 
 TABLE_ROWS = _rows()
-
-# The k=3 row in the generic regime only solves at one value of a: the
-# degree offset s = a + delta_j - delta_i - 1 forces a = 5/3 there.
-_GENERIC_K3_A = Scalar(Fraction(5, 3))
 
 
 def _proportional(p: MultiPoly, q: MultiPoly) -> bool:
@@ -371,47 +370,37 @@ def verify_solution_table(
     For every row and sample: the stated polynomial solves, the solver
     finds a one-dimensional space at the stated degree matching it, and
     constraint-violating perturbations of delta_j give dimension zero.
-    Sampled delta_i are required nonzero (the table's hypothesis).
+    An instance with delta_i = 0, outside the table's hypothesis, is
+    reported as skipped.
     """
     report = Report("homogeneous solution table")
     result = TableVerification(report)
     for row in TABLE_ROWS:
-        if row.generic_a:
-            sample_as = [a for a in a_samples if a != ONE]
-            if row.row_id == "a-generic-k3":
-                sample_as = [_GENERIC_K3_A]
-        else:
-            sample_as = [ONE]
-        for a in sample_as:
-            if row.pinned is not None:
-                sample_dis = [row.pinned(a)[0]]
+        for a, di, dj, stated in row.instances(a_samples, delta_samples):
+            check_id = f"{row.row_id}[a={a},delta_i={di}]"
+            if di.is_zero():
+                report.skip(check_id, "the table assumes delta_i != 0")
+                continue
+            defect = _defect_intertwiner(
+                FuncEqInstance(a, ZERO, di, ZERO, dj, ZERO, row.k), stated
+            )
+            basis = solve_homogeneous(a, di, dj, row.k)
+            matches = basis.dimension == 1 and _proportional(basis.basis[0], stated)
+            perturbed = []
+            for eps in _PERTURBATIONS:
+                p_basis = solve_homogeneous(a, di, dj + eps, row.k)
+                perturbed.append(p_basis.dimension)
+            rv = RowVerification(
+                row.row_id, a, di, dj, row.k,
+                defect.is_zero(), basis.dimension, matches, tuple(perturbed),
+            )
+            result.rows.append(rv)
+            if rv.passed:
+                report.ok(check_id)
             else:
-                sample_dis = [d for d in delta_samples if not d.is_zero()]
-            for delta_i in sample_dis:
-                if delta_i.is_zero():
-                    continue
-                di, dj, stated = row.instantiate(a, delta_i)
-                defect = _defect_intertwiner(
-                    FuncEqInstance(a, ZERO, di, ZERO, dj, ZERO, row.k), stated
+                report.fail(
+                    check_id,
+                    f"solves={rv.stated_solves} dim={rv.dimension} "
+                    f"matches={rv.matches_table} perturbed={rv.perturbed_dimensions}",
                 )
-                basis = solve_homogeneous(a, di, dj, row.k)
-                matches = basis.dimension == 1 and _proportional(basis.basis[0], stated)
-                perturbed = []
-                for eps in _PERTURBATIONS:
-                    p_basis = solve_homogeneous(a, di, dj + eps, row.k)
-                    perturbed.append(p_basis.dimension)
-                rv = RowVerification(
-                    row.row_id, a, di, dj, row.k,
-                    defect.is_zero(), basis.dimension, matches, tuple(perturbed),
-                )
-                result.rows.append(rv)
-                check_id = f"{row.row_id}[a={a},delta_i={di}]"
-                if rv.passed:
-                    report.ok(check_id)
-                else:
-                    report.fail(
-                        check_id,
-                        f"solves={rv.stated_solves} dim={rv.dimension} "
-                        f"matches={rv.matches_table} perturbed={rv.perturbed_dimensions}",
-                    )
     return result

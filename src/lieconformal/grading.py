@@ -30,7 +30,7 @@ from .algebra import (
     jacobi_defect,
     skew_image,
 )
-from .funceq import FuncEqInstance, _defect_intertwiner, _solve_by_matching
+from .funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _solve_by_matching
 from .poly import D, L, M, MultiPoly, exact_div
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
@@ -164,7 +164,7 @@ def _virasoro_scale(A: ConformalAlgebra) -> Scalar:
 def _affine_parts(A: ConformalAlgebra, i: int, scale: Scalar) -> tuple[Scalar, Scalar]:
     """(a_i, b_i) of p_{0,i} / scale = d + a_i l + b_i, for nonzero p_{0,i}."""
     p = _single_coeff(A, 0, i) * (ONE / scale)
-    if p.degrees().total not in (0, 1) or p.degree_in("l") not in (0, 1):
+    if p.total_degree() not in (0, 1) or p.degree_in("l") not in (0, 1):
         raise MalformedBracket(f"normalized p_{{0,{i}}} = {p.render()} is not affine")
     if p.coeff_of("d", 1).constant_value() != ONE:
         raise MalformedBracket(f"normalized p_{{0,{i}}} = {p.render()} must have unit d coefficient")
@@ -261,7 +261,9 @@ def _entry_of(table: dict[tuple[int, int], MultiPoly], unknown: tuple[int, int] 
     return entry
 
 
-_MAX_STEP_DEGREE = 3
+# Row-one steps to a nonzero target try the degrees of the classification
+# table, which covers delta_i != 0: the bound is its largest k.
+_MAX_STEP_DEGREE = max(row.k for row in TABLE_ROWS)
 # At a zero-target step the degree-offset row, proved for every degree in
 # _Scan._candidates, leaves the one degree t = a_1 + a_prev - 1.  The
 # classification table covers delta_i != 0 only and does not say whether t

@@ -80,12 +80,10 @@ class PolyMatrix:
         )
 
     @staticmethod
-    def diagonal(entries, shape=None) -> "PolyMatrix":
+    def diagonal(entries) -> "PolyMatrix":
         entries = [e if isinstance(e, MultiPoly) else MultiPoly.const(e) for e in entries]
-        n = m = len(entries)
-        if shape is not None:
-            n, m = shape
-        rows = [[MultiPoly.zero() for _ in range(m)] for _ in range(n)]
+        n = len(entries)
+        rows = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
         for i, e in enumerate(entries):
             rows[i][i] = e
         return PolyMatrix(rows)

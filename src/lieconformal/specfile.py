@@ -199,11 +199,9 @@ _LIE_PRESETS = {
 def _builtin_algebra(pairs) -> ConformalAlgebra:
     name = _unquote(pairs["builtin"][1])
 
-    def scalar_of(key, default=None):
+    def scalar_of(key):
         if key not in pairs:
-            if default is None:
-                raise InvalidStructure(f"builtin {name!r} needs parameter {key!r}")
-            return default
+            raise InvalidStructure(f"builtin {name!r} needs parameter {key!r}")
         return parse_scalar(_unquote(pairs[key][1]))
 
     def size_of(key, extra=0):

@@ -181,6 +181,33 @@ def test_verify_prop36_roundtrip(tmp_path, schema):
     assert all(r["dimension"] == r["expected_dimension"] for r in payload["data"]["rows"])
 
 
+def test_verify_prop36_reports_the_samples_it_skips(tmp_path, schema, capsys):
+    # the table assumes delta_i != 0: a = 2 pins the k=2 row's delta_i = a - 2
+    # to zero, and a zero delta sample meets every row that leaves delta_i free
+    out = str(tmp_path / "rows.json")
+    assert cli.run(["verify-prop36", "--a-samples", "2", "--json", out]) == 0
+    assert "(27 pass, 0 fail, 1 skipped)" in capsys.readouterr().out
+    payload = _load(out)
+    jsonschema.validate(payload, schema)
+    skipped = [c["id"] for c in payload["report"]["checks"] if c["status"] == "skipped"]
+    assert skipped == ["a-generic-k2[a=2,delta_i=0]"]
+    assert "a-generic-k2" not in {r["row"] for r in payload["data"]["rows"]}
+    assert cli.run(["verify-prop36", "--delta-samples", "0,1"]) == 0
+    # the two generic rows with delta_i free at each of the five default a,
+    # and the three a = 1 rows with delta_i free
+    assert "(20 pass, 0 fail, 13 skipped)" in capsys.readouterr().out
+
+
+def test_homogeneous_degree_past_the_bound_is_an_argument_error(capsys):
+    solve = ["solve-funceq", "--a", "3", "--delta-i", "1", "--delta-j", "0"]
+    assert cli.run(solve + ["--degree-bound", "0", "--homogeneous", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --homogeneous" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert cli.run(solve + ["--degree-bound", "1", "--homogeneous", "1"]) == 0
+    assert "dimension 1" in capsys.readouterr().out
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     spec = _write(tmp_path, "vir.lca", VIR_SPEC)
     first = str(tmp_path / "a.json")
@@ -212,7 +239,7 @@ def test_size_arguments_are_capped(tmp_path, capsys):
     solve = ["solve-funceq", "--a", "2", "--delta-i", "3", "--delta-j", "1", "--degree-bound"]
     cap = str(cli.MAX_FUNCEQ_DEGREE)
     assert cli.run(solve + [cap]) == 0
-    assert cli.run(solve + ["0", "--homogeneous", cap]) == 0
+    assert cli.run(solve + [cap, "--homogeneous", cap]) == 0
     # the largest generator index a spec can define
     last = cli.MAX_GENERATORS - 1
     gens = " ".join(f"g{i}" for i in range(last + 1))

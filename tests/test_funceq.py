@@ -230,6 +230,40 @@ def test_verify_solution_table_all_rows():
         assert rv.dimension == 1
 
 
+# The table written out in full, as rows stated it before they took
+# delta_j from the degree-offset row: the a each row holds at (None for
+# every a != 1), and its (delta_i, delta_j) at a given delta_i for two
+# admissible a, or the one there is.
+_STATED_TABLE = {
+    "a-generic-k0": (None, {sc(3): lambda di: (di, di - Scalar(2)), sc("1/2"): lambda di: (di, di + sc("1/2"))}),
+    "a-generic-k1": (None, {sc(3): lambda di: (di, di - ONE), sc("1/2"): lambda di: (di, di + sc("3/2"))}),
+    "a-generic-k2": (None, {sc(3): lambda di: (ONE, ONE), sc("1/2"): lambda di: (sc("-3/2"), ONE)}),
+    "a-generic-k3": (sc("5/3"), {sc("5/3"): lambda di: (sc("-2/3"), sc("5/3"))}),
+    "a-one-k0": (ONE, {ONE: lambda di: (di, di)}),
+    "a-one-k1": (ONE, {ONE: lambda di: (di, di + ONE)}),
+    "a-one-k2": (ONE, {ONE: lambda di: (di, di + Scalar(2))}),
+    "a-one-k3": (ONE, {ONE: lambda di: (Scalar(-2), ONE)}),
+}
+
+
+def test_table_rows_keep_the_stated_parameters():
+    assert [row.row_id for row in TABLE_ROWS] == list(_STATED_TABLE)
+    for row in TABLE_ROWS:
+        a_stated, pairs = _STATED_TABLE[row.row_id]
+        assert row.a == a_stated
+        for a, pair in pairs.items():
+            for di in (Scalar(7), sc("-1/3")):
+                delta_i, delta_j, _ = row.instantiate(a, di)
+                assert (delta_i, delta_j) == pair(di), (row.row_id, a, di)
+
+
+def test_homogeneous_degree_past_the_bound_is_refused():
+    with pytest.raises(ValueError, match="degree bound"):
+        FuncEqInstance(Scalar(3), ZERO, ONE, ZERO, ZERO, ZERO, 0, homogeneous_degree=1)
+    inst = FuncEqInstance(Scalar(3), ZERO, ONE, ZERO, ZERO, ZERO, 1, homogeneous_degree=1)
+    assert solve_intertwiner(inst).dimension == 1
+
+
 def test_perturbed_shift_row_dies():
     # a = 1, difference 3/2 instead of 1, degree 1
     assert solve_homogeneous(ONE, ZERO + sc("1/2"), Scalar(2), 1).dimension == 0

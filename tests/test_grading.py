@@ -12,13 +12,14 @@ from lieconformal.algebra import (
     map_virasoro_poly,
     skew_image,
 )
-from lieconformal.funceq import FuncEqInstance, _defect_intertwiner, _solve_by_matching
+from lieconformal.funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _solve_by_matching
 from lieconformal.grading import (
     HypothesisViolated,
     MalformedBracket,
     NotVirasoroAtZero,
     ScanResult,
     _entry_of,
+    _MAX_STEP_DEGREE,
     _Scan,
     _skew_condition,
     assemble_witness_algebra,
@@ -435,6 +436,12 @@ def test_default_grid_contents():
         "1", "7/6", "6/5", "5/4", "4/3", "7/5", "3/2",
         "8/5", "5/3", "7/4", "9/5", "11/6", "2",
     }
+
+
+def test_step_bound_is_the_tables_top_degree():
+    assert _MAX_STEP_DEGREE == max(row.k for row in TABLE_ROWS) == 3
+    # a_1 = 2 and a_prev = 3: the table's degrees 0..3, then the zero-target step at 4
+    assert [k for k, _ in _Scan(sc(2), 4)._steps(sc(3))] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("k, solves", [(4, True), (5, False)])

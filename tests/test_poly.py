@@ -115,14 +115,14 @@ def test_coeff_of():
 
 
 def test_degrees():
-    d = (D + 2 * L).degrees()
-    assert d.total == 1 and d.per_var["d"] == 1 and d.per_var["l"] == 1
+    p = D + 2 * L
+    assert p.total_degree() == 1 and p.degree_in("d") == 1 and p.degree_in("l") == 1
+    assert p.degree_in("m") == 0
     cubic = L * (D * D + 3 * D * L + 2 * L * L)
-    assert cubic.degrees().total == 3
+    assert cubic.total_degree() == 3
     assert cubic.degree_in("l") == 3
-    z = ZERO_P.degrees()
-    assert z.total is None
-    assert all(v is None for v in z.per_var.values())
+    assert ZERO_P.total_degree() is None
+    assert all(ZERO_P.degree_in(v) is None for v in ("d", "l", "m"))
 
 
 # -- ring axioms and the stated invariants -----------------------------------
