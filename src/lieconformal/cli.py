@@ -322,11 +322,15 @@ def _parse_grid(text: str) -> list[Scalar]:
 
 
 def _samples_arg(text: str) -> tuple[Scalar, ...]:
-    """A --a-samples or --delta-samples value: comma-separated scalars, at most the cap."""
+    """A --a-samples or --delta-samples value: comma-separated scalars, at most the cap.
+
+    A repeated value (3 and 6/2 are one) is kept once, where it first
+    occurs, so no instance is verified twice; the cap counts every value.
+    """
     parts = text.split(",")
     if len(parts) > MAX_PROP36_SAMPLES:
         raise argparse.ArgumentTypeError(f"{text!r} holds more than {MAX_PROP36_SAMPLES} samples")
-    return tuple(_scalar_arg(x) for x in parts)
+    return tuple(dict.fromkeys(_scalar_arg(x) for x in parts))
 
 
 def _cmd_scan_a1(args) -> int:

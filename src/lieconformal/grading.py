@@ -8,12 +8,14 @@ admissibility scan for the leading coefficient a_1 at a finite horizon.
 
 The scan builds an actual finite witness: row one of a candidate table is
 taken from the exact solver (gauge-normalized, since rescaling generators
-absorbs one scalar per grade), higher rows are forced by the Jacobi
-identity on triples (1, i-1, j) via exact division, and a branch survives
-only if the assembled table passes the full skew and Jacobi checks at the
-horizon.  Degree bookkeeping alone is not enough: some rejected slopes
-admit cycles that satisfy every degree-level side condition and only die
-at the polynomial level.  Admissibility at a horizon is necessary, never
+absorbs one scalar per grade), and higher rows are forced by the Jacobi
+identity on triples (1, i-1, j) via exact division.  A branch survives
+only if every forced entry exists and is consistent, and then the table
+satisfies skew and Jacobi everywhere up to the horizon: _Scan._extend
+proves that the construction forces both.  Degree bookkeeping alone is
+not enough: some rejected slopes admit cycles that satisfy every
+degree-level side condition and only die at the polynomial level, where
+an exact division fails.  Admissibility at a horizon is necessary, never
 sufficient, for the infinite statement; results record the horizon.
 """
 
@@ -174,10 +176,12 @@ def _affine_parts(A: ConformalAlgebra, i: int, scale: Scalar) -> tuple[Scalar, S
 
 
 def profile_from_table(A: ConformalAlgebra) -> GradedProfile:
-    """Extract (a_i, b_i, degree choices) and validate the two degree relations.
+    """Extract (a_i, b_i, degree choices) and validate the degree relation.
 
-    The grade-0 generator is normalized first: p_{0,0} = u*(d+2l) is allowed
-    and all p_{0,i} are read after dividing by u (rescaling L_0 by 1/u).
+    The relation deg p_{i,j} = a_i + a_j - a_{i+j} - 1 includes, at i = 1,
+    the row-one step a_{j+1} = a_1 + a_j - 1 - deg p_{1,j}.  The grade-0
+    generator is normalized first: p_{0,0} = u*(d+2l) is allowed and all
+    p_{0,i} are read after dividing by u (rescaling L_0 by 1/u).
     """
     _require_graded(A)
     scale = _virasoro_scale(A)
@@ -208,16 +212,6 @@ def profile_from_table(A: ConformalAlgebra) -> GradedProfile:
             if Scalar(deg) != expected:
                 raise MalformedBracket(
                     f"deg p_{{{i},{j}}} = {deg} but a_{i}+a_{j}-a_{i+j}-1 = {expected}"
-                )
-    for j in range(n):
-        deg = deg_choices.get((1, j))
-        if deg is None:
-            continue
-        if 1 in a_seq and j in a_seq and j + 1 in a_seq:
-            expected = a_seq[1] + a_seq[j] - ONE - Scalar(deg)
-            if a_seq[j + 1] != expected:
-                raise MalformedBracket(
-                    f"a_{j+1} = {a_seq[j+1]} but a_1+a_{j}-1-deg p_{{1,{j}}} = {expected}"
                 )
     return GradedProfile(a_seq, b_seq, deg_choices)
 
@@ -277,8 +271,9 @@ class _Scan:
     A search node is the value sequence a_1..a_h and the candidate table
     for all pairs with index sum <= h, row one p_{1,j} for j < h included.
     Extending to h+1 builds a new table with the new diagonal, accepted
-    only if skew and Jacobi hold on everything the new entries make
-    checkable; the parent's table is never changed.
+    only if every entry the Jacobi recursion forces exists and agrees with
+    the skew image of row one; skew and Jacobi then hold on the new grade
+    by construction (see _extend).  The parent's table is never changed.
     """
 
     def __init__(self, a1: Scalar, horizon: int):
@@ -341,66 +336,12 @@ class _Scan:
     def _initial_table(self) -> dict[tuple[int, int], MultiPoly]:
         """Grades 0 and 1: p_{0,0} = d + 2l and p_{0,1} = d + a_1 l with its skew image.
 
-        Nothing here needs checking: _check_new_grade compares no pair and
-        tests no triple at h = 0 or 1, for the reasons its docstring gives.
+        Skew and Jacobi hold here, the base of the induction in _extend:
+        J(0, 0, 0) and J(0, 0, 1) are the identities of the Virasoro
+        algebra and of its module d + a_1 l, which hold for every slope.
         """
         p01 = D + self.a1 * L
         return {(0, 0): D + 2 * L, (0, 1): p01, (1, 0): skew_image(p01)}
-
-    def _check_new_grade(self, table, h: int) -> bool:
-        """Skew and Jacobi on everything with index sum == h that _extend did not force.
-
-        Skew is compared on the pairs (i, h - i) with 2 <= i <= h // 2 only.
-        skew_image is an involution, so (i, h - i) and (h - i, i) agree or
-        disagree together.  _extend set (h, 0) and (h - 1, 1) as the skew
-        images of (0, h) and (1, h - 1), and at h = 2 the solve that picked
-        p_{1,1} imposed _skew_condition on it.
-
-        Jacobi is tested on the triples x <= y <= z with x != 1 and, when
-        x == 0, y >= 2: one per permutation orbit, less those the
-        construction makes vanish.  Write J(x, y, z)(d, l, m) for
-        jacobi_defect(entry, x, y, z).
-
-        The orbit lemma.  Skew holds on every pair of index sum <= h once
-        this grade's compared pairs pass, since the others hold by the
-        construction above, earlier grades passed the same check, and a
-        grade is refused on any skew failure first.  With skew on
-        (x, y), J(y, x, z) = -J(x, y, z)(d, m, l) (see check_jacobi).  With
-        skew on (y, z), (y, x + z) and (x + y, z), J(x, z, y) = -J(x, y, z)
-        with m -> -l-m-d: [z_m y] = -[y_{-m-d} z], and sesquilinearity of
-        the outer bracket in [x_l [y_{-m-d} z]] turns that d into d + l;
-        the other two terms trade places the same way (D'Andrea and Kac
-        1998).  Both substitutions are invertible, and the two swaps
-        generate all six orderings, so the defects of a triple's orderings
-        vanish together.
-
-        The forced triples.  For h >= 3, _extend solved each (1, y, z) with
-        y, z >= 1 for p_{y+1,z} in _recurse_entry: with that entry read as
-        zero the defect is defect0, the entry enters J(1, y, z) only as
-        -divisor * p_{y+1,z}(d, l+m), and exact_div made p_{y+1,z}(d, l+m)
-        the quotient defect0 / divisor.  So J(1, y, z) is exactly 0 on
-        every table _extend hands over, and a sorted triple with x == 1 is
-        one of these.  For h < 3 no sorted triple has x == 1.
-
-        The grade-0 triples.  J(0, 0, h) reads only p_{0,0} = d + 2l and
-        p_{0,h} = d + a_h l: it is the identity of the rank-one Virasoro
-        module d + a l, which holds for every slope a.  J(0, 1, h - 1) reads
-        p_{0,1}, p_{0,h-1}, p_{0,h} and p_{1,h-1}, exactly the four lines of
-        the intertwiner equation that _candidates solved for p_{1,h-1} (see
-        funceq), and p_{1,h-1} is a vector of that defect's exact nullspace;
-        so both vanish.  What is left, (0, y, z) with y >= 2 and the triples
-        with x >= 2, is the only Jacobi content the construction does not
-        force.
-        """
-        for i in range(2, h // 2 + 1):
-            if skew_image(table[(i, h - i)]) != table[(h - i, i)]:
-                return False
-        entry = _entry_of(table)
-        return not any(
-            jacobi_defect(entry, x, y, h - x - y)
-            for x in (0, *range(2, h // 3 + 1))
-            for y in range(max(x, 2), (h - x) // 2 + 1)
-        )
 
     def _recurse_entry(self, table, i: int, j: int) -> MultiPoly | None:
         """p_{i,j} forced by the Jacobi identity on (1, i-1, j); None if impossible.
@@ -452,7 +393,55 @@ class _Scan:
         return None
 
     def _extend(self, table, h: int, target: Scalar, p1j: MultiPoly) -> dict | None:
-        """A copy of the table with the index-sum-h diagonal added and checked, or None."""
+        """A copy of the table with the index-sum-h diagonal added, or None if it cannot be forced.
+
+        Nothing is checked afterwards: the construction forces skew and
+        Jacobi on grade h.  Write S(i, j) for algebra._skew_defect and
+        J(x, y, z)(d, l, m) for jacobi_defect(entry, x, y, z); both vanish
+        below grade h (by _initial_table, then by induction).  The
+        construction sets S(0, h) = S(1, h-1) = 0 (skew images, or
+        _skew_condition at h = 2) and J(1, y, z) = 0 for y, z >= 1
+        (_recurse_entry solved it by exact division).  J(0, 0, h) is the
+        identity of the Virasoro module d + a_h l, which holds for every
+        slope, and J(0, 1, h-1) is the intertwiner equation whose exact
+        nullspace p_{1,h-1} lies in (see funceq).  Each p_{1,j} is a nonzero
+        nullspace vector, and so is its skew image p_{j,1}; Q(i)[d, l, m]
+        has no zero divisors and the substitutions below are invertible, so
+        such an entry times a defect vanishes only with the defect.
+
+        Lemma A (skew).  For every graded sesquilinear table, skew or not,
+
+            J(x, y, z) + J(x, z, y)(d, l, -l-m-d)
+              = p_{x,y+z}(d, l) S(y, z)(d+l, m) - p_{x,z}(d+m, l) S(y, x+z)(d, m)
+                - p_{x,y}(-l-m, l) S(x+y, z)(d, l+m).
+
+        At x = 1 and y, z >= 1 with y + z = h - 1, the left side and
+        S(y, z) vanish, so p_{1,y}(-l-m, l) S(y+1, z)(d, l+m) =
+        -p_{1,z}(d+m, l) S(y, z+1)(d, m), and y = 1, ..., h-3 carry
+        S(1, h-1) = 0 to every pair of index sum h.  With skew there, the
+        six orderings of a triple vanish together: swapping the first two
+        slots is -J with l and m swapped (algebra._pair_defects), and
+        swapping the last two is -J with m -> -l-m-d (Lemma A).  So every
+        ordering of (1, y, z), (0, 0, h) and (0, 1, h-1) vanishes.
+
+        Lemma B (Jacobi).  The Jacobiator of a skew bracket is a cocycle,
+        since [X, [X, X]] = 0 (De Sole and Kac 2009).  On lines a, b, c, e,
+        with a third parameter n and the sum over the cyclic shifts of
+        (a, l), (b, m), (c, n),
+
+            J(a, b, c)(-l-m-n, l, m) p_{a+b+c,e}(d, l+m+n)
+              + sum [ p_{b,c}(-m-n, m) J(a, b+c, e)(d, l, m+n)
+                      + p_{a,b+c+e}(d, l) J(b, c, e)(d+l, m, n)
+                      - p_{a,e}(d+m+n, l) J(b, c, a+e)(d, m, n) ] = 0.
+
+        At a = 1 and (b, c, e) = (x, y, z) with x + y + z = h - 1, each
+        defect lies below grade h or has a slot equal to 1, except those of
+        the raised triples J(y, x+1, z), J(x, y+1, z) and J(x, y, z+1), each
+        times a row-one entry: where two of them vanish, so does the third.  At
+        x = 0, y = 1, ..., h-3 give J(0, y+1, h-1-y) = 0; then a triple with
+        smallest slot s >= 2 follows at x = s - 1, by induction on s.  So
+        every ordered triple of index sum h vanishes.
+        """
         table = dict(table)
         table[(0, h)] = D + target * L
         table[(h, 0)] = skew_image(table[(0, h)])
@@ -464,7 +453,7 @@ class _Scan:
             # (h-1, 1) is already set, and the forced entry must agree with it
             if p is None or table.setdefault((i, h - i), p) != p:
                 return None
-        return table if self._check_new_grade(table, h) else None
+        return table
 
 
 def scan_a1(a1, horizon: int) -> ScanResult:

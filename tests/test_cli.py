@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -196,6 +197,35 @@ def test_verify_prop36_reports_the_samples_it_skips(tmp_path, schema, capsys):
     # the two generic rows with delta_i free at each of the five default a,
     # and the three a = 1 rows with delta_i free
     assert "(20 pass, 0 fail, 13 skipped)" in capsys.readouterr().out
+
+
+def test_verify_prop36_verifies_a_repeated_sample_once(tmp_path, capsys):
+    # 3 and 6/2 are one sample, as are 1 and 2/2: the repeated form verifies
+    # the same 8 instances as the plain one, each once
+    reports = []
+    for i, samples in enumerate((["3,3,6/2", "1,1,2/2"], ["3", "1"])):
+        out = str(tmp_path / f"rows{i}.json")
+        assert cli.run(["verify-prop36", "--a-samples", samples[0], "--delta-samples", samples[1], "--json", out]) == 0
+        assert "(8 pass, 0 fail, 0 skipped)" in capsys.readouterr().out
+        reports.append(_load(out))
+    assert reports[0] == reports[1]
+
+
+def test_verify_prop36_reports_a_wrong_table_row(monkeypatch, capsys):
+    # a stated solution that is not one: exit 1, a FAIL line per sampled
+    # instance of the row, each with its witness
+    from lieconformal import funceq
+    from lieconformal.poly import D
+
+    rows = tuple(
+        dataclasses.replace(row, formula=lambda a, di: D) if row.row_id == "a-generic-k1" else row
+        for row in funceq.TABLE_ROWS
+    )
+    monkeypatch.setattr(funceq, "TABLE_ROWS", rows)
+    assert cli.run(["verify-prop36", "--a-samples", "3", "--delta-samples", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "homogeneous solution table: fail (7 pass, 1 fail, 0 skipped)" in out
+    assert "  FAIL a-generic-k1[a=3,delta_i=1]\n       solves=False dim=1 matches=False " in out
 
 
 def test_homogeneous_degree_past_the_bound_is_an_argument_error(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.algebra import (
     ConformalAlgebra,
@@ -114,6 +115,42 @@ def test_split_detects_mixed_bracket_with_annihilated_low_index():
         "acting and annihilated lines bracket nontrivially: "
         "-2*d^2 - 6*d*l - 3*d*m - 3*l*m - m^2",
     )
+
+
+def _three_lines(p01, p02, p11):
+    """Grades 0..2 with p_{0,0} = d + 2l and the given p_{0,1}, p_{0,2}, p_{1,1}; zero entries unset."""
+    table = {(0, 0): {0: D + 2 * L}}
+    for (i, j), p in (((0, 1), p01), ((0, 2), p02), ((1, 1), p11)):
+        if p:
+            table[(i, j)] = {i + j: p}
+            if i != j:
+                table[(j, i)] = {i + j: _skew(p)}
+    return ConformalAlgebra(("L0", "L1", "L2"), table, grades={0: 0, 1: 1, 2: 2}, truncation=2)
+
+
+@pytest.mark.parametrize("acting, message", [
+    # grade 0 acts on L1 but not on L2, and [L1 _l L1] lands on L2
+    (1, "acting indices not closed under addition"),
+    # grade 0 acts on L2 but not on L1, and [L1 _l L1] lands on L2
+    (2, "annihilated lines do not form a subalgebra"),
+])
+def test_split_detects_a_bracket_leaving_its_part(acting, message):
+    p0 = D + 2 * L
+    A = _three_lines(p0 if acting == 1 else None, p0 if acting == 2 else None, D + 2 * L)
+    I0, I1, rep = split_I0_I1(A)
+    assert I0 == [0, acting] and I1 == [3 - acting]
+    [item] = rep.failures
+    assert (item.check_id, item.witnesses) == ("split(1,1)", (message,))
+
+
+def test_b_linear_skips_lines_grade_zero_does_not_act_on():
+    # grade 0 annihilates L1, so b(1) is skipped and b(2) has nothing to compare against
+    rep = check_b_linear(_three_lines(None, D + 2 * L + MultiPoly.const(5), D + 2 * L))
+    assert rep.passed
+    assert [(c.check_id, c.witnesses) for c in rep.skipped] == [
+        ("b(1)", ("grade 0 does not act",)),
+        ("b(2)", ("no grade-one line to compare against",)),
+    ]
 
 
 def test_split_requires_virasoro_at_zero():
@@ -316,85 +353,223 @@ def test_scan_grid_at_horizon_twelve():
     assert admissible == {"1", "2"}
 
 
+def _extended_grades(monkeypatch, grid, horizon):
+    """Scan the grid: its results, and (table, h) for every table _extend returned."""
+    extended = []
+    extend = _Scan._extend
+
+    def recording(self, table, h, target, p1j):
+        out = extend(self, table, h, target, p1j)
+        if out is not None:
+            extended.append((out, h))
+        return out
+
+    monkeypatch.setattr(_Scan, "_extend", recording)
+    return scan_grid(grid, horizon), extended
+
+
+def _grade_holds(table, h):
+    """Skew on every ordered pair and a zero Jacobi defect on every ordered triple of index sum h."""
+    entry = _entry_of(table)
+    return all(skew_image(table[(i, h - i)]) == table[(h - i, i)] for i in range(h + 1)) and not any(
+        jacobi_defect(entry, x, y, h - x - y) for x in range(h + 1) for y in range(h + 1 - x)
+    )
+
+
+def _assert_every_extended_grade_holds(monkeypatch, grid, horizon):
+    """The conclusion of the proof in _Scan._extend on every table it returns, then each witness's full check."""
+    results, extended = _extended_grades(monkeypatch, grid, horizon)
+    for table, h in extended:
+        assert _grade_holds(table, h), h
+    for r in results:
+        if r.admissible:
+            assemble_witness_algebra(r)  # raises unless check_algebra passes
+    return extended
+
+
 @pytest.mark.parametrize("horizon", [8, 10])
 def test_forced_triples_vanish_on_every_checked_grade(monkeypatch, horizon):
-    # the grade check skips each (1, y, z): _extend solved it for p_{y+1,z},
-    # so its defect must already be zero on every table handed to the check
-    checked = []
-    check = _Scan._check_new_grade
-
-    def recording(self, table, h):
-        checked.append((table, h))
-        return check(self, table, h)
-
-    monkeypatch.setattr(_Scan, "_check_new_grade", recording)
-    scan_grid(default_grid(6), horizon)
-    forced = [(table, h, y) for table, h in checked for y in range(1, h - 1)]
+    # the premises the proof in _extend takes from the construction: each
+    # (1, y, z) with y, z >= 1 was solved for p_{y+1,z}, so its defect is
+    # exactly zero, and every row-one entry is a nonzero nullspace vector
+    _, extended = _extended_grades(monkeypatch, default_grid(6), horizon)
+    forced = [(table, h, y) for table, h in extended for y in range(1, h - 1)]
     for table, h, y in forced:
         assert not jacobi_defect(_entry_of(table), 1, y, h - 1 - y), (h, y)
+    assert all(table[(1, j)] for table, h in extended for j in range(1, h))
     assert len(forced) > 100
 
 
 @pytest.mark.parametrize("horizon", [8, 10])
 def test_grade_zero_triples_and_unchecked_skew_hold_on_every_checked_grade(monkeypatch, horizon):
-    # the grade check tests neither J(0, 0, h) nor J(0, 1, h - 1), and
-    # compares skew only on (i, h - i) with 2 <= i <= h // 2: on every table
-    # handed to it those triples vanish, the pairs _extend built are skew,
-    # and each pair is skew exactly when its mirror is
-    checked = []
-    check = _Scan._check_new_grade
-
-    def recording(self, table, h):
-        checked.append((table, h))
-        return check(self, table, h)
-
-    monkeypatch.setattr(_Scan, "_check_new_grade", recording)
-    scan_grid(default_grid(6), horizon)
-    for table, h in checked:
-        entry = _entry_of(table)
-        assert not jacobi_defect(entry, 0, 0, h), h
-        assert not jacobi_defect(entry, 0, 1, h - 1), h
-        skew = [skew_image(table[(i, h - i)]) == table[(h - i, i)] for i in range(h + 1)]
-        assert skew[0] and skew[1] and skew[h - 1] and skew[h], h
-        assert skew == skew[::-1], h
-    assert {h for _, h in checked} == set(range(2, horizon + 1))
+    # nothing checks a table after _extend: J(0, 0, h), J(0, 1, h - 1), the
+    # skew pairs _extend built and every other ordered pair and triple of
+    # the new grade hold on every table it returns
+    extended = _assert_every_extended_grade_holds(monkeypatch, default_grid(6), horizon)
+    assert {h for _, h in extended} == set(range(2, horizon + 1))
 
 
 def test_grade_check_refuses_a_jacobi_failure_that_skew_allows():
-    # no grid extension fails Jacobi after skew, so a hand-made table shows
-    # the check still tests it: a self-skew term of the wrong degree added
-    # to p_{2,2} breaks the grade-0 action on (0, 2, 2) only
+    # no table _extend returns fails the oracle above, so a hand-made one
+    # shows that it still catches a failure: a self-skew term of the wrong
+    # degree added to p_{2,2} breaks the grade-0 action on (0, 2, 2) only
     table = dict(scan_a1(Scalar(2), 4).table)
-    scan = _Scan(Scalar(2), 4)
-    assert scan._check_new_grade(table, 4)
+    assert _grade_holds(table, 4)
     extra = L * L + skew_image(L * L)
     table[(2, 2)] = table[(2, 2)] + extra
     assert skew_image(table[(2, 2)]) == table[(2, 2)]
     assert jacobi_defect(_entry_of(table), 0, 2, 2)
-    assert not scan._check_new_grade(table, 4)
-
-
-def _check_on_every_x_le_y(self, table, h):
-    """The grade check before the orbit reduction: skew, then Jacobi on every triple with x <= y."""
-    for i in range(h + 1):
-        if skew_image(table[(i, h - i)]) != table[(h - i, i)]:
-            return False
-    entry = _entry_of(table)
-    return not any(
-        jacobi_defect(entry, x, y, h - x - y)
-        for x in range(h // 2 + 1)
-        for y in range(x, h + 1 - x)
-    )
+    assert not _grade_holds(table, 4)
 
 
 @pytest.mark.parametrize("horizon", [8, 12])
 def test_scan_matches_the_check_on_every_x_le_y(monkeypatch, horizon):
-    grid = default_grid(12, Fraction(0), Fraction(3))
-    orbit = scan_grid(grid, horizon)
-    monkeypatch.setattr(_Scan, "_check_new_grade", _check_on_every_x_le_y)
-    full = scan_grid(grid, horizon)
-    assert [r.to_dict() for r in orbit] == [r.to_dict() for r in full]
-    assert [r.table for r in orbit] == [r.table for r in full]
+    # the scan's verdicts are those of a full check of each new grade,
+    # since that check refuses none of the tables _extend returns
+    _assert_every_extended_grade_holds(monkeypatch, default_grid(12, Fraction(0), Fraction(3)), horizon)
+
+
+def test_every_extended_grade_holds_on_negative_slopes(monkeypatch):
+    extended = _assert_every_extended_grade_holds(monkeypatch, default_grid(12, Fraction(-3), Fraction(0)), 12)
+    assert len(extended) > 1000
+
+
+# -- the two identities the proof in _Scan._extend rests on ---------------------
+
+_small_dl_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)),
+    st.builds(
+        Scalar,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=-1, max_value=1, max_denominator=2),
+    ),
+    max_size=4,
+).map(MultiPoly)
+
+_PAIRS_TO_FOUR = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
+
+
+def _table_to_four(polys, skew):
+    """A graded table on grades 0..4, one polynomial per ordered pair i + j <= 4.
+
+    With skew, p_{j,i} for i < j is the skew image of p_{i,j} and p_{i,i}
+    is f plus its skew image, so skew holds on every pair.  Jacobi is not
+    imposed and mostly fails.
+    """
+    table = dict(zip(_PAIRS_TO_FOUR, polys))
+    if skew:
+        for i, j in _PAIRS_TO_FOUR:
+            if i == j:
+                table[(i, i)] = table[(i, i)] + skew_image(table[(i, i)])
+            elif i > j:
+                table[(i, j)] = skew_image(table[(j, i)])
+    return table
+
+
+def _defect(table, x, y, z):
+    return jacobi_defect(_entry_of(table), x, y, z).get(x + y + z, MultiPoly.zero())
+
+
+def _skew_defect(table, i, j):
+    return table[(i, j)] - skew_image(table[(j, i)])
+
+
+_TRIPLES_TO_FOUR = [(x, y, z) for x in range(5) for y in range(5) for z in range(5) if x + y + z <= 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_small_dl_polys, min_size=len(_PAIRS_TO_FOUR), max_size=len(_PAIRS_TO_FOUR)),
+    st.sampled_from(_TRIPLES_TO_FOUR),
+)
+def test_lemma_a_skew_defects_of_a_swapped_triple(polys, triple):
+    # J(x, y, z) + J(x, z, y)(d, l, -l-m-d) in skew defects, for a table
+    # that need not be skew
+    table = _table_to_four(polys, skew=False)
+    x, y, z = triple
+    p = lambda i, j: table[(i, j)]  # noqa: E731
+    S = lambda i, j: _skew_defect(table, i, j)  # noqa: E731
+    left = _defect(table, x, y, z) + _defect(table, x, z, y).substitute("m", -L - M - D)
+    right = (
+        p(x, y + z) * S(y, z).substitute("l", M).substitute("d", D + L)
+        - p(x, z).substitute("d", D + M) * S(y, x + z).substitute("l", M)
+        - p(x, y).substitute("d", -L - M) * S(x + y, z).substitute("l", L + M)
+    )
+    assert left == right
+
+
+# Lemma B lives in four variables, d and the parameters l, m, n of three
+# lines: a polynomial there is a dict from exponent 4-tuples to Scalars.
+
+
+def _sum4(*fs):
+    out = {}
+    for f in fs:
+        for key, c in f.items():
+            out[key] = out.get(key, ZERO) + c
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+_ONE4 = {(0, 0, 0, 0): ONE}
+_MINUS_ONE4 = {(0, 0, 0, 0): -ONE}
+
+
+def _mul4(*fs):
+    out = _ONE4
+    for f in fs:
+        acc = {}
+        for k1, c1 in out.items():
+            for k2, c2 in f.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                acc[key] = acc.get(key, ZERO) + c1 * c2
+        out = {key: c for key, c in acc.items() if not c.is_zero()}
+    return out
+
+
+def _vars4(*idx, sign=1):
+    """sign times the sum of the variables with these indices: 0 is d, then l, m and n."""
+    return {tuple(int(i == k) for i in range(4)): Scalar(sign) for k in idx}
+
+
+def _at4(p, d, l, m=None):
+    """p(d, l, m) for a MultiPoly p at four-variable polynomials; m may be left out when p is free of it."""
+    args = (d, l, m or {})
+    powers = [[_ONE4] for _ in args]
+    products = []
+    for key, c in p.terms.items():
+        for pw, arg, e in zip(powers, args, key):
+            while len(pw) <= e:
+                pw.append(_mul4(pw[-1], arg))
+        products.append(_mul4({(0, 0, 0, 0): c}, *(pw[e] for pw, e in zip(powers, key))))
+    return _sum4(*products)
+
+
+_QUADRUPLES_TO_FOUR = [(a, b, c, e) for a, b, c in _TRIPLES_TO_FOUR for e in range(5 - a - b - c)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_small_dl_polys, min_size=len(_PAIRS_TO_FOUR), max_size=len(_PAIRS_TO_FOUR)),
+    st.sampled_from(_QUADRUPLES_TO_FOUR),
+)
+def test_lemma_b_jacobiator_is_a_cocycle(polys, quadruple):
+    # the four-line identity of a skew table, with Jacobi not imposed
+    table = _table_to_four(polys, skew=True)
+    a, b, c, e = quadruple
+    p = lambda i, j: table[(i, j)]  # noqa: E731
+    J = lambda x, y, z: _defect(table, x, y, z)  # noqa: E731
+    d, l, m = _vars4(0), _vars4(1), _vars4(2)
+    terms = [_mul4(_at4(J(a, b, c), _vars4(1, 2, 3, sign=-1), l, m), _at4(p(a + b + c, e), d, _vars4(1, 2, 3)))]
+    # the cyclic shifts of (a, l), (b, m), (c, n), each parameter by its index
+    lines = [(a, 1), (b, 2), (c, 3)]
+    for s in range(3):
+        (x, u), (y, v), (z, w) = lines[s:] + lines[:s]
+        terms += [
+            _mul4(_at4(p(y, z), _vars4(v, w, sign=-1), _vars4(v)), _at4(J(x, y + z, e), d, _vars4(u), _vars4(v, w))),
+            _mul4(_at4(p(x, y + z + e), d, _vars4(u)), _at4(J(y, z, e), _vars4(0, u), _vars4(v), _vars4(w))),
+            _mul4(_MINUS_ONE4, _at4(p(x, e), _vars4(0, v, w), _vars4(u)), _at4(J(y, z, x + e), d, _vars4(v), _vars4(w))),
+        ]
+    assert _sum4(*terms) == {}
 
 
 def _candidates_at_every_degree_to_four(self, a_prev, target, k, diagonal):
