@@ -200,6 +200,11 @@ def _cmd_weights(args) -> int:
         raise InvalidStructure(f"spec has no module {args.module!r}")
     module = spec.modules[args.module]
     gen = args.gen if args.gen is not None else spec.virasoro_gen
+    if gen >= spec.algebra.n_gens:
+        raise InvalidStructure(
+            f"argument --gen: generator {gen} is past the algebra, "
+            f"whose {spec.algebra.n_gens} generators are 0 to {spec.algebra.n_gens - 1}"
+        )
     reports = weight_spaces(module, args.degree, virasoro_gen=gen)
     data = {
         "degree_bound": args.degree,
@@ -294,7 +299,11 @@ def _bound_arg(text: str) -> Fraction:
 
 
 def _parse_grid(text: str) -> list[Scalar]:
-    """The --grid value: comma-separated scalars, or denN[:lo:hi]; never empty."""
+    """The --grid value: comma-separated scalars, or denN[:lo:hi]; never empty.
+
+    A repeated slope (3/2 and 6/4 are one) is kept once, where it first
+    occurs, so no slope is scanned twice; the cap counts every value.
+    """
     too_many = f"grid {text!r} holds more than {MAX_GRID_SLOPES} slopes"
     if text.startswith("den"):
         parts = text.split(":")
@@ -318,7 +327,7 @@ def _parse_grid(text: str) -> list[Scalar]:
         raise argparse.ArgumentTypeError(f"grid {text!r} holds no slope")
     if len(grid) > MAX_GRID_SLOPES:
         raise argparse.ArgumentTypeError(too_many)
-    return grid
+    return list(dict.fromkeys(grid))
 
 
 def _samples_arg(text: str) -> tuple[Scalar, ...]:

@@ -14,8 +14,11 @@ other bracket zero: its three terms are the equation's with the sign
 flipped, so algebra.jacobi_defect computes the defect.
 
 Its top-degree shadow drops the constants; homogeneous solutions of total
-degree k are classified (for delta_i != 0) by an eight-row table, which
-verify_solution_table reproduces by sampling exact parameter grids.
+degree k are classified (for delta_i != 0) by an eight-row table.  Its
+degree range is complete: no k >= 4 has a nonzero solution at any
+parameters (proved in grading._Scan._candidates).  Its rows at k <= 3 are
+not proved for every parameter; verify_solution_table reproduces them by
+sampling exact parameter grids.
 
 Everything reduces to coefficient matching: the unknowns are the
 coefficients of f on the (d, l) monomials, each unknown's image is the

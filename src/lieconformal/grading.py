@@ -9,7 +9,10 @@ admissibility scan for the leading coefficient a_1 at a finite horizon.
 The scan builds an actual finite witness: row one of a candidate table is
 taken from the exact solver (gauge-normalized, since rescaling generators
 absorbs one scalar per grade), and higher rows are forced by the Jacobi
-identity on triples (1, i-1, j) via exact division.  A branch survives
+identity on triples (1, i-1, j) via exact division.  The row-one search is
+complete: _Scan._candidates proves that no step of degree above 3 has a
+solution, for every target, and that each step's solutions span at most
+one line.  A branch survives
 only if every forced entry exists and is consistent, and then the table
 satisfies skew and Jacobi everywhere up to the horizon: _Scan._extend
 proves that the construction forces both.  Degree bookkeeping alone is
@@ -255,14 +258,10 @@ def _entry_of(table: dict[tuple[int, int], MultiPoly], unknown: tuple[int, int] 
     return entry
 
 
-# Row-one steps to a nonzero target try the degrees of the classification
-# table, which covers delta_i != 0: the bound is its largest k.
+# Row-one steps try the degrees of the classification table: no degree past
+# its largest k has a solution at any parameters, zero target included, by
+# the proof in _Scan._candidates.
 _MAX_STEP_DEGREE = max(row.k for row in TABLE_ROWS)
-# At a zero-target step the degree-offset row, proved for every degree in
-# _Scan._candidates, leaves the one degree t = a_1 + a_prev - 1.  The
-# classification table covers delta_i != 0 only and does not say whether t
-# has a solution, so the cap drops exactly the steps with t > 4, unsearched.
-_ZERO_TARGET_DEGREE_CAP = 4
 
 
 class _Scan:
@@ -282,7 +281,6 @@ class _Scan:
         self.a1 = a1
         self.horizon = horizon
         self.best_depth = 1
-        self.unexplored_mixtures = False
         self._solver_cache: dict = {}
 
     def _candidates(self, a_prev: Scalar, target: Scalar, k: int, diagonal: bool) -> tuple[MultiPoly, ...]:
@@ -302,25 +300,75 @@ class _Scan:
         _skew_condition only add rows.  For the scan the offset is
         a_1 + a_prev - 1 - target minus the degree, which vanishes at k only.
 
-        A zero-target step therefore solves at the one degree
-        t = k = a_1 + a_prev - 1 when t <= _ZERO_TARGET_DEGREE_CAP, and has
-        no candidates past the cap.
+        No degree k >= 4 has a nonzero solution at any (a, delta_i) in C^2,
+        so _steps tries k <= _MAX_STEP_DEGREE = 3 only, for a zero target
+        too.  Let delta_j = delta_i + k + 1 - a, the offset row's value, and
+        write the defect (funceq._defect_intertwiner) as
+
+            E(f) = ((a-1)l - m) f(d, l+m) - f(d+l, m) (d + delta_i l)
+                   + (d + m + delta_j l) f(d, m),
+
+        with c the coefficient of d^k in f and C(n, s) a binomial.
+
+        Lemma C (m = 0).  E(f)(d, l, 0) = (a-1) l f(d, l) - c l F(d, l),
+        where l F = (d+l)^k (d + delta_i l) - (d + delta_j l) d^k.  So for
+        a != 1, f = c F / (a-1): the space has dimension <= 1, and it is
+        zero unless E(F) = 0.
+
+        Case a != 1, delta_i != 0.  F(0, l) = delta_i l^k and
+        m F(l, m) = (l+m)^k (l + delta_i m) - (l + delta_j m) l^k.  Put d = 0
+        in E(F): for 0 < s < k, the coefficient of l^{k+1-s} m^s is
+        delta_i [(a-1) C(k, s) - C(k, s-1) - C(k, s+1) - delta_i C(k, s)]
+        = delta_i C(k, s) [(a - 1 - delta_i) - phi(s)], with
+        phi(s) = s/(k+1-s) + (k-s)/(s+1); delta_j reaches only s = 0, k and
+        k + 1.  Both s = 1 and s = 2 vanish only if phi(1) = phi(2), and
+        phi(1) - phi(2) = (k-3)(k+1)(k+2) / (6k(k-1)), which is not zero
+        for k >= 4.
+
+        Case a != 1, delta_i = 0 (a zero target).  Now d divides F, and
+        F = d l^{k-1} mod d^2, while F(l, m) = sum_{j=1..k} C(k, j)
+        l^{k+1-j} m^{j-1} - delta_j l^k.  For 0 < s < k - 1, the coefficient
+        of d l^{k-s} m^s in E(F) is (a-1) C(k-1, s) - C(k-1, s-1)
+        - C(k, s+1), which the third term does not reach.  Its roots in a at
+        s = 1 and s = 2 are 1 + 1/(k-1) + k/2 and 1 + 2/(k-2) + k/3, and
+        they differ by k(k-4)(k+1) / (6(k-2)(k-1)), which is not zero for
+        k >= 5.  At k = 4 both coefficients are 3a - 10, while the one of
+        d^2 l^2 m is 2(4a - 15): 8(a-1) - 4 from the first term and -18
+        from the second.  They have no common root.
+
+        Case a = 1.  At m = 0, E(f) = -c l F, whose coefficients of l^{k+1}
+        and d^{k-1} l^2 are -delta_i c and -(C(k, 2) + k delta_i) c.  For
+        k >= 2 they force c = 0, so f = l h, and E(l h) = m E0(h), where E0
+        is the equation at a = 0 in degree k - 1 with the same delta_i and
+        delta_j; that delta_j is that degree's offset.  If k - 1 >= 4, the
+        cases above give h = 0.  At k - 1 = 3 and delta_i != 0, the d = 0
+        slice needs -1 - delta_i = phi(1) = 4/3, so delta_i = -7/3, where
+        E0(F) = 10/3 d l^2 m; at delta_i = 0 the s = 1 coefficient is
+        2(a-1) - 4, which needs a = 3, not 0.
+
+        Consequence 1: the step bound.  No step of degree past 3 has a
+        candidate, whatever its target, so the scan drops no step unsearched.
+
+        Consequence 2: no mixtures.  Every space solved here has dimension
+        <= 1: by Lemma C at a != 1; at a = 1 and k >= 2 because f = l h
+        with h in a space at a = 0; and trivially at k = 0.  At a = k = 1
+        the coefficient -delta_i c of l^2 forces c = 0 unless delta_i = 0,
+        which leaves (a, delta_i, delta_j, k) = (1, 0, 1, 1), with basis d
+        and l.  The scan reaches it only at a_1 = a_prev = 1.  With a_1 = 1
+        every target is a_prev - k, so targets never rise, and a_2 = 1
+        needs a constant p_{1,1}, whose skew image is its negative, so
+        _skew_condition kills it.  So a_prev = 1 only at depth 1, where
+        _skew_condition leaves d/2 + l alone.  Each step thus has at most
+        one candidate, up to the scalar that rescaling L_h absorbs, and the
+        search tries them all.
         """
         key = (a_prev, target, k, diagonal)
         hit = self._solver_cache.get(key)
-        if hit is not None:
-            return hit
-        result: tuple[MultiPoly, ...] = ()
-        if not target.is_zero() or k <= _ZERO_TARGET_DEGREE_CAP:
+        if hit is None:
             inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, k, homogeneous_degree=k)
             extra = (_skew_condition,) if diagonal else ()
-            result = _solve_by_matching(inst, _defect_intertwiner, extra).basis
-            if target.is_zero() and len(result) > 1:
-                # several independent solutions at one degree: basis elements
-                # are tried individually, mixtures are not enumerated
-                self.unexplored_mixtures = True
-        self._solver_cache[key] = result
-        return result
+            hit = self._solver_cache[key] = _solve_by_matching(inst, _defect_intertwiner, extra).basis
+        return hit
 
     def run(self) -> ScanResult:
         if not self.a1.is_real():
@@ -363,14 +411,13 @@ class _Scan:
         return -collapsed
 
     def _steps(self, a_prev: Scalar) -> list[tuple[int, Scalar]]:
-        """Row-one steps (k, a_{j+1}) from a_j = a_prev; each target occurs once."""
+        """Row-one steps (k, a_{j+1}) from a_j = a_prev; each target occurs once.
+
+        No degree past _MAX_STEP_DEGREE has a solution, whatever the target
+        (see _candidates), so these steps are the whole search.
+        """
         label = self.a1 + a_prev - ONE
-        steps = [(k, label - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
-        k = label.as_int()
-        if k is not None and k > _MAX_STEP_DEGREE:
-            # a drop to the unclassified zero weight from beyond the table cap
-            steps.append((k, ZERO))
-        return steps
+        return [(k, label - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
 
     # -- the search ----------------------------------------------------------
 

@@ -362,6 +362,12 @@ def parse_spec(text: str) -> SpecFile:
         modules[mod_name] = _module_section(basis, pairs, algebra)
     virasoro_gen = 0
     if "virasoro_gen" in algebra_pairs:
-        lineno, value, _ = algebra_pairs["virasoro_gen"]
+        lineno, value, column = algebra_pairs["virasoro_gen"]
         virasoro_gen = _count(value, lineno, "virasoro_gen")
+        if virasoro_gen >= algebra.n_gens:
+            raise ParseError(
+                f"virasoro_gen {virasoro_gen} is past the algebra, whose "
+                f"{algebra.n_gens} generators are 0 to {algebra.n_gens - 1}",
+                lineno, column,
+            )
     return SpecFile(algebra, modules, virasoro_gen)

@@ -135,6 +135,21 @@ def test_weights_refuses_a_non_triangular_window(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+
+def test_weights_refuses_a_generator_past_the_algebra(tmp_path, capsys):
+    # the spec's virasoro_gen is refused on its line, --gen by its argument;
+    # both named the missing action matrix's KeyError before
+    spec = _write(tmp_path, "vir.lca", VIR_SPEC.replace("grades = 0", "grades = 0\nvirasoro_gen = 5"))
+    assert cli.run(["weights", spec, "--module", "M", "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "virasoro_gen 5 is past the algebra" in err and "(line 5, column 16)" in err
+    spec = _write(tmp_path, "vir.lca", VIR_SPEC)
+    assert cli.run(["weights", spec, "--module", "M", "--degree", "2", "--gen", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --gen: generator 7") and "1 generators" in err
+    assert "Traceback" not in err and "action matrix" not in err
+    assert cli.run(["weights", spec, "--module", "M", "--degree", "2", "--gen", "0"]) == 0
+
 def test_annih_check(tmp_path, schema):
     spec = _write(tmp_path, "vir.lca", VIR_SPEC)
     out = str(tmp_path / "annih.json")
@@ -261,6 +276,21 @@ def test_scan_grid_argument(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "argument --grid" in err and "Traceback" not in err
 
+
+
+def test_scan_a1_scans_a_repeated_slope_once(tmp_path, capsys):
+    once, twice = str(tmp_path / "once.json"), str(tmp_path / "twice.json")
+    assert cli.run(["scan-a1", "--grid", "3/2", "--horizon", "8", "--json", once]) == 0
+    capsys.readouterr()
+    assert cli.run(["scan-a1", "--grid", "3/2,6/4", "--horizon", "8", "--json", twice]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("a1 =")]
+    assert lines == ["a1 = 3/2: rejected"]
+    assert _load(twice)["data"]["results"] == _load(once)["data"]["results"]
+    # the cap counts every value, repeats included
+    at_cap = ",".join(["2"] * cli.MAX_GRID_SLOPES)
+    assert cli._parse_grid(at_cap) == [cli._parse_grid("2")[0]]
+    with pytest.raises(cli.argparse.ArgumentTypeError, match="more than"):
+        cli._parse_grid(at_cap + ",2")
 
 def test_size_arguments_are_capped(tmp_path, capsys):
     spec = _write(tmp_path, "vir.lca", VIR_SPEC)

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,14 @@ from lieconformal.algebra import (
     map_virasoro_poly,
     skew_image,
 )
-from lieconformal.funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _solve_by_matching
+from lieconformal.funceq import (
+    TABLE_ROWS,
+    FuncEqInstance,
+    _defect_intertwiner,
+    _proportional,
+    _solve_by_matching,
+    solve_homogeneous,
+)
 from lieconformal.grading import (
     HypothesisViolated,
     MalformedBracket,
@@ -31,7 +39,7 @@ from lieconformal.grading import (
     scan_grid,
     split_I0_I1,
 )
-from lieconformal.poly import D, L, M, MultiPoly
+from lieconformal.poly import D, L, M, MultiPoly, exact_div
 from lieconformal.scalars import I, ONE, Scalar, ZERO, sc
 
 
@@ -572,11 +580,11 @@ def test_lemma_b_jacobiator_is_a_cocycle(polys, quadruple):
     assert _sum4(*terms) == {}
 
 
-def _candidates_at_every_degree_to_four(self, a_prev, target, k, diagonal):
-    """_candidates before the degree-offset row: a zero-target step solves at each degree 0..4."""
+def _candidates_at_every_degree_to_eight(self, a_prev, target, k, diagonal):
+    """_candidates before the degree-offset row and the step bound: a zero target solves at each degree 0..8."""
     key = (a_prev, target, k, diagonal)
     if key not in self._solver_cache:
-        degrees = range(5) if target.is_zero() else (k,)
+        degrees = range(9) if target.is_zero() else (k,)
         extra = (_skew_condition,) if diagonal else ()
         basis = []
         for t in degrees:
@@ -588,21 +596,31 @@ def _candidates_at_every_degree_to_four(self, a_prev, target, k, diagonal):
 
 @pytest.mark.parametrize("horizon", [8, 12])
 def test_scan_matches_the_candidates_at_every_degree_to_four(monkeypatch, horizon):
+    # the oracle adds the zero-target step past degree 3 that the scan
+    # dropped before the proof in _Scan._candidates, and solves every
+    # zero-target step at each degree to 8
     grid = default_grid(12, Fraction(0), Fraction(3))
     one = scan_grid(grid, horizon)
     zero_steps = []
+    steps = _Scan._steps
+
+    def with_the_zero_target(self, a_prev):
+        label = (self.a1 + a_prev - ONE).as_int()
+        beyond = [(label, ZERO)] if label is not None and label > _MAX_STEP_DEGREE else []
+        return steps(self, a_prev) + beyond
 
     def recording(self, a_prev, target, k, diagonal):
         if target.is_zero():
             zero_steps.append(k)
-        return _candidates_at_every_degree_to_four(self, a_prev, target, k, diagonal)
+        return _candidates_at_every_degree_to_eight(self, a_prev, target, k, diagonal)
 
+    monkeypatch.setattr(_Scan, "_steps", with_the_zero_target)
     monkeypatch.setattr(_Scan, "_candidates", recording)
-    five = scan_grid(grid, horizon)
-    assert [r.to_dict() for r in one] == [r.to_dict() for r in five]
-    assert [r.table for r in one] == [r.table for r in five]
-    # zero-target steps below and past the cap were both searched
-    assert min(zero_steps) <= 4 < max(zero_steps)
+    oracle = scan_grid(grid, horizon)
+    assert [r.to_dict() for r in one] == [r.to_dict() for r in oracle]
+    assert [r.table for r in one] == [r.table for r in oracle]
+    # the oracle searched zero-target steps the scan never tries, past degree 4
+    assert min(zero_steps) <= _MAX_STEP_DEGREE < 4 < max(zero_steps)
 
 
 def test_default_grid_contents():
@@ -615,23 +633,191 @@ def test_default_grid_contents():
 
 def test_step_bound_is_the_tables_top_degree():
     assert _MAX_STEP_DEGREE == max(row.k for row in TABLE_ROWS) == 3
-    # a_1 = 2 and a_prev = 3: the table's degrees 0..3, then the zero-target step at 4
-    assert [k for k, _ in _Scan(sc(2), 4)._steps(sc(3))] == [0, 1, 2, 3, 4]
+    # degrees 0..3 at every a_prev, integer labels past 3 included: no
+    # zero-target step past the table (see _Scan._candidates)
+    scan = _Scan(sc(2), 4)
+    for a_prev in (sc(-5), ZERO, sc("1/2"), sc(3), sc(4), sc(30), sc("7/3")):
+        assert [k for k, _ in scan._steps(a_prev)] == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("k, solves", [(4, True), (5, False)])
-def test_zero_target_step_solves_up_to_degree_four_only(monkeypatch, k, solves):
-    # the cap is pinned, not read from grading: a zero-target step at degree 4
-    # reaches the solver, and one at degree 5 is dropped unsearched
-    calls = []
+# -- the proof in _Scan._candidates: no row-one step past degree 3 -------------
+#
+# delta_j is the degree-offset row's delta_i + k + 1 - a throughout, E is
+# funceq._defect_intertwiner, and l F = (d+l)^k (d + delta_i l) - (d + delta_j l) d^k.
 
-    def recording(inst, defect, extra_conditions=()):
-        calls.append(inst.homogeneous_degree)
-        return _solve_by_matching(inst, defect, extra_conditions)
 
-    monkeypatch.setattr("lieconformal.grading._solve_by_matching", recording)
-    # a_1 = 2 and a_prev = k - 1, so k = a_1 + a_prev - 1 is the step's degree
-    result = _Scan(sc(2), 8)._candidates(sc(k - 1), ZERO, k, False)
-    assert calls == ([k] if solves else [])
-    if not solves:
-        assert result == ()
+def _offset_delta_j(a, delta_i, k):
+    return delta_i + sc(k + 1) - a
+
+
+def _E(a, delta_i, k, f):
+    return _defect_intertwiner(FuncEqInstance(a, ZERO, delta_i, ZERO, _offset_delta_j(a, delta_i, k), ZERO, k), f)
+
+
+def _F(a, delta_i, k):
+    delta_j = _offset_delta_j(a, delta_i, k)
+    return exact_div((D + L) ** k * (D + delta_i * L) - (D + delta_j * L) * D**k, L)
+
+
+def _coeff(p, d, l, m):
+    return p.terms.get((d, l, m), ZERO)
+
+
+def _phi(k, s):
+    return Fraction(s, k + 1 - s) + Fraction(k - s, s + 1)
+
+
+def _zero_target_root(k, s):
+    """The a at which the d l^{k-s} m^s coefficient of E(F) vanishes at delta_i = 0."""
+    return 1 + Fraction(comb(k - 1, s - 1) + comb(k, s + 1), comb(k - 1, s))
+
+
+def _monomials_of_degree(k):
+    return [D**p * L ** (k - p) for p in range(k + 1)]
+
+
+_A_OFF_ONE = (ZERO, sc("7/3"), sc(-2), sc("1/2"))
+_NONZERO_DELTAS = (ONE, sc("-2/5"), sc(3))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_lemma_c_the_defect_at_m_zero(k):
+    # E(f)(d, l, 0) = (a - 1) l f - c l F, with c the d^k coefficient of f
+    for a in (*_A_OFF_ONE, ONE):
+        for delta_i in (ZERO, *_NONZERO_DELTAS):
+            lF = L * _F(a, delta_i, k)
+            for f in _monomials_of_degree(k):
+                c = f.terms.get((k, 0, 0), ZERO)
+                at_m_zero = _E(a, delta_i, k, f).substitute("m", MultiPoly.zero())
+                assert at_m_zero == (a - ONE) * L * f - lF * c
+
+
+# (a, delta_i, k) off a = 1 where a solution exists: the rows of the table
+# at k <= 3, and the zero target at k = 3, which needs a = 3
+_SOLVED_OFF_A_ONE = [
+    (sc(3), sc(-2), 0), (sc("1/2"), ZERO, 0), (sc(3), sc(-2), 1), (sc(-1), ZERO, 1),
+    (sc(3), ONE, 2), (sc(2), ZERO, 2), (sc("5/3"), sc("-2/3"), 3), (sc(3), ZERO, 3),
+]
+
+
+@pytest.mark.parametrize("a, delta_i, k", _SOLVED_OFF_A_ONE)
+def test_lemma_c_a_solution_off_a_one_is_a_multiple_of_F(a, delta_i, k):
+    basis = solve_homogeneous(a, delta_i, _offset_delta_j(a, delta_i, k), k).basis
+    assert len(basis) == 1 and _proportional(basis[0], _F(a, delta_i, k))
+    assert _E(a, delta_i, k, _F(a, delta_i, k)).is_zero()
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_lemma_c_dimension_at_most_one_off_a_one(k):
+    for a in _A_OFF_ONE:
+        for delta_i in (ZERO, *_NONZERO_DELTAS, a - sc(2)):
+            basis = solve_homogeneous(a, delta_i, _offset_delta_j(a, delta_i, k), k).basis
+            assert len(basis) <= 1
+            assert all(_proportional(f, _F(a, delta_i, k)) for f in basis)
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_the_d_zero_slice_at_a_nonzero_delta_i(k):
+    # the l^{k+1-s} m^s coefficient of E(F) is delta_i C(k, s) [(a - 1 - delta_i) - phi(s)]
+    for a in _A_OFF_ONE:
+        for delta_i in _NONZERO_DELTAS:
+            defect = _E(a, delta_i, k, _F(a, delta_i, k))
+            for s in range(1, k):
+                expected = delta_i * sc(comb(k, s)) * (a - ONE - delta_i - sc(_phi(k, s)))
+                assert _coeff(defect, 0, k + 1 - s, s) == expected, s
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_the_linear_in_d_coefficients_at_a_zero_target(k):
+    # the d l^{k-s} m^s coefficient of E(F) is (a-1) C(k-1, s) - C(k-1, s-1) - C(k, s+1)
+    for a in _A_OFF_ONE:
+        defect = _E(a, ZERO, k, _F(a, ZERO, k))
+        for s in range(1, k - 1):
+            expected = (a - ONE) * sc(comb(k - 1, s)) - sc(comb(k - 1, s - 1) + comb(k, s + 1))
+            assert _coeff(defect, 1, k - s, s) == expected, s
+            assert expected.is_zero() == (a == sc(_zero_target_root(k, s)))
+
+
+def test_the_zero_target_at_degree_four():
+    # the s = 1 and s = 2 coefficients are both 3a - 10, and the d^2 l^2 m one is 2(4a - 15)
+    for a in (*_A_OFF_ONE, sc("10/3"), sc("15/4")):
+        defect = _E(a, ZERO, 4, _F(a, ZERO, 4))
+        assert _coeff(defect, 1, 3, 1) == _coeff(defect, 1, 2, 2) == sc(3) * a - sc(10)
+        assert _coeff(defect, 2, 2, 1) == sc(2) * (sc(4) * a - sc(15))
+
+
+def test_the_closed_forms_do_not_vanish_past_degree_three():
+    for k in range(4, 201):
+        gap = _phi(k, 1) - _phi(k, 2)
+        assert gap == Fraction((k - 3) * (k + 1) * (k + 2), 6 * k * (k - 1)) != 0
+        assert _zero_target_root(k, 1) == 1 + Fraction(1, k - 1) + Fraction(k, 2)
+        assert _zero_target_root(k, 2) == 1 + Fraction(2, k - 2) + Fraction(k, 3)
+        root_gap = _zero_target_root(k, 1) - _zero_target_root(k, 2)
+        assert root_gap == Fraction(k * (k - 4) * (k + 1), 6 * (k - 2) * (k - 1))
+        assert (root_gap != 0) == (k >= 5)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_at_a_one_a_solution_is_l_times_one_at_a_zero(k):
+    delta_j = lambda delta_i: _offset_delta_j(ONE, delta_i, k)  # noqa: E731
+    for delta_i in (ZERO, sc(-2), ONE, sc("-7/3"), sc("5/2")):
+        # the l^{k+1} and d^{k-1} l^2 coefficients of l F force c = 0
+        lF = L * _F(ONE, delta_i, k)
+        assert _coeff(lF, 0, k + 1, 0) == delta_i
+        assert _coeff(lF, k - 1, 2, 0) == sc(comb(k, 2)) + sc(k) * delta_i
+        # the offset of degree k at a = 1 is that of degree k - 1 at a = 0
+        assert delta_j(delta_i) == _offset_delta_j(ZERO, delta_i, k - 1)
+        for h in _monomials_of_degree(k - 1):
+            at_zero = _defect_intertwiner(FuncEqInstance(ZERO, ZERO, delta_i, ZERO, delta_j(delta_i), ZERO, k - 1), h)
+            assert _E(ONE, delta_i, k, L * h) == M * at_zero
+        at_one = solve_homogeneous(ONE, delta_i, delta_j(delta_i), k).basis
+        at_zero = solve_homogeneous(ZERO, delta_i, delta_j(delta_i), k - 1).basis
+        assert len(at_one) == len(at_zero) <= 1
+        assert all(_proportional(f, L * h) for f, h in zip(at_one, at_zero))
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_no_solution_past_degree_three_at_the_near_misses(k):
+    # where one of the coefficients the proof reads vanishes, another does not
+    points = [(a, a - ONE - sc(_phi(k, s))) for a in _A_OFF_ONE for s in (1, 2)]
+    points += [(sc(_zero_target_root(k, s)), ZERO) for s in (1, 2)]
+    points += [(sc("10/3"), ZERO), (sc("15/4"), ZERO)]
+    points += [(ONE, delta_i) for delta_i in (ZERO, sc(-2), ONE, sc("-7/3"), sc(-k))]
+    for a, delta_i in points:
+        assert solve_homogeneous(a, delta_i, _offset_delta_j(a, delta_i, k), k).dimension == 0, (a, delta_i)
+
+
+def test_the_degree_three_near_miss_of_the_a_one_reduction():
+    # at (a, delta_i) = (0, -7/3) both d = 0 coefficients vanish, and E(F) is 10/3 d l^2 m
+    a, delta_i = ZERO, sc("-7/3")
+    assert a - ONE - delta_i == sc(_phi(3, 1)) == sc(_phi(3, 2)) == sc("4/3")
+    assert _E(a, delta_i, 3, _F(a, delta_i, 3)) == sc("10/3") * D * L**2 * M
+    assert solve_homogeneous(a, delta_i, _offset_delta_j(a, delta_i, 3), 3).dimension == 0
+    # the zero target at degree 3 needs a = 3
+    assert _zero_target_root(3, 1) == 3
+    assert solve_homogeneous(ZERO, ZERO, _offset_delta_j(ZERO, ZERO, 3), 3).dimension == 0
+
+
+def test_the_one_plane_of_solutions_is_cut_to_a_line_by_skew():
+    # (a, delta_i, delta_j, k) = (1, 0, 1, 1) has basis d, l; the scan meets
+    # it only at a_1 = 1 and depth 1, where skew leaves d/2 + l
+    assert solve_homogeneous(ONE, ZERO, ONE, 1).basis == (D, L)
+    assert _Scan(ONE, 4)._candidates(ONE, ZERO, 1, diagonal=True) == (sc("1/2") * D + L,)
+
+
+@pytest.mark.parametrize("grid, horizon", [
+    (default_grid(12, Fraction(0), Fraction(3)), 10),
+    (default_grid(12, Fraction(-3), Fraction(0)), 8),
+])
+def test_no_step_has_two_candidates(monkeypatch, grid, horizon):
+    sizes = []
+    candidates = _Scan._candidates
+
+    def recording(self, a_prev, target, k, diagonal):
+        out = candidates(self, a_prev, target, k, diagonal)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(_Scan, "_candidates", recording)
+    scan_grid(grid, horizon)
+    assert max(sizes) == 1 and sizes.count(1) > 100

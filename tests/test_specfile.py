@@ -197,6 +197,14 @@ def test_parse_error_in_spec_entry():
     assert parse_spec(semidirect).algebra.n_gens == 3
 
 
+
+def test_virasoro_gen_past_the_algebra_is_refused_on_its_line():
+    text = VIR.replace("grades = 0", "grades = 0\nvirasoro_gen = 1")
+    with pytest.raises(ParseError, match="virasoro_gen 1 is past the algebra") as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.column) == (5, 16)
+    assert parse_spec(VIR.replace("grades = 0", "grades = 0\nvirasoro_gen = 0")).virasoro_gen == 0
+
 def test_unknown_generator():
     bad = """
 [algebra]
