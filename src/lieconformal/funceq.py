@@ -47,7 +47,7 @@ from functools import cache
 
 from .algebra import jacobi_defect
 from .linalg import nullspace
-from .poly import _ZERO_KEY, D, L, M, MultiPoly, _add_products, _reduce_sums
+from .poly import _ZERO_KEY, D, L, M, MultiPoly, _add_scaled, _reduce_sums
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
 
@@ -85,18 +85,16 @@ class SolutionBasis:
         return len(self.basis)
 
 
-def _monomials(degree_bound: int, homogeneous: int | None) -> list[tuple[int, int]]:
+@cache
+def _monomials(degree_bound: int, homogeneous: int | None) -> tuple[tuple[int, int], ...]:
     """(d, l) exponent pairs, graded-lex with d > l, restricted as requested."""
-    out = []
-    degrees = (
-        range(degree_bound + 1)
-        if homogeneous is None
-        else [homogeneous]
-    )
-    for total in degrees:
-        for ed in range(total, -1, -1):
-            out.append((ed, total - ed))
-    return out
+    degrees = range(degree_bound + 1) if homogeneous is None else [homogeneous]
+    return tuple((ed, total - ed) for total in degrees for ed in range(total, -1, -1))
+
+
+def _line(slope: Scalar, const: Scalar) -> MultiPoly:
+    """The line entry d + slope*l + const."""
+    return MultiPoly({(1, 0, 0): ONE, (0, 1, 0): slope, _ZERO_KEY: const})
 
 
 def _defect_intertwiner(inst: FuncEqInstance, f: MultiPoly) -> MultiPoly:
@@ -106,9 +104,9 @@ def _defect_intertwiner(inst: FuncEqInstance, f: MultiPoly) -> MultiPoly:
     four-line table in the module docstring.
     """
     table = {
-        (0, 1): {1: D + inst.a * L + MultiPoly.const(inst.b)},
-        (0, 2): {2: D + inst.delta_j * L + MultiPoly.const(inst.c_j)},
-        (0, 3): {3: D + inst.delta_i * L + MultiPoly.const(inst.c_i)},
+        (0, 1): {1: _line(inst.a, inst.b)},
+        (0, 2): {2: _line(inst.delta_j, inst.c_j)},
+        (0, 3): {3: _line(inst.delta_i, inst.c_i)},
         (1, 2): {3: f},
     }
     defect = jacobi_defect(lambda i, j: table.get((i, j), {}), 0, 1, 2)
@@ -128,7 +126,7 @@ def _defect_bcsx(inst: FuncEqInstance, q: MultiPoly) -> MultiPoly:
     q_lm = q.substitute("l", L + M)
     q_shift = q.substitute("d", D + M)
     q_m = q.substitute("l", M)
-    left_line = D + inst.delta_i * L + MultiPoly.const(inst.c_i)
+    left_line = _line(inst.delta_i, inst.c_i)
     right_line = D + M + inst.delta_j * L + MultiPoly.const(inst.c_j)
     return lhs_factor * q_lm - q_shift * left_line + right_line * q_m
 
@@ -157,23 +155,20 @@ def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> Sol
     """Solutions f within inst's degrees of defect(inst, f) = 0 and each extra condition.
 
     A monomial's image is its base plus value * part for each parameter
-    nonzero in inst, summed by poly._add_products and reduced once per
-    key, zero sums dropped: its keys are exactly those of
-    defect(inst, monomial).  An extra condition maps the monomial to a
-    polynomial that must vanish too.
+    nonzero in inst, summed by poly._add_scaled and reduced once per key,
+    zero sums dropped: its keys are exactly those of defect(inst,
+    monomial).  An extra condition maps the monomial to a polynomial that
+    must vanish too.
     """
     monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    # (part, its scale as a constant's terms): the base, then each parameter nonzero in inst
-    scaled_parts = [(None, {_ZERO_KEY: ONE})] + [
-        (p, {_ZERO_KEY: value})
-        for p, value in enumerate(getattr(inst, name) for name in _PARAMETERS)
-        if not value.is_zero()
-    ]
+    # (part, its scale): the base, then each parameter nonzero in inst, in _PARAMETERS order
+    values = (inst.a, inst.b, inst.delta_i, inst.c_i, inst.delta_j, inst.c_j)
+    scaled_parts = [(None, ONE)] + [(p, value) for p, value in enumerate(values) if not value.is_zero()]
     columns = []
     for ed, el in monomials:
         sums: dict = {}
         for p, scale in scaled_parts:
-            _add_products(sums, scale, _affine_part(defect, ed, el, p).terms)
+            _add_scaled(sums, scale, _affine_part(defect, ed, el, p).terms)
         column = {(0, key): coeff for key, coeff in _reduce_sums(sums).items()}
         if extra_conditions:
             mono = MultiPoly({(ed, el, 0): ONE})

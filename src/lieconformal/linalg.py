@@ -1,15 +1,20 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Reduced row echelon form with leading-one normalization; the nullspace
-basis it induces is deterministic (one vector per free column, with a 1 in
-the free position), which the golden outputs depend on.  Each pivot is
-taken from the candidate row with the fewest nonzero entries, so the cost
-of an elimination does not hang on the order of the rows; the RREF itself
-is unique and does not depend on that choice.
+Elimination runs on sparse rows, each a {column: nonzero coefficient}
+dict, and keeps the set of rows holding each column, so a pivot visits
+only the rows it clears: the cost follows the nonzero entries and their
+fill-in, never the zero cells of a dense layout.  Reduced row echelon form
+with leading-one normalization; the nullspace basis it induces is
+deterministic (one vector per free column, with a 1 in the free position),
+which the golden outputs depend on.  Each pivot is taken from the
+candidate row with the fewest nonzero entries (Markowitz's sparsest-row
+rule, 1957), the first on ties, so the cost of an elimination does not
+hang on the order of the rows; the RREF itself is unique and does not
+depend on that choice.
 
 A linear map is handed to `nullspace` as the images of its unknowns, each a
-sparse {row key: coefficient} dict, and this module alone lays them out as a
-matrix.  The RREF depends only on the row space, so a basis depends on the
+sparse {row key: coefficient} dict, and this module alone lays them out as
+rows.  The RREF depends only on the row space, so a basis depends on the
 order of the unknowns (the columns) and never on the order of the row keys,
 on repeated rows or on zero rows.
 """
@@ -21,68 +26,99 @@ from collections.abc import Hashable, Sequence
 from .scalars import ONE, Scalar, ZERO
 
 Row = list[Scalar]
+SparseRow = dict[int, Scalar]
 
 
-def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
-    """In-place-free RREF; returns (reduced rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
+    """RREF of sparse rows, which are not changed; returns (reduced rows, pivot columns).
+
+    The reduced rows come one per input row: the pivot rows in pivot
+    order, then the rows that reduced to zero, as empty dicts.
+    """
+    rows = [dict(row) for row in rows]
+    # the rows holding each column; elimination only fills in columns of a
+    # pivot row, so no column outside the input's ever gets an entry
+    holders: dict[int, set[int]] = {}
+    for index, row in enumerate(rows):
+        for col in row:
+            held = holders.get(col)
+            if held is None:
+                holders[col] = {index}
+            else:
+                held.add(index)
+    is_pivot = [False] * len(rows)
+    pivot_rows: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        # the sparsest candidate row, the first seen on ties: it spreads the
-        # fewest entries into the rows it clears, whatever the row order
-        pivot_row, fewest = None, ncols + 1
-        for rr in range(r, len(mat)):
-            if not mat[rr][c].is_zero():
-                count = sum(not x.is_zero() for x in mat[rr][c:])
-                if count < fewest:
-                    pivot_row, fewest = rr, count
-        if pivot_row is None:
+    for c in sorted(holders):
+        held = holders[c]
+        # a candidate is zero left of c, so its length counts the entries it
+        # would spread into the rows it clears; the first row on ties
+        best, fewest = None, 0
+        for index in held:
+            if not is_pivot[index]:
+                n = len(rows[index])
+                if best is None or n < fewest or (n == fewest and index < best):
+                    best, fewest = index, n
+        if best is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        row = mat[r]
-        inv = ONE / row[c]
-        # only the pivot row's nonzero entries, all at or right of c, change
-        # the rows it clears
-        support = [(j, row[j] * inv) for j in range(c, ncols) if not row[j].is_zero()]
-        for j, x in support:
-            row[j] = x
-        for rr in range(len(mat)):
-            f = mat[rr][c]
-            if rr != r and not f.is_zero():
-                target = mat[rr]
-                for j, x in support:
-                    target[j] = target[j] - f * x
+        row = rows[best]
+        inv = ONE / row.pop(c)
+        support = [(j, x * inv) for j, x in row.items()]
+        rows[best] = dict([(c, ONE), *support])
+        for index in held:
+            if index == best:
+                continue
+            target = rows[index]
+            f = -target.pop(c)
+            for j, x in support:
+                y = f * x
+                s = target.get(j)
+                if s is None:
+                    target[j] = y
+                    holders[j].add(index)
+                else:
+                    s = s + y
+                    if s.is_zero():
+                        del target[j]
+                        holders[j].discard(index)
+                    else:
+                        target[j] = s
+        holders[c] = {best}
+        is_pivot[best] = True
+        pivot_rows.append(best)
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    rest = [row for index, row in enumerate(rows) if not is_pivot[index]]
+    return [rows[index] for index in pivot_rows] + rest, pivots
 
 
 def nullspace(columns: Sequence[dict[Hashable, Scalar]]) -> list[Row]:
     """Basis of the kernel of the map sending unknown i to columns[i].
 
-    One row per key, in the order the keys are first seen; one basis
-    vector per free column of the RREF.
+    One sparse row per key, zero coefficients dropped; one basis vector
+    per free column of the RREF.
     """
     ncols = len(columns)
-    keys = dict.fromkeys(key for col in columns for key in col)
-    reduced, pivots = rref([[col.get(key, ZERO) for col in columns] for key in keys])
+    rows: dict[Hashable, SparseRow] = {}
+    for i, col in enumerate(columns):
+        for key, coeff in col.items():
+            if not coeff.is_zero():
+                rows.setdefault(key, {})[i] = coeff
+    reduced, pivots = rref(list(rows.values()))
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Row] = []
-    for free in free_cols:
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
         vec = [ZERO] * ncols
         vec[free] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][free]
+        for row, pc in zip(reduced, pivots):
+            x = row.get(free)
+            if x is not None:
+                vec[pc] = -x
         basis.append(vec)
     return basis
 
 
 def rank(rows: list[Row]) -> int:
-    return len(rref(rows)[1])
+    """Rank of dense rows."""
+    return len(rref([{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows])[1])

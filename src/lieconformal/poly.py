@@ -14,7 +14,8 @@ is the sentinel None, never -1.
 A sum of many products reduces each coefficient once: _add_products keeps
 its running sums as unreduced Gaussian-integer triples, and _reduce_sums
 divides out one gcd per coefficient at the end.  substitute uses it, and so
-do algebra.jacobi_defect and the solver's columns in funceq.  __mul__ and
+does algebra.jacobi_defect; the solver's columns in funceq sum scaled
+images with _add_scaled, the same sum without a key shift.  __mul__ and
 the divisions (exact_div and divmod_univar, which read the remainder's
 leading coefficient at every step) stay on _accumulate, which reduces
 each sum in place.  The values are the same either way, since each has one
@@ -309,8 +310,35 @@ def _add_products(sums: dict, left: dict[Key, Scalar], right: dict[Key, Scalar])
                     sums[key] = (pn * u + n * v, pm * u + m * v, pq * u)
 
 
+def _add_scaled(sums: dict, c: Scalar, terms: dict[Key, Scalar]) -> None:
+    """sums += c * (the polynomial with these terms), unreduced as in _add_products.
+
+    The same sum as _add_products(sums, {_ZERO_KEY: c}, terms), without its
+    key shift: a scaled sum of fixed polynomials, such as funceq's images,
+    needs none.
+    """
+    cn, cm, cq = c._nmq
+    get = sums.get
+    for key, b in terms.items():
+        bn, bm, bq = b._nmq
+        n = cn * bn - cm * bm
+        m = cn * bm + cm * bn
+        q = cq * bq
+        prev = get(key)
+        if prev is None:
+            sums[key] = (n, m, q)
+        else:
+            pn, pm, pq = prev
+            if pq == q:
+                sums[key] = (pn + n, pm + m, q)
+            else:
+                g = gcd(pq, q)
+                u, v = q // g, pq // g
+                sums[key] = (pn * u + n * v, pm * u + m * v, pq * u)
+
+
 def _reduce_sums(sums: dict) -> dict:
-    """The canonical Scalar of each nonzero sum that _add_products built, one gcd per key."""
+    """The canonical Scalar of each nonzero sum that _add_products or _add_scaled built, one gcd per key."""
     return {key: _reduced(n, m, q) for key, (n, m, q) in sums.items() if n or m}
 
 

@@ -1,5 +1,7 @@
 """The linear-solve interface: nullspace of a map given by sparse column images."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,14 +86,74 @@ def matrices():
     )
 
 
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if not x.is_zero()}
+
+
 @given(matrices(), st.randoms(use_true_random=False))
 def test_rref_is_the_first_nonzero_oracle_under_row_permutations(rows, rnd):
     # the RREF is unique, so the sparsest-row pivot rule changes only the cost
-    expected = _rref_first_nonzero(rows)
-    assert rref(rows) == expected
+    reduced, pivots = _rref_first_nonzero(rows)
+    expected = [_sparse(row) for row in reduced], pivots
+    assert rref([_sparse(row) for row in rows]) == expected
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    assert rref(shuffled) == expected
+    assert rref([_sparse(row) for row in shuffled]) == expected
+
+
+def _dense_nullspace(columns):
+    """The kernel basis by dense elimination with the sparsest-row pivot rule: the reference."""
+    ncols = len(columns)
+    keys = dict.fromkeys(key for col in columns for key in col)
+    mat = [[col.get(key, ZERO) for col in columns] for key in keys]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot_row, fewest = None, ncols + 1
+        for rr in range(r, len(mat)):
+            if not mat[rr][c].is_zero():
+                count = sum(not x.is_zero() for x in mat[rr][c:])
+                if count < fewest:
+                    pivot_row, fewest = rr, count
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        row = mat[r]
+        inv = ONE / row[c]
+        support = [(j, row[j] * inv) for j in range(c, ncols) if not row[j].is_zero()]
+        for j, x in support:
+            row[j] = x
+        for rr in range(len(mat)):
+            f = mat[rr][c]
+            if rr != r and not f.is_zero():
+                for j, x in support:
+                    mat[rr][j] = mat[rr][j] - f * x
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][free]
+        basis.append(vec)
+    return basis
+
+
+def gaussian_columns():
+    """Columns of Gaussian entries with explicit zeros, some rows repeated under a second key."""
+    part = st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999))
+    entry = st.one_of(st.just(ZERO), st.builds(Scalar, part, part), st.builds(Scalar, part))
+    column = st.dictionaries(st.sampled_from(KEYS), entry, max_size=len(KEYS))
+    return st.tuples(st.lists(column, max_size=7), st.lists(st.sampled_from(KEYS), max_size=3)).map(
+        lambda drawn: [{**col, **{("copy", key): col[key] for key in drawn[1] if key in col}} for col in drawn[0]]
+    )
+
+
+@given(gaussian_columns())
+def test_nullspace_matches_the_dense_reference(cols):
+    assert nullspace(cols) == _dense_nullspace(cols)
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -10,6 +10,9 @@ from lieconformal.poly import (
     L,
     M,
     MultiPoly,
+    _add_products,
+    _add_scaled,
+    _reduce_sums,
     divmod_univar,
     exact_div,
 )
@@ -336,3 +339,18 @@ def test_jacobi_defect_with_cancelling_sums_matches_the_reduced_path(A, data):
             jacobi_defect(entry, x, y, z)
         return
     assert jacobi_defect(entry, x, y, z) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_big_coeffs, st.lists(_big_polys, min_size=1, max_size=4), st.data())
+def test_add_scaled_is_add_products_with_a_constant_left_factor(c, parts, data):
+    # each part scaled by c, then the first part again scaled by -c: the
+    # sums of its keys cancel, and the unreduced triples must still agree
+    scales = [c] + [data.draw(_big_coeffs) for _ in parts[1:]] + [-c]
+    scaled, products = {}, {}
+    for scale, part in zip(scales, parts + parts[:1]):
+        _add_scaled(scaled, scale, part.terms)
+        _add_products(products, {(0, 0, 0): scale}, part.terms)
+    assert scaled == products
+    assert list(scaled) == list(products)
+    assert _reduce_sums(scaled) == _reduce_sums(products)
