@@ -161,9 +161,12 @@ def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> Sol
     must vanish too.
     """
     monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    # (part, its scale): the base, then each parameter nonzero in inst, in _PARAMETERS order
-    values = (inst.a, inst.b, inst.delta_i, inst.c_i, inst.delta_j, inst.c_j)
-    scaled_parts = [(None, ONE)] + [(p, value) for p, value in enumerate(values) if not value.is_zero()]
+    # (part, its scale): the base, then each parameter nonzero in inst
+    scaled_parts = [(None, ONE)] + [
+        (p, value)
+        for p, value in enumerate(getattr(inst, name) for name in _PARAMETERS)
+        if not value.is_zero()
+    ]
     columns = []
     for ed, el in monomials:
         sums: dict = {}

@@ -297,17 +297,6 @@ def test_scan_rejects_complex_slope():
     assert not scan_a1(I, 12).admissible
 
 
-@pytest.mark.parametrize("a1", [I, ONE + I, sc("3/2", "1/2"), Scalar(2, 1)])
-@pytest.mark.parametrize("horizon", [4, 8, 12])
-def test_non_real_slope_reports_the_depth_its_search_reaches(a1, horizon):
-    # Im a_j = j Im a_1, so every value is new and the horizon/2 bound prunes
-    scan = _Scan(a1, horizon)
-    assert scan._dfs(scan._initial_table(), [a1]) is None
-    r = scan_a1(a1, horizon)
-    assert not r.admissible
-    assert r.rejection_depth == scan.best_depth == horizon // 2
-
-
 def test_scan_is_deterministic():
     first = scan_a1(Scalar(2), 8)
     second = scan_a1(Scalar(2), 8)
