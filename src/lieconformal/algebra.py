@@ -551,7 +551,7 @@ def _has_unit(mult: MultTable) -> bool:
         for k in range(n)
     ]
     columns.append({(i, i): -ONE for i in range(n)})
-    return any(not vec[n].is_zero() for vec in nullspace(columns))
+    return any(n in vec for vec in nullspace(columns))
 
 
 def map_virasoro(

@@ -18,9 +18,10 @@ actions.  The weight spaces of the index-1 action of a chosen
 Virasoro generator are computed exactly on a finite degree filtration.
 Candidate weights are read from the diagonal of the filtration matrix, so
 no numerical eigensolver is involved.  That is exact only when the matrix
-is triangular on the window, ordered by (degree, basis index); on any
-other window `weight_spaces` raises NonTriangularWindow instead of
-dropping weights.
+is triangular on the window in some order of its unknowns: the action
+keeps the window, and the relation "the image of one unknown reaches
+another" has no cycle.  On any other window `weight_spaces` raises
+NonTriangularWindow instead of dropping weights.
 """
 
 from __future__ import annotations
@@ -230,13 +231,50 @@ class WeightReport:
         return len(self.vectors)
 
 
+def _refuse_unless_triangular(M_: ConformalModule, gen: int, degree_bound: int, images) -> None:
+    """Raise NonTriangularWindow unless the window's matrix is triangular in some order.
+
+    images maps each unknown (j, t), standing for d^t v_j, to its image
+    {(k, s): coefficient}; the unknowns it reaches are those keys, itself
+    aside.  When every reach stays in the window and the relation has no
+    cycle, a topological order makes the matrix triangular, so its diagonal
+    holds every weight.  Unknowns that reach nothing left are peeled until
+    none is left, or each one left reaches another.
+    """
+
+    def refuse(source, target, where):
+        (j, t), (k, s) = source, target
+        raise NonTriangularWindow(
+            f"the index-1 matrix of generator {gen} is not triangular on the degree "
+            f"window: d^{t} {M_.basis[j]} reaches d^{s} {M_.basis[k]}, {where}, "
+            f"so its weights need not lie on the diagonal"
+        )
+
+    left = {col: [key for key in image if key != col] for col, image in images.items()}
+    for col, keys in left.items():
+        for key in keys:
+            if key not in left:
+                refuse(col, key, f"past the degree bound {degree_bound}")
+    while peel := [col for col, keys in left.items() if not any(key in left for key in keys)]:
+        for col in peel:
+            del left[col]
+    if left:
+        # each unknown left reaches another one left, so a walk along them repeats
+        col, walked = next(iter(left)), set()
+        while col not in walked:
+            walked.add(col)
+            col = next(key for key in left[col] if key in left)
+        refuse(col, next(key for key in left[col] if key in left), "on a cycle of the window")
+
+
 def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0) -> list[WeightReport]:
     """Exact eigenspaces of the index-1 action on elements of d-degree <= the bound.
 
-    The image of each window element d^t v_j may only reach elements
-    d^s v_k with (s, k) <= (t, j); then the matrix is triangular and its
-    diagonal holds every weight.  Otherwise NonTriangularWindow is raised.
-    Weights are sorted by (real, imaginary) parts for deterministic output.
+    The image of each window element d^t v_j must stay in the window, and
+    no chain of reaches may lead from an element back to itself; then the
+    matrix is triangular in some order and its diagonal holds every weight.
+    Otherwise NonTriangularWindow is raised.  Weights are sorted by (real,
+    imaginary) parts for deterministic output.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -247,17 +285,8 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
         vec = [MultiPoly.zero()] * m
         vec[j] = MultiPoly({(t, 0, 0): ONE})
         img = module_action_n(M_, virasoro_gen, 1, vec)
-        entry: dict[tuple[int, int], Scalar] = {}
-        for k, poly in enumerate(img):
-            for key, coeff in poly.terms.items():
-                if (key[0], k) > (t, j):
-                    raise NonTriangularWindow(
-                        f"the index-1 matrix of generator {virasoro_gen} is not triangular "
-                        f"on the degree window: d^{t} {M_.basis[j]} reaches "
-                        f"d^{key[0]} {M_.basis[k]}, so its weights need not lie on the diagonal"
-                    )
-                entry[(k, key[0])] = coeff
-        images.append(entry)
+        images.append({(k, key[0]): coeff for k, poly in enumerate(img) for key, coeff in poly.terms.items()})
+    _refuse_unless_triangular(M_, virasoro_gen, degree_bound, dict(zip(cols, images)))
     candidates = []
     seen = set()
     for i, (j, t) in enumerate(cols):
@@ -277,11 +306,10 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
             continue
         vectors = []
         for coeffs in basis:
-            vec = [MultiPoly.zero()] * m
-            for (j, t), coeff in zip(cols, coeffs):
-                if not coeff.is_zero():
-                    vec[j] = vec[j] + MultiPoly({(t, 0, 0): coeff})
-            vectors.append(tuple(vec))
+            terms: list[dict] = [{} for _ in range(m)]
+            for i, coeff in coeffs.items():
+                j, t = cols[i]
+                terms[j][(t, 0, 0)] = coeff
+            vectors.append(tuple(MultiPoly(x) for x in terms))
         reports.append(WeightReport(alpha, tuple(vectors)))
     return reports
-

@@ -172,21 +172,18 @@ def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> Sol
         sums: dict = {}
         for p, scale in scaled_parts:
             _add_scaled(sums, scale, _affine_part(defect, ed, el, p).terms)
-        column = {(0, key): coeff for key, coeff in _reduce_sums(sums).items()}
+        # keyed by monomial; a condition's rows by (index, monomial), 2-tuples
+        # that never equal a 3-tuple monomial
+        column = _reduce_sums(sums)
         if extra_conditions:
             mono = MultiPoly({(ed, el, 0): ONE})
             for index, condition in enumerate(extra_conditions, 1):
                 column.update(((index, key), coeff) for key, coeff in condition(mono).terms.items())
         columns.append(column)
-    vectors = nullspace(columns)
-    basis = []
-    for vec in vectors:
-        terms = {
-            (ed, el, 0): coeff
-            for (ed, el), coeff in zip(monomials, vec)
-            if not coeff.is_zero()
-        }
-        basis.append(MultiPoly(terms))
+    basis = [
+        MultiPoly({(*monomials[i], 0): coeff for i, coeff in vec.items()})
+        for vec in nullspace(columns)
+    ]
     return SolutionBasis(tuple(basis))
 
 

@@ -16,24 +16,24 @@ A linear map is handed to `nullspace` as the images of its unknowns, each a
 sparse {row key: coefficient} dict, and this module alone lays them out as
 rows.  The RREF depends only on the row space, so a basis depends on the
 order of the unknowns (the columns) and never on the order of the row keys,
-on repeated rows or on zero rows.
+on repeated rows or on zero rows.  The basis comes out sparse too, one
+{unknown: nonzero coefficient} dict per vector, so no caller filters zeros.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, Scalar
 
-Row = list[Scalar]
 SparseRow = dict[int, Scalar]
 
 
 def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
-    """RREF of sparse rows, which are not changed; returns (reduced rows, pivot columns).
+    """RREF of sparse rows, which are not changed; returns (pivot rows, pivot columns).
 
-    The reduced rows come one per input row: the pivot rows in pivot
-    order, then the rows that reduced to zero, as empty dicts.
+    The pivot rows come in pivot order; the rows that reduced to zero are
+    dropped.
     """
     rows = [dict(row) for row in rows]
     # the rows holding each column; elimination only fills in columns of a
@@ -87,17 +87,18 @@ def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
         is_pivot[best] = True
         pivot_rows.append(best)
         pivots.append(c)
-    rest = [row for index, row in enumerate(rows) if not is_pivot[index]]
-    return [rows[index] for index in pivot_rows] + rest, pivots
+    return [rows[index] for index in pivot_rows], pivots
 
 
-def nullspace(columns: Sequence[dict[Hashable, Scalar]]) -> list[Row]:
+def nullspace(columns: Sequence[dict[Hashable, Scalar]]) -> list[dict[int, Scalar]]:
     """Basis of the kernel of the map sending unknown i to columns[i].
 
     One sparse row per key, zero coefficients dropped; one basis vector
-    per free column of the RREF.
+    per free column of the RREF, in column order, as {unknown: nonzero
+    coefficient} with a 1 at its free column.  A pivot row holds only its
+    pivot and free columns, so each of its other entries (j, x) puts -x at
+    the pivot of free vector j.
     """
-    ncols = len(columns)
     rows: dict[Hashable, SparseRow] = {}
     for i, col in enumerate(columns):
         for key, coeff in col.items():
@@ -105,20 +106,9 @@ def nullspace(columns: Sequence[dict[Hashable, Scalar]]) -> list[Row]:
                 rows.setdefault(key, {})[i] = coeff
     reduced, pivots = rref(list(rows.values()))
     pivot_set = set(pivots)
-    basis: list[Row] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row, pc in zip(reduced, pivots):
-            x = row.get(free)
-            if x is not None:
-                vec[pc] = -x
-        basis.append(vec)
-    return basis
-
-
-def rank(rows: list[Row]) -> int:
-    """Rank of dense rows."""
-    return len(rref([{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows])[1])
+    basis = {free: {free: ONE} for free in range(len(columns)) if free not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return list(basis.values())

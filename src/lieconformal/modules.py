@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import ConformalAlgebra, InvalidStructure, _pair_defects, lambda_bracket
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .poly import D, L, MultiPoly
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
@@ -261,10 +261,16 @@ class KernelResult:
     combinations: tuple[tuple[Scalar, ...], ...]
 
     def contains_direction(self, direction) -> bool:
-        """Is the given coefficient vector in the span of the kernel (exactly)?"""
+        """Is the given coefficient vector in the span of the kernel (exactly)?
+
+        It is iff some linear relation among the combinations and the
+        direction puts a nonzero coefficient on the direction; that
+        coefficient is linear, so then some basis relation has it too.
+        """
         vec = [x if isinstance(x, Scalar) else Scalar(x) for x in direction]
-        rows = list(self.combinations)
-        return rank(rows + [vec]) == rank(rows)
+        n = len(self.combinations)
+        columns = [dict(enumerate(v)) for v in (*self.combinations, vec)]
+        return any(n in relation for relation in nullspace(columns))
 
 
 def action_kernel(A: ConformalAlgebra, M_: ConformalModule) -> KernelResult:
@@ -286,5 +292,5 @@ def action_kernel(A: ConformalAlgebra, M_: ConformalModule) -> KernelResult:
         }
         for i in range(n)
     ]
-    combos = tuple(tuple(v) for v in nullspace(columns))
+    combos = tuple(tuple(v.get(i, ZERO) for i in range(n)) for v in nullspace(columns))
     return KernelResult(zero_gens, combos)

@@ -142,11 +142,12 @@ def _unquote_at(value: str, column: int) -> tuple[str, int]:
     return text, column + len(value) - len(value.lstrip()) + (text != value.strip())
 
 
-def _poly_entry(value: str, lineno: int, column: int) -> MultiPoly:
+def _poly_entry(value: str, lineno: int, column: int, what: str) -> MultiPoly:
     """The polynomial of one entry that starts at this column of spec line lineno.
 
-    A ParseError inside the entry names the spec line and the column counted
-    from the start of that line.
+    what names the entry ("bracket" or "action") in the message refusing a
+    variable other than d and l.  A ParseError inside the entry names the
+    spec line and the column counted from the start of that line.
     """
     text, column = _unquote_at(value, column)
     try:
@@ -154,7 +155,7 @@ def _poly_entry(value: str, lineno: int, column: int) -> MultiPoly:
     except ParseError as exc:
         raise ParseError(exc.message, lineno, column + exc.column - 1) from None
     if not poly.uses_only(("d", "l")):
-        raise ParseError("bracket entries may only use d and l", lineno, column)
+        raise ParseError(f"{what} entries may only use d and l", lineno, column)
     return poly
 
 
@@ -168,6 +169,17 @@ def _count(text: str, lineno: int, what: str) -> int:
     if not _is_index(text):
         raise ParseError(f"{what} must be a nonnegative integer, got {text!r}", lineno, 1)
     return int(text)
+
+
+def _names(value: str, lineno: int, column: int, what: str) -> tuple[str, ...]:
+    """The blank-separated names of a value; a repeated name is a parse error at the value."""
+    names = tuple(value.split())
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"{what} {name!r} is named twice", lineno, column)
+        seen.add(name)
+    return names
 
 
 def _cap_generators(count: int, lineno: int, column: int) -> None:
@@ -241,7 +253,7 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
     if "generators" not in pairs:
         raise InvalidStructure("algebra section needs generators or a builtin")
     lineno, value, column = pairs["generators"]
-    gens = tuple(value.split())
+    gens = _names(value, lineno, column, "generator")
     n = len(gens)
     _cap_generators(n, lineno, column)
     grades = None
@@ -280,7 +292,7 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
                     f"{key!r}: no generator of grade {target_grade} (line {lineno})"
                 )
             k = matches[0]
-        poly = _poly_entry(value, lineno, column)
+        poly = _poly_entry(value, lineno, column, "bracket")
         entry = table.setdefault((i, j), {})
         if k in entry:
             raise DuplicateDefinition(f"duplicate bracket component {key!r} (line {lineno})")
@@ -295,7 +307,7 @@ def _parse_matrix(value: str, lineno: int, column: int, size: int) -> list[list[
     for row in text.split(";"):
         cells = []
         for cell in row.split(","):
-            cells.append(_poly_entry(cell, lineno, column))
+            cells.append(_poly_entry(cell, lineno, column, "action"))
             column += len(cell) + 1
         out.append(cells)
     if len(out) != size or any(len(r) != size for r in out):
@@ -310,7 +322,7 @@ def _basis(pairs) -> tuple[str, ...]:
     if "basis" not in pairs:
         raise InvalidStructure("module section needs a basis")
     lineno, value, column = pairs["basis"]
-    basis = tuple(value.split())
+    basis = _names(value, lineno, column, "basis vector")
     if len(basis) > MAX_BASIS:
         raise ParseError(f"{len(basis)} basis vectors exceed {MAX_BASIS}", lineno, column)
     return basis

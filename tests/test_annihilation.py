@@ -217,3 +217,26 @@ def test_weight_spaces_refuses_a_non_triangular_window():
     assert [(w.weight, w.dim) for w in reports] == [
         (Scalar(k), dim) for k, dim in enumerate((1, 1, 2, 2, 1, 1))
     ]
+
+
+def test_weight_spaces_accepts_a_window_triangular_in_another_order():
+    # triangular once each d^t v2 comes before d^t v1: the reach of the
+    # window has no cycle, so its diagonal holds the direct sum's weights
+    zero = MultiPoly.zero()
+    for actions in (((D + 2 * L, zero), (L, D)), ((D, zero), (L, D + 2 * L))):
+        M = ConformalModule(("v1", "v2"), {0: actions})
+        assert check_module(virasoro(), M).passed
+        reports = weight_spaces(M, 3)
+        assert [(w.weight, w.dim) for w in reports] == [
+            (Scalar(k), dim) for k, dim in enumerate((1, 1, 2, 2, 1, 1))
+        ]
+        for w in reports:
+            for vec in w.vectors:
+                assert module_action_n(M, 0, 1, list(vec)) == [w.weight * p for p in vec]
+
+
+def test_weight_spaces_refuses_a_window_the_action_leaves():
+    # d^t v reaches d^(t+1) v: acyclic, but the top degree leaves the window
+    raising = ConformalModule(("v",), {0: ((D * D,),)})
+    with pytest.raises(NonTriangularWindow, match="d\\^3 v reaches d\\^4 v, past the degree bound 3"):
+        weight_spaces(raising, 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lieconformal.algebra import InvalidStructure, map_virasoro
-from lieconformal.linalg import nullspace, rank, rref
+from lieconformal.linalg import nullspace, rref
 from lieconformal.scalars import ONE, Scalar, ZERO
 
 KEYS = range(6)
@@ -22,14 +22,10 @@ def columns():
     return st.lists(st.dictionaries(st.sampled_from(KEYS), entries(), max_size=len(KEYS)), max_size=5)
 
 
-def _dense(cols):
-    return [[col.get(key, ZERO) for col in cols] for key in KEYS]
-
-
 def _image(cols, vec):
     out = {}
-    for col, x in zip(cols, vec):
-        for key, coeff in col.items():
+    for i, x in vec.items():
+        for key, coeff in cols[i].items():
             out[key] = out.get(key, ZERO) + x * coeff
     return out
 
@@ -37,16 +33,17 @@ def _image(cols, vec):
 @given(columns())
 def test_every_basis_vector_maps_to_zero(cols):
     for vec in nullspace(cols):
-        assert len(vec) == len(cols)
+        assert all(0 <= i < len(cols) for i in vec)
         assert all(v.is_zero() for v in _image(cols, vec).values())
 
 
 @given(columns())
 def test_dimension_is_columns_minus_rank(cols):
     basis = nullspace(cols)
-    assert len(basis) == len(cols) - rank(_dense(cols))
+    assert len(basis) == len(cols) - len(_reference_rref(cols)[1])
     if basis:
-        assert rank(basis) == len(basis)
+        # the basis vectors, as the columns of a map, have full rank
+        assert len(_reference_rref(basis)[1]) == len(basis)
 
 
 @given(columns(), st.permutations(list(KEYS)), st.sampled_from(KEYS))
@@ -94,15 +91,18 @@ def _sparse(row):
 def test_rref_is_the_first_nonzero_oracle_under_row_permutations(rows, rnd):
     # the RREF is unique, so the sparsest-row pivot rule changes only the cost
     reduced, pivots = _rref_first_nonzero(rows)
-    expected = [_sparse(row) for row in reduced], pivots
+    expected = [_sparse(row) for row in reduced[: len(pivots)]], pivots
     assert rref([_sparse(row) for row in rows]) == expected
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     assert rref([_sparse(row) for row in shuffled]) == expected
 
 
-def _dense_nullspace(columns):
-    """The kernel basis by dense elimination with the sparsest-row pivot rule: the reference."""
+def _reference_rref(columns):
+    """Dense elimination of a map's rows with the sparsest-row pivot rule: the reference.
+
+    Returns the reduced matrix, one row per key, and its pivot columns.
+    """
     ncols = len(columns)
     keys = dict.fromkeys(key for col in columns for key in col)
     mat = [[col.get(key, ZERO) for col in columns] for key in keys]
@@ -131,6 +131,13 @@ def _dense_nullspace(columns):
         r += 1
         if r == len(mat):
             break
+    return mat, pivots
+
+
+def _dense_nullspace(columns):
+    """The kernel basis, as dense vectors, of the reference elimination."""
+    ncols = len(columns)
+    mat, pivots = _reference_rref(columns)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [ZERO] * ncols
@@ -153,12 +160,24 @@ def gaussian_columns():
 
 @given(gaussian_columns())
 def test_nullspace_matches_the_dense_reference(cols):
-    assert nullspace(cols) == _dense_nullspace(cols)
+    assert nullspace(cols) == [_sparse(vec) for vec in _dense_nullspace(cols)]
+
+
+@given(gaussian_columns())
+def test_kernel_vectors_are_sparse_and_one_at_their_free_column(cols):
+    pivots = _reference_rref(cols)[1]
+    free = [c for c in range(len(cols)) if c not in pivots]
+    basis = nullspace(cols)
+    assert len(basis) == len(free)
+    for vec, column in zip(basis, free):
+        assert vec[column] == ONE
+        assert not any(x.is_zero() for x in vec.values())
+        assert all(v.is_zero() for v in _image(cols, vec).values())
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_all_empty_columns_give_the_identity_basis(n):
-    identity = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    identity = [{j: ONE} for j in range(n)]
     assert nullspace([{}] * n) == identity
     assert nullspace([{"row": ZERO}] * n) == identity
 
@@ -166,7 +185,7 @@ def test_all_empty_columns_give_the_identity_basis(n):
 def test_kernel_basis_is_normalized_by_the_free_columns():
     # x0 + x2 = 0 and x1 - 2 x2 = 0: x2 is the free unknown
     cols = [{"a": ONE}, {"b": ONE}, {"a": ONE, "b": Scalar(-2)}]
-    assert nullspace(cols) == [[-ONE, Scalar(2), ONE]]
+    assert nullspace(cols) == [{0: -ONE, 1: Scalar(2), 2: ONE}]
 
 
 # -- the unit of the commutative algebra in map_virasoro ------------------------

@@ -20,6 +20,7 @@ from lieconformal.annihilation import module_action_n
 from lieconformal.modules import (
     ConformalModule,
     InvalidParams,
+    KernelResult,
     MissingAction,
     action_kernel,
     apply_action,
@@ -162,6 +163,13 @@ def test_action_kernel_scaled_module():
         direction[k] = ONE
         assert ker.contains_direction(direction)
     assert not ker.contains_direction([ONE, ZERO, ZERO, ZERO])
+
+
+def test_contains_direction_with_dependent_combinations():
+    # (2, 0) repeats (1, 0), so the span is the first axis
+    ker = KernelResult((), ((ONE, ZERO), (Scalar(2), ZERO)))
+    assert ker.contains_direction((3, 0))
+    assert not ker.contains_direction((0, 1))
 
 
 def test_action_kernel_faithful_and_trivial():

@@ -276,6 +276,33 @@ def test_module_basis_is_capped():
     assert (err.value.line, err.value.column, err.value.message) == (6, 9, message)
 
 
+def test_an_entry_outside_d_and_l_is_refused_by_its_kind():
+    with pytest.raises(ParseError) as err:
+        parse_spec("[algebra]\ngenerators = L\ngrades = 0\np_00 = d + m\n")
+    assert (err.value.line, err.value.column, err.value.message) == (
+        4, 8, "bracket entries may only use d and l"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_spec(VIR.replace('action_0 = "d + 2*l"', "action_0 = d + m"))
+    assert (err.value.line, err.value.column, err.value.message) == (
+        9, 12, "action entries may only use d and l"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("[algebra]\ngenerators = L L\np_0_0_0 = d\n", 2, 14, "generator 'L' is named twice"),
+        (VIR + "[module N]\nbasis = v w v\n", 11, 9, "basis vector 'v' is named twice"),
+    ],
+    ids=["generators", "basis"],
+)
+def test_a_repeated_name_is_a_parse_error_at_the_value(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_builtin_sections_with_quoted_parameters():
     spec = parse_spec('[algebra]\nbuiltin = "block"\np = "1"\ntruncation = 8\n')
     assert spec.algebra.n_gens == 9
