@@ -1,11 +1,14 @@
 """Byte-exact golden outputs: catches accidental drift in the rendering
 order, coefficient format, or JSON layout."""
 
+import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from lieconformal import cli
+from lieconformal.grading import default_grid, scan_grid
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -85,6 +88,20 @@ def test_scan_horizon_12_golden(tmp_path):
     out = tmp_path / "out.json"
     assert cli.run(["scan-a1", "--grid", "den6", "--horizon", "12", "--json", str(out)]) == 0
     assert out.read_bytes() == _golden_bytes("scan_den6_h12.json")
+
+
+def test_scan_witness_tables_golden():
+    # the rendered witness table of every admitted slope of den12 over
+    # [0, 3] at horizon 12: the JSON goldens above pin verdicts, depths and
+    # witness sequences, and this one pins the row-one normalization too
+    results = scan_grid(default_grid(12, Fraction(0), Fraction(3)), 12)
+    tables = {
+        str(r.a1): [f"p_{{{i},{j}}} = {p.render()}" for (i, j), p in sorted(r.table.items())]
+        for r in results
+        if r.admissible
+    }
+    text = json.dumps(tables, indent=2, sort_keys=True) + "\n"
+    assert text.encode() == _golden_bytes("scan_witness_den12_h12.json")
 
 
 def test_verify_prop36_golden(tmp_path):
