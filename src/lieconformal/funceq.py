@@ -18,7 +18,12 @@ degree k are classified (for delta_i != 0) by an eight-row table.  Its
 degree range is complete: no k >= 4 has a nonzero solution at any
 parameters (proved in grading._Scan._candidates).  Its rows at k <= 3 are
 not proved for every parameter; verify_solution_table reproduces them by
-sampling exact parameter grids.
+sampling exact parameter grids.  For a != 1 the same proof gives every
+homogeneous solution as a multiple of one closed form F
+(_lemma_c_solution), and _lemma_c_conditions reduces "F solves" to a few
+polynomials in (a, delta_i) of degree <= 2, interpolated exactly from the
+defect itself; _lemma_c_basis answers a homogeneous solve from these, and
+the scan takes its row-one candidates from it.
 
 Everything reduces to coefficient matching: the unknowns are the
 coefficients of f on the (d, l) monomials, each unknown's image is the
@@ -44,10 +49,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from .algebra import jacobi_defect
-from .linalg import nullspace
-from .poly import _ZERO_KEY, D, L, M, MultiPoly, _add_scaled, _reduce_sums
+from .linalg import nullspace, rref
+from .poly import _ZERO_KEY, D, L, M, MultiPoly, _add_scaled, _raw, _reduce_sums
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
 
@@ -220,6 +226,88 @@ def degree_offset(f: MultiPoly, a: Scalar, delta_i: Scalar, delta_j: Scalar) -> 
     if not _defect_intertwiner(inst, f).is_zero():
         raise NotASolution("polynomial does not solve the homogeneous equation")
     return DegreeOffsetResult(f.degree_in("l") or 0, a + delta_j - delta_i - ONE)
+
+
+# ---------------------------------------------------------------------------
+# Lemma C's closed form (proved in grading._Scan._candidates): for a != 1
+# every homogeneous solution of degree k is a multiple of F below
+
+
+def _lemma_c_solution(a: Scalar, delta_i: Scalar, k: int) -> MultiPoly:
+    """F with l F = (d+l)^k (d + delta_i l) - (d + delta_j l) d^k, delta_j = delta_i + k + 1 - a.
+
+    delta_j is the degree-offset row's value.  The coefficient of
+    d^{k-s} l^s in F is that of d^{k-s} l^{s+1} on the right: C(k, s+1) +
+    delta_i C(k, s), less delta_j at s = 0, where it is a - 1.  So F is
+    affine in (a, delta_i).
+    """
+    terms = {(k, 0, 0): a - ONE}
+    for s in range(1, k + 1):
+        terms[(k - s, s, 0)] = Scalar(comb(k, s + 1)) + delta_i * Scalar(comb(k, s))
+    return MultiPoly(terms)
+
+
+# the exponents (i, j) of a^i delta_i^j, numbered by their place here: the
+# monomials of total degree <= 2, the only ones E(F) has
+_AD_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_NODES = (ZERO, ONE, Scalar(2))
+
+
+def _interpolate(v0: Scalar, v1: Scalar, v2: Scalar) -> tuple[Scalar, Scalar, Scalar]:
+    """Coefficients of 1, x, x^2 of the quadratic taking v0, v1, v2 at x = 0, 1, 2 (Newton's differences)."""
+    half_second = (v2 - v1 - v1 + v0) / Scalar(2)
+    return v0, v1 - v0 - half_second, half_second
+
+
+@cache
+def _lemma_c_conditions(k: int) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+    """Polynomials in (a, delta_i) whose common zeros are where E(F) = 0 at degree k.
+
+    E is _defect_intertwiner at delta_j = delta_i + k + 1 - a and F is
+    _lemma_c_solution.  Each condition is a tuple of (index into
+    _AD_MONOMIALS, coefficient).  Each coefficient of E(F) is a polynomial
+    of total degree <= 2 in (a, delta_i) (proved in
+    grading._Scan._candidates), so it is interpolated exactly from the
+    3 x 3 grid _NODES^2; rref reduces those coefficient rows to an
+    independent basis of their span, which has the same common zeros.
+    """
+    grids: dict = {}  # (d, l, m) monomial -> its coefficient at each node pair
+    for p, a in enumerate(_NODES):
+        for q, delta_i in enumerate(_NODES):
+            inst = FuncEqInstance(a, ZERO, delta_i, ZERO, delta_i + Scalar(k + 1) - a, ZERO, k)
+            for key, c in _defect_intertwiner(inst, _lemma_c_solution(a, delta_i, k)).terms.items():
+                grids.setdefault(key, [[ZERO] * 3 for _ in _NODES])[p][q] = c
+    rows = []
+    for grid in grids.values():
+        # along delta_i at each a node, then along a for each power of delta_i
+        by_delta = [_interpolate(*values) for values in grid]
+        coeffs = {(i, j): c for j in range(3) for i, c in enumerate(_interpolate(*(col[j] for col in by_delta)))}
+        if any(c for (i, j), c in coeffs.items() if i + j > 2):
+            raise AssertionError("a coefficient of E(F) has total degree above 2")
+        rows.append({index: coeffs[ij] for index, ij in enumerate(_AD_MONOMIALS) if coeffs[ij]})
+    reduced, _ = rref(rows)
+    return tuple(tuple(row.items()) for row in reduced)
+
+
+def _lemma_c_basis(a: Scalar, delta_i: Scalar, k: int) -> tuple[MultiPoly, ...]:
+    """solve_homogeneous(a, delta_i, delta_i + k + 1 - a, k).basis for a != 1, without a solve.
+
+    By Lemma C the solutions are the multiples of F where every condition
+    of degree k vanishes, and zero elsewhere.  F is scaled as nullspace
+    scales a basis vector, to 1 at its free column: the last of
+    _monomials' columns that the one kernel vector reaches, which is the
+    term of F with the largest power of l.
+    """
+    conditions = _lemma_c_conditions(k)
+    if conditions:
+        # a^i delta_i^j in the order of _AD_MONOMIALS
+        values = (ONE, a, delta_i, a * a, a * delta_i, delta_i * delta_i)
+        if any(sum((c * values[index] for index, c in condition), ZERO) for condition in conditions):
+            return ()
+    f = _lemma_c_solution(a, delta_i, k)
+    top = max(f.terms, key=lambda key: key[1])
+    inv = ONE / f.terms[top]
+    return (_raw({key: c * inv for key, c in f.terms.items()}),)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,18 @@ d + a_i*l + b_i.  This module extracts that profile, checks the splitting
 into acting / annihilated index sets, checks b_i = i*b_1, and runs the
 admissibility scan for the leading coefficient a_1 at a finite horizon.
 
-The scan builds an actual finite witness: row one of a candidate table is
-taken from the exact solver (gauge-normalized, since rescaling generators
-absorbs one scalar per grade), and higher rows are forced by the Jacobi
-identity on triples (1, i-1, j) via exact division.  The row-one search is
-complete: _Scan._candidates proves that no step of degree above 3 has a
-solution, for every target, and that each step's solutions span at most
-one line.  A branch survives
-only if every forced entry exists and is consistent, and then the table
-satisfies skew and Jacobi everywhere up to the horizon: _Scan._extend
-proves that the construction forces both.  Degree bookkeeping alone is
+The scan builds an actual finite witness.  Row one of a candidate table
+is the intertwiner F of Lemma C's closed form where a few fixed
+quadratics in (a_1, a_{j+1}) vanish, and the exact solver's answer at
+a_1 = 1; both are gauge-normalized as the solver's nullspace is, since
+rescaling generators absorbs one scalar per grade.  Higher rows are forced
+by the Jacobi identity on triples (1, i-1, j) via exact division.  The
+row-one search is complete: _Scan._candidates proves that no step of
+degree above 3 has a solution, for every target, and that each step's
+solutions span at most one line.  A branch survives only if every forced
+entry exists and is consistent, and then the table satisfies skew and
+Jacobi everywhere up to the horizon: _Scan._extend proves that the
+construction forces both.  Degree bookkeeping alone is
 not enough: some rejected slopes admit cycles that satisfy every
 degree-level side condition and only die at the polynomial level, where
 an exact division fails.  Admissibility at a horizon is necessary, never
@@ -35,7 +37,7 @@ from .algebra import (
     jacobi_defect,
     skew_image,
 )
-from .funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _solve_by_matching
+from .funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _lemma_c_basis, _solve_by_matching
 from .poly import D, L, M, MultiPoly, exact_div
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
@@ -361,13 +363,46 @@ class _Scan:
         _skew_condition leaves d/2 + l alone.  Each step thus has at most
         one candidate, up to the scalar that rescaling L_h absorbs, and the
         search tries them all.
+
+        The computation.  At a_1 != 1 nothing is solved
+        (funceq._lemma_c_basis).  F is not zero, since its d^k coefficient
+        is a - 1, so by Lemma C the space is the line of F where E(F) = 0
+        and zero elsewhere; on the diagonal, _skew_condition keeps that
+        line or cuts it to zero.  Whether E(F) = 0 is read off fixed
+        polynomials in (a, delta_i), one set per k, which
+        funceq._lemma_c_conditions interpolates once.  That is exact: E(f)
+        is linear in f, and for fixed f affine in (a, delta_i, delta_j),
+        each of the three in its own term; F is affine in (a, delta_i)
+        (funceq._lemma_c_solution), and so is delta_j.  So each term of
+        E(F) is an affine factor times an affine part of F, and each
+        coefficient of E(F) is a polynomial of total degree <= 2 in (a,
+        delta_i), so of degree <= 2 in each; such a polynomial is fixed by
+        its values on a 3 x 3 product grid.  Row reduction keeps the span
+        of those coefficients, so their basis vanishes exactly where they
+        all do: on delta_i (delta_i - a + 2) = 0 at k = 2, and at (5/3,
+        -2/3) and (3, 0) at k = 3; k = 0 and 1 have no condition, and at
+        k = 4 to 6 the span holds the constant 1, as the proof above
+        requires.  F is scaled as
+        nullspace scales its one kernel vector, so the candidates are the
+        solver's, coefficient for coefficient.
+
+        At a_1 = 1, Lemma C divides by a - 1 = 0 and (1, 0, 1, 1) has a
+        two-dimensional space, so those steps go to the exact solver,
+        funceq._solve_by_matching, with _skew_condition as an extra
+        condition on the diagonal.  Each step's answer is cached per scan.
         """
         key = (a_prev, target, k, diagonal)
         hit = self._solver_cache.get(key)
         if hit is None:
-            inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, k, homogeneous_degree=k)
-            extra = (_skew_condition,) if diagonal else ()
-            hit = self._solver_cache[key] = _solve_by_matching(inst, _defect_intertwiner, extra).basis
+            if self.a1 == ONE:
+                inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, k, homogeneous_degree=k)
+                extra = (_skew_condition,) if diagonal else ()
+                hit = _solve_by_matching(inst, _defect_intertwiner, extra).basis
+            else:
+                hit = _lemma_c_basis(self.a1, target, k)
+                if diagonal and hit and _skew_condition(hit[0]):
+                    hit = ()
+            self._solver_cache[key] = hit
         return hit
 
     def run(self) -> ScanResult:

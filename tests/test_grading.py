@@ -1,9 +1,10 @@
 import dataclasses
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lieconformal.algebra import (
     ConformalAlgebra,
@@ -15,9 +16,13 @@ from lieconformal.algebra import (
     skew_image,
 )
 from lieconformal.funceq import (
+    _AD_MONOMIALS,
     TABLE_ROWS,
     FuncEqInstance,
     _defect_intertwiner,
+    _lemma_c_basis,
+    _lemma_c_conditions,
+    _lemma_c_solution,
     _proportional,
     _solve_by_matching,
     solve_homogeneous,
@@ -282,6 +287,8 @@ def test_scan_accepts_unit_slope():
     assert r.admissible
     assert r.witness_sequence[0] == ONE
     assert all(x == ZERO for x in r.witness_sequence[1:])
+    # at a_1 = 1 row one comes from the solver, where skew leaves d/2 + l
+    assert r.table[(1, 1)] == sc("1/2") * D + L
     A = assemble_witness_algebra(r)
     assert check_skew(A).passed and check_jacobi(A).passed
 
@@ -821,3 +828,131 @@ def test_no_step_has_two_candidates(monkeypatch, grid, horizon):
     monkeypatch.setattr(_Scan, "_candidates", recording)
     scan_grid(grid, horizon)
     assert max(sizes) == 1 and sizes.count(1) > 100
+
+
+# -- the row-one candidates from Lemma C's closed form ---------------------------
+#
+# Off a_1 = 1 the scan solves nothing: it checks F against the conditions
+# funceq._lemma_c_conditions interpolates, and scales F as nullspace would.
+
+
+def _solved_candidates(a1, a_prev, target, k, diagonal):
+    """_candidates by one exact solve per step: the reference the closed form must match."""
+    inst = FuncEqInstance(a1, ZERO, target, ZERO, a_prev, ZERO, k, homogeneous_degree=k)
+    extra = (_skew_condition,) if diagonal else ()
+    return _solve_by_matching(inst, _defect_intertwiner, extra).basis
+
+
+_small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_slopes_off_one = st.builds(
+    Scalar, _small_fractions, st.one_of(st.just(Fraction(0)), _small_fractions)
+).filter(lambda a: a != ONE)
+
+
+def _condition_polys(k):
+    """_lemma_c_conditions(k) as polynomials, with a written as d and delta_i as l."""
+    return [
+        MultiPoly({(*_AD_MONOMIALS[index], 0): c for index, c in condition})
+        for condition in _lemma_c_conditions(k)
+    ]
+
+
+def _on_one_condition(k, index, delta_i):
+    """The a != 1 where condition `index` of degree k vanishes at delta_i, if it is one a."""
+    p = _condition_polys(k)[index].substitute("l", MultiPoly.const(delta_i))
+    slope, const = p.terms.get((1, 0, 0), ZERO), p.terms.get((0, 0, 0), ZERO)
+    if p.total_degree() == 1 and p.degree_in("d") == 1 and -const / slope != ONE:
+        return -const / slope
+    return None
+
+
+@st.composite
+def _steps_off_a_one(draw):
+    """(a_1, target, k): anywhere, on the k = 2 and k = 3 loci where F solves,
+    or on the zero set of one condition of degree 2 or 3 alone."""
+    where = draw(st.sampled_from(("anywhere", "k = 2", "k = 3", "one condition")))
+    if where == "k = 3":
+        a1, target = draw(st.sampled_from(((sc("5/3"), sc("-2/3")), (sc(3), ZERO))))
+        return a1, target, 3
+    if where == "one condition":
+        k = draw(st.integers(2, 3))
+        index = draw(st.integers(0, len(_lemma_c_conditions(k)) - 1))
+        target = draw(_slopes_off_one)
+        a1 = _on_one_condition(k, index, target)
+        assume(a1 is not None)
+        return a1, target, k
+    a1 = draw(_slopes_off_one)
+    if where == "k = 2":
+        return a1, draw(st.sampled_from((ZERO, a1 - sc(2)))), 2
+    return a1, draw(_slopes_off_one), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_steps_off_a_one(), st.booleans())
+def test_closed_form_candidates_are_the_solvers(step, diagonal):
+    a1, target, k = step
+    a_prev = _offset_delta_j(a1, target, k)  # the step a_prev -> target has degree k
+    assert _Scan(a1, 4)._candidates(a_prev, target, k, diagonal) == _solved_candidates(
+        a1, a_prev, target, k, diagonal
+    )
+
+
+def _conditions_vanish(a, delta_i, k):
+    return all(p.substitute("d", MultiPoly.const(a)).substitute("l", MultiPoly.const(delta_i)).is_zero()
+               for p in _condition_polys(k))
+
+
+def test_lemma_c_conditions_are_pinned():
+    # k = 0, 1: F always solves
+    assert _lemma_c_conditions(0) == _lemma_c_conditions(1) == ()
+    # k = 2: the zero set delta_i (delta_i - a + 2) = 0
+    (quadric,) = _condition_polys(2)
+    assert _proportional(quadric, L * (L - D + sc(2)))
+    # k = 3: on delta_i (delta_i - a + 7/3) = 0, the other condition is linear
+    # in a, with its root at a = 3 where delta_i = 0 and at a = 5/3 on the other line
+    first, second = _condition_polys(3)
+    assert _proportional(second, L * (L - D + sc("7/3")))
+    assert _proportional(first.substitute("l", MultiPoly.zero()), D - sc(3))
+    assert _proportional(first.substitute("l", D - sc("7/3")), D - sc("5/3"))
+    # past the table the constant 1 is in the span: no zero at all
+    for k in (4, 5, 6):
+        assert MultiPoly.one() in _condition_polys(k)
+
+
+_GRID_NODES = {ZERO, ONE, sc(2)}
+
+
+def _off_grid_points(count=12):
+    """Seeded points (a, delta_i) off the interpolation grid; every third one Gaussian."""
+    rng = random.Random(2026)
+
+    def value(gaussian):
+        im = Fraction(rng.choice((-2, -1, 1, 2)), 3) if gaussian else 0
+        return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), im)
+
+    points = []
+    while len(points) < count:
+        gaussian = len(points) % 3 == 0
+        a, delta_i = value(gaussian), value(gaussian)
+        if not (a in _GRID_NODES and delta_i in _GRID_NODES):
+            points.append((a, delta_i))
+    return points
+
+
+# points on the loci of k = 2 and k = 3, none on the interpolation grid
+_LOCUS_POINTS = [(sc("7/2"), ZERO), (sc("-3", 1), sc("-5", 1)), (sc("5/3"), sc("-2/3")), (sc(3), ZERO)]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_lemma_c_conditions_vanish_exactly_where_F_solves(k):
+    points = _off_grid_points() + _LOCUS_POINTS
+    assert sum(1 for a, _ in points if not a.is_real()) == 5
+    solves = []
+    for a, delta_i in points:
+        F = _F(a, delta_i, k)
+        assert _lemma_c_solution(a, delta_i, k) == F
+        solves.append(_E(a, delta_i, k, F).is_zero())
+        assert _conditions_vanish(a, delta_i, k) == solves[-1], (a, delta_i)
+        if a != ONE:
+            assert bool(_lemma_c_basis(a, delta_i, k)) == solves[-1], (a, delta_i)
+    assert any(solves) == (k <= 3)
