@@ -21,7 +21,7 @@ from math import factorial
 
 from .linalg import nullspace
 from .poly import D, L, M, MultiPoly, _add_products, _raw, _reduce_sums
-from .reports import Report
+from .reports import Report, _render_sum
 from .scalars import ONE, Scalar, ZERO
 
 
@@ -72,9 +72,7 @@ class AlgebraElement:
         return not self.coords
 
     def render(self, gens: tuple[str, ...]) -> str:
-        if not self.coords:
-            return "0"
-        return " + ".join(f"({f.render()})*{gens[i]}" for i, f in sorted(self.coords.items()))
+        return _render_sum((f, gens[i]) for i, f in sorted(self.coords.items()))
 
 
 class ConformalAlgebra:
@@ -155,9 +153,7 @@ class ConformalAlgebra:
         return AlgebraElement(coords)
 
     def render_vector(self, vec: dict[int, MultiPoly]) -> str:
-        if not vec:
-            return "0"
-        return " + ".join(f"({p.render()})*{self.gens[k]}" for k, p in sorted(vec.items()))
+        return _render_sum((p, self.gens[k]) for k, p in sorted(vec.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,7 @@ def _at_m(p: MultiPoly) -> MultiPoly:
 
 # A table has few distinct entries and every triple reads them again; the
 # intertwiner solver and the a1 scan's divisors read their images here too.
-# The benchmark's pool for one seed (seeds 1 to 3) leaves 390 images here on
+# The benchmark's pool for one seed (seeds 1 to 3) leaves 345 images here on
 # the scan workload, 199 on linear, 920 to 1,156 on axioms and 1,125 to 1,177
 # on gaussian, so this bound holds a whole pool.
 _IMAGE_CACHE_SIZE = 2048
@@ -342,7 +338,7 @@ def check_skew(A: ConformalAlgebra) -> Report:
             if defects:
                 report.fail(
                     f"skew({i},{j})",
-                    *(f"({p.render()})*{A.gens[k]}" for k, p in defects.items()),
+                    *(_render_sum([(p, A.gens[k])]) for k, p in defects.items()),
                 )
             else:
                 report.ok(f"skew({i},{j})")
@@ -471,8 +467,10 @@ def virasoro() -> ConformalAlgebra:
     return ConformalAlgebra(("L",), {(0, 0): {0: D + 2 * L}})
 
 
-def current(structure: StructureConstants, labels: tuple[str, ...] | None = None) -> ConformalAlgebra:
-    """Current algebra of a Lie algebra given by structure constants: brackets are l-free."""
+def _constant_brackets(
+    structure: StructureConstants, labels: tuple[str, ...] | None, shift: int
+) -> tuple[tuple[str, ...], Table]:
+    """The labels (x0, x1, ... by default) and the l-free brackets of the constants, indices shifted."""
     _validate_antisymmetric(structure)
     n = len(structure)
     if labels is None:
@@ -480,12 +478,17 @@ def current(structure: StructureConstants, labels: tuple[str, ...] | None = None
     table: Table = {}
     for i in range(n):
         for j in range(n):
-            table[(i, j)] = {
-                k: MultiPoly.const(_as_scalar(structure[i][j][k]))
+            table[(i + shift, j + shift)] = {
+                k + shift: MultiPoly.const(c)
                 for k in range(n)
-                if not _as_scalar(structure[i][j][k]).is_zero()
+                if not (c := _as_scalar(structure[i][j][k])).is_zero()
             }
-    return ConformalAlgebra(labels, table)
+    return labels, table
+
+
+def current(structure: StructureConstants, labels: tuple[str, ...] | None = None) -> ConformalAlgebra:
+    """Current algebra of a Lie algebra given by structure constants: brackets are l-free."""
+    return ConformalAlgebra(*_constant_brackets(structure, labels, 0))
 
 
 def vir_semidirect_current(
@@ -493,25 +496,15 @@ def vir_semidirect_current(
 ) -> ConformalAlgebra:
     """Virasoro acting on a current algebra by [L _l x] = (d + a*l) x."""
     a = _as_scalar(a)
-    _validate_antisymmetric(structure)
-    n = len(structure)
-    if labels is None:
-        labels = tuple(f"x{i}" for i in range(n))
-    gens = ("L",) + labels
+    labels, constants = _constant_brackets(structure, labels, 1)
     table: Table = {(0, 0): {0: D + 2 * L}}
     act = D + a * L
     act_rev = (a - ONE) * D + a * L
-    for i in range(n):
-        table[(0, i + 1)] = {i + 1: act}
-        table[(i + 1, 0)] = {i + 1: act_rev}
-    for i in range(n):
-        for j in range(n):
-            table[(i + 1, j + 1)] = {
-                k + 1: MultiPoly.const(_as_scalar(structure[i][j][k]))
-                for k in range(n)
-                if not _as_scalar(structure[i][j][k]).is_zero()
-            }
-    return ConformalAlgebra(gens, table)
+    for i in range(1, len(structure) + 1):
+        table[(0, i)] = {i: act}
+        table[(i, 0)] = {i: act_rev}
+    table.update(constants)
+    return ConformalAlgebra(("L",) + labels, table)
 
 
 def block(p, truncation: int) -> ConformalAlgebra:

@@ -26,16 +26,15 @@ NonTriangularWindow instead of dropping weights.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 
 from .algebra import ConformalAlgebra, TruncationExceeded, accumulate, nth_product
 from .algebra import bracket as conformal_bracket
 from .linalg import nullspace
 from .modules import ConformalModule, apply_action
 from .poly import MultiPoly
-from .reports import Report
+from .reports import Report, _render_sum
 from .scalars import ONE, Scalar, ZERO
 
 Symbol = tuple[int, int]  # (generator index, annihilation index)
@@ -88,10 +87,7 @@ def _element_at_index(coords: dict[int, MultiPoly], r: int) -> Combination:
             t = key[0]
             if t > r:
                 continue
-            falling = 1
-            for s in range(t):
-                falling *= r - s
-            accumulate(out, (gen, r - t), coeff * Scalar((-1) ** t * falling))
+            accumulate(out, (gen, r - t), coeff * Scalar((-1) ** t * perm(r, t)))
     return out
 
 
@@ -117,27 +113,9 @@ def annih_bracket(X: AnnihAlgebra, left: Symbol, right: Symbol) -> Combination:
     return out
 
 
-def _bracket_combinations(
-    bracket: Callable[[Symbol, Symbol], Combination], a: Combination, b: Combination
-) -> Combination:
-    out: Combination = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            inner = bracket(sa, sb)
-            for sym, coeff in inner.items():
-                accumulate(out, sym, ca * cb * coeff)
-    return out
-
-
 def render_combination(X: AnnihAlgebra, comb_: Combination) -> str:
-    if not comb_:
-        return "0"
     gens = X.parent.gens
-    parts = [
-        f"({coeff})*{gens[g]}_({n})"
-        for (g, n), coeff in sorted(comb_.items())
-    ]
-    return " + ".join(parts)
+    return _render_sum((coeff, f"{gens[g]}_({n})") for (g, n), coeff in sorted(comb_.items()))
 
 
 def check_annih_lie(X: AnnihAlgebra) -> Report:
@@ -191,17 +169,16 @@ def check_annih_lie(X: AnnihAlgebra) -> Report:
             for c in syms:
                 if c < b:
                     continue
+                defect: Combination = {}
                 try:
-                    d1 = _bracket_combinations(bracket, bracket(a, b), {c: ONE})
-                    d2 = _bracket_combinations(bracket, bracket(b, c), {a: ONE})
-                    d3 = _bracket_combinations(bracket, bracket(c, a), {b: ONE})
+                    # [[a,b],c] + [[b,c],a] + [[c,a],b]
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        for sym, outer in bracket(x, y).items():
+                            for key, coeff in bracket(sym, z).items():
+                                accumulate(defect, key, outer * coeff)
                 except TruncationExceeded:
                     report.skip(f"jacobi{a}{b}{c}", "beyond depth")
                     continue
-                defect: Combination = {}
-                for d in (d1, d2, d3):
-                    for sym, coeff in d.items():
-                        accumulate(defect, sym, coeff)
                 if defect:
                     report.fail(f"jacobi{a}{b}{c}", render_combination(X, defect))
                 else:
@@ -287,14 +264,7 @@ def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0)
         img = module_action_n(M_, virasoro_gen, 1, vec)
         images.append({(k, key[0]): coeff for k, poly in enumerate(img) for key, coeff in poly.terms.items()})
     _refuse_unless_triangular(M_, virasoro_gen, degree_bound, dict(zip(cols, images)))
-    candidates = []
-    seen = set()
-    for i, (j, t) in enumerate(cols):
-        diag = images[i].get((j, t), ZERO)
-        if diag not in seen:
-            seen.add(diag)
-            candidates.append(diag)
-    candidates.sort(key=lambda s: s.sort_key())
+    candidates = sorted({image.get(col, ZERO) for col, image in zip(cols, images)}, key=Scalar.sort_key)
     reports = []
     for alpha in candidates:
         columns = [

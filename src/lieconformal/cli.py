@@ -62,17 +62,19 @@ MAX_GRID_DENOMINATOR = 12
 MAX_GRID_SLOPES = 48
 MAX_PROP36_SAMPLES = 16
 # the size of check-algebra and check-module, both a Jacobi loop over the
-# generator pairs inside the truncation: (D + 1)^5 * z * w * sum (w + t),
+# generator pairs inside the truncation: (D + 2)^5 * z * w * sum (w + t),
 # with z the third arguments of a pair (the generators, or the basis
 # vectors of the module), w the terms of a bracket with one of them (the
 # most terms of a bracket, or the basis size), t the terms of the pair's
-# bracket and D the largest degree of a bracket or action entry, counted
-# as 1 when every entry is constant.  At the cap, on a 2-vCPU VM,
-# check-module took at most 8 s and check-algebra at most 10 s (16
-# generators whose brackets have 4 terms of degree 1); before it, one
-# vector acting by a degree-16 entry on 32 generators ran past 300 s, and
-# 8 generators bracketing to degree-16 entries past 120 s
-MAX_CHECK_WORK = 2**22
+# bracket and D the largest degree of a bracket or action entry.  On a
+# 2-vCPU VM, time over size is 0.14 to 0.24, 0.16 to 0.27 and 0.23 to
+# 0.30 us at degrees 0, 1 and 16 (1.2 to 2.0 us at degree 1 under the
+# (D + 1)^5 weight this one replaced), and the slowest shape found near the
+# cap took at most 4.2 s, against 4.8 s for the slowest at the old cap of
+# 2^22; before any cap, one vector acting by a degree-16 entry on 32
+# generators ran past 300 s, and 8 generators bracketing to degree-16
+# entries past 120 s
+MAX_CHECK_WORK = 2**24
 # the Smith form's cost grows with the size, the degree and the coefficient
 # height of the input: on a 2-vCPU VM a dense 3x3 cubic with three-digit
 # Gaussian parts takes about 0.3 s, and a 4x4 one 10 to 12 s (0.7 to 0.9 s
@@ -148,7 +150,7 @@ def _refuse_large_check(command: str, A, module=None) -> None:
         entries += [p for matrix in module.actions.values() for row in matrix for p in row]
         what = f"basis size {width}"
     degree = max((p.total_degree() or 0 for p in entries), default=0)
-    work = (max(degree, 1) + 1) ** 5 * third * width * sum(width + len(bracket) for bracket in brackets)
+    work = (degree + 2) ** 5 * third * width * sum(width + len(bracket) for bracket in brackets)
     if work > MAX_CHECK_WORK:
         raise InvalidStructure(
             f"{command} on {len(brackets)} generator pairs with {what} and entries "

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor
 
 from .algebra import (
     ConformalAlgebra,
@@ -285,13 +286,14 @@ class _Scan:
         self.best_depth = 1
         self._solver_cache: dict = {}
 
-    def _candidates(self, a_prev: Scalar, target: Scalar, k: int, diagonal: bool) -> tuple[MultiPoly, ...]:
-        """Row-one entries p_{1,h-1} from a_{h-1} = a_prev to a_h = target.
+    def _candidates(self, target: Scalar, k: int, diagonal: bool) -> tuple[MultiPoly, ...]:
+        """Row-one entries p_{1,h-1} of degree k from a_{h-1} to a_h = target.
 
         They are the homogeneous intertwiners of degree k for (a, delta_i,
-        delta_j) = (a_1, target, a_prev), where k = a_1 + a_prev - 1 - target
-        (see _steps).  No other degree has a solution, by the degree-offset
-        row, which holds for every k.  Take b = c_i = c_j = 0 and f =
+        delta_j) = (a_1, target, a_{h-1}), where k = a_1 + a_{h-1} - 1 - target
+        (see _steps), so the step fixes a_{h-1} = target + k + 1 - a_1, the
+        offset row's delta_j below.  No other degree has a solution, by the
+        degree-offset row, which holds for every k.  Take b = c_i = c_j = 0 and f =
         sum c_{p,q} d^p l^q homogeneous of degree k, and compare the terms of
         the equation linear in l.  Those free of l cancel identically: both
         sides give -m f(d, m).  At d^p l m^q the left side has
@@ -300,7 +302,7 @@ class _Scan:
         coefficient there is (a - delta_i + delta_j - k - 1) c_{p,q}, and
         f = 0 unless that offset vanishes; extra conditions such as
         _skew_condition only add rows.  For the scan the offset is
-        a_1 + a_prev - 1 - target minus the degree, which vanishes at k only.
+        a_1 + a_{h-1} - 1 - target minus the degree, which vanishes at k only.
 
         No degree k >= 4 has a nonzero solution at any (a, delta_i) in C^2,
         so _steps tries k <= _MAX_STEP_DEGREE = 3 only, for a zero target
@@ -356,10 +358,10 @@ class _Scan:
         with h in a space at a = 0; and trivially at k = 0.  At a = k = 1
         the coefficient -delta_i c of l^2 forces c = 0 unless delta_i = 0,
         which leaves (a, delta_i, delta_j, k) = (1, 0, 1, 1), with basis d
-        and l.  The scan reaches it only at a_1 = a_prev = 1.  With a_1 = 1
-        every target is a_prev - k, so targets never rise, and a_2 = 1
+        and l.  The scan reaches it only at a_1 = a_{h-1} = 1.  With a_1 = 1
+        every target is a_{h-1} - k, so targets never rise, and a_2 = 1
         needs a constant p_{1,1}, whose skew image is its negative, so
-        _skew_condition kills it.  So a_prev = 1 only at depth 1, where
+        _skew_condition kills it.  So a_{h-1} = 1 only at depth 1, where
         _skew_condition leaves d/2 + l alone.  Each step thus has at most
         one candidate, up to the scalar that rescaling L_h absorbs, and the
         search tries them all.
@@ -389,13 +391,16 @@ class _Scan:
         At a_1 = 1, Lemma C divides by a - 1 = 0 and (1, 0, 1, 1) has a
         two-dimensional space, so those steps go to the exact solver,
         funceq._solve_by_matching, with _skew_condition as an extra
-        condition on the diagonal.  Each step's answer is cached per scan.
+        condition on the diagonal, and delta_j = target + k.  Each step's
+        answer is cached per scan, keyed by (target, k, diagonal), which fix
+        a_{h-1}.
         """
-        key = (a_prev, target, k, diagonal)
+        key = (target, k, diagonal)
         hit = self._solver_cache.get(key)
         if hit is None:
             if self.a1 == ONE:
-                inst = FuncEqInstance(self.a1, ZERO, target, ZERO, a_prev, ZERO, k, homogeneous_degree=k)
+                delta_j = target + Scalar(k)
+                inst = FuncEqInstance(self.a1, ZERO, target, ZERO, delta_j, ZERO, k, homogeneous_degree=k)
                 extra = (_skew_condition,) if diagonal else ()
                 hit = _solve_by_matching(inst, _defect_intertwiner, extra).basis
             else:
@@ -472,7 +477,7 @@ class _Scan:
         for k, target in self._steps(a_seq[-1]):
             if 2 * len({*a_seq, target}) > self.horizon:
                 continue
-            for p1j in self._candidates(a_seq[-1], target, k, diagonal=(depth == 1)):
+            for p1j in self._candidates(target, k, diagonal=(depth == 1)):
                 extended = self._extend(table, depth + 1, target, p1j)
                 if extended is not None:
                     found = self._dfs(extended, a_seq + [target])
@@ -561,13 +566,11 @@ def scan_a1(a1, horizon: int) -> ScanResult:
 
 def default_grid(max_denominator: int = 6, lo: Fraction = Fraction(1), hi: Fraction = Fraction(2)) -> list[Scalar]:
     """All rationals with denominator <= max_denominator in [lo, hi], ascending."""
-    values: set[Fraction] = set()
-    for den in range(1, max_denominator + 1):
-        num = den * lo.numerator // lo.denominator
-        while Fraction(num, den) <= hi:
-            if Fraction(num, den) >= lo:
-                values.add(Fraction(num, den))
-            num += 1
+    values = {
+        Fraction(num, den)
+        for den in range(1, max_denominator + 1)
+        for num in range(ceil(lo * den), floor(hi * den) + 1)
+    }
     return [Scalar(v) for v in sorted(values)]
 
 

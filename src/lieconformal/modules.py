@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .algebra import ConformalAlgebra, InvalidStructure, _pair_defects, lambda_bracket
 from .linalg import nullspace
 from .poly import D, L, MultiPoly
-from .reports import Report
+from .reports import Report, _render_sum
 from .scalars import ONE, Scalar, ZERO
 
 
@@ -91,12 +91,7 @@ class ConformalModule:
         return {r: row[c] for r, row in enumerate(self.action(gen)) if not row[c].is_zero()}
 
     def render_element(self, vec: list[MultiPoly]) -> str:
-        parts = [
-            f"({f.render()})*{name}"
-            for f, name in zip(vec, self.basis)
-            if not f.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
+        return _render_sum((f, name) for f, name in zip(vec, self.basis) if not f.is_zero())
 
 
 def apply_action(M_: ConformalModule, gen: int, vec: list[MultiPoly]) -> list[MultiPoly]:

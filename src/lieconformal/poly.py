@@ -361,7 +361,7 @@ _ONE = MultiPoly.const(1)
 
 # Substitution images (affine shifts such as l+m or -l-d) and the parser's
 # powers, which a spec repeats, are shared here.  The benchmark's pool for
-# one seed (seeds 1 to 3) leaves 16 powers here on the scan workload, 8 on
+# one seed (seeds 1 to 3) leaves 13 powers here on the scan workload, 8 on
 # axioms, 15 on linear and 17 on gaussian, so this bound holds a whole pool.
 _POWER_CACHE_SIZE = 256
 

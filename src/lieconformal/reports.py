@@ -76,3 +76,8 @@ class Report:
             f"{self.title}: {d['status']} "
             f"({counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped)"
         )
+
+
+def _render_sum(terms) -> str:
+    """The golden text of a sparse combination: (c)*name per (c, name) term, or 0."""
+    return " + ".join(f"({c})*{name}" for c, name in terms) or "0"

@@ -11,6 +11,9 @@ from lieconformal.algebra import (
     ConformalAlgebra,
     InvalidStructure,
     TruncationExceeded,
+    _as_scalar,
+    _skew_defect,
+    _validate_antisymmetric,
     abelian_constants,
     block,
     bracket,
@@ -29,6 +32,7 @@ from lieconformal.algebra import (
     virasoro,
 )
 from lieconformal.poly import D, L, M, MultiPoly
+from lieconformal.reports import Report
 from lieconformal.scalars import I, ONE, Scalar, sc
 
 
@@ -396,3 +400,119 @@ def test_negative_product_index_raises_before_the_bracket():
         jth_product(B, B.gen(1), B.gen(1), 0)
     with pytest.raises(ValueError, match="nonnegative"):
         jth_product(B, B.gen(1), B.gen(1), -1)
+
+
+# -- the golden text and the constant tables against the code they replaced ----
+
+
+def _render_by_hand(coords, gens):
+    """AlgebraElement.render and ConformalAlgebra.render_vector as they were written out."""
+    if not coords:
+        return "0"
+    return " + ".join(f"({f.render()})*{gens[i]}" for i, f in sorted(coords.items()))
+
+
+def _check_skew_by_hand(A):
+    """check_skew with its witnesses written out as they were: one (p)*name per component."""
+    report = Report("skew-symmetry")
+    n = A.n_gens
+    for i in range(n):
+        for j in range(i, n):
+            if not A.has_entry(i, j) or not A.has_entry(j, i):
+                report.skip(f"skew({i},{j})", "beyond truncation")
+                continue
+            defects = _skew_defect(A, i, j)
+            if defects:
+                report.fail(f"skew({i},{j})", *(f"({p.render()})*{A.gens[k]}" for k, p in defects.items()))
+            else:
+                report.ok(f"skew({i},{j})")
+    return report
+
+
+_labels = st.lists(st.sampled_from(["L", "e", "x0", "g_1", "W"]), min_size=3, max_size=3).map(tuple)
+
+
+@st.composite
+def _tables(draw):
+    """A table on 1 to 3 generators whose entries are arbitrary, so skew mostly fails, or a
+    truncated builtin whose checks include skips."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from((block(sc("2/3") + I, 2), map_virasoro_poly(3))))
+    n = draw(st.integers(1, 3))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    table = draw(st.dictionaries(pairs, st.dictionaries(st.integers(0, n - 1), _dl_polys, max_size=2)))
+    return ConformalAlgebra(draw(_labels)[:n], table)
+
+
+@given(_tables(), st.data())
+def test_rendered_text_is_the_written_out_text(A, data):
+    x = data.draw(_elements(A))
+    assert x.render(A.gens) == _render_by_hand(x.coords, A.gens)
+    vec = data.draw(st.dictionaries(st.integers(0, A.n_gens - 1), _dl_polys, max_size=3))
+    assert A.render_vector(vec) == _render_by_hand(vec, A.gens)
+    assert AlgebraElement({}).render(A.gens) == A.render_vector({}) == "0"
+    assert check_skew(A).to_dict() == _check_skew_by_hand(A).to_dict()
+
+
+def _current_by_hand(structure, labels=None):
+    _validate_antisymmetric(structure)
+    n = len(structure)
+    if labels is None:
+        labels = tuple(f"x{i}" for i in range(n))
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            table[(i, j)] = {
+                k: MultiPoly.const(_as_scalar(structure[i][j][k]))
+                for k in range(n)
+                if not _as_scalar(structure[i][j][k]).is_zero()
+            }
+    return ConformalAlgebra(labels, table)
+
+
+def _vir_semidirect_current_by_hand(a, structure, labels=None):
+    a = _as_scalar(a)
+    _validate_antisymmetric(structure)
+    n = len(structure)
+    if labels is None:
+        labels = tuple(f"x{i}" for i in range(n))
+    gens = ("L",) + labels
+    table = {(0, 0): {0: D + 2 * L}}
+    act = D + a * L
+    act_rev = (a - ONE) * D + a * L
+    for i in range(n):
+        table[(0, i + 1)] = {i + 1: act}
+        table[(i + 1, 0)] = {i + 1: act_rev}
+    for i in range(n):
+        for j in range(n):
+            table[(i + 1, j + 1)] = {
+                k + 1: MultiPoly.const(_as_scalar(structure[i][j][k]))
+                for k in range(n)
+                if not _as_scalar(structure[i][j][k]).is_zero()
+            }
+    return ConformalAlgebra(gens, table)
+
+
+def _same_algebra(A, B):
+    # the tables in insertion order too, so every loop over A.table is unchanged
+    assert A.gens == B.gens
+    assert list(A.table.items()) == list(B.table.items())
+
+
+@settings(max_examples=30)
+@given(
+    st.one_of(
+        st.just(sl2_constants()),
+        st.just(nonabelian2_constants()),
+        st.integers(0, 4).map(abelian_constants),
+        # the given labels, or the default x0, x1, ...
+        st.one_of(st.just(sl2_constants()), st.just(nonabelian2_constants())).map(lambda c: (c[0], None)),
+    ),
+    _gaussian,
+)
+def test_constant_tables_are_the_ones_built_by_hand(constants, a):
+    structure, labels = constants
+    _same_algebra(current(structure, labels), _current_by_hand(structure, labels))
+    _same_algebra(
+        vir_semidirect_current(a, structure, labels), _vir_semidirect_current_by_hand(a, structure, labels)
+    )

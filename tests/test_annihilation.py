@@ -4,10 +4,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.algebra import (
     ConformalAlgebra,
+    TruncationExceeded,
+    accumulate,
     block,
+    current,
     map_virasoro_poly,
     sl2_constants,
     vir_semidirect_current,
@@ -19,6 +23,7 @@ from lieconformal.annihilation import (
     annih_bracket,
     check_annih_lie,
     module_action_n,
+    render_combination,
     weight_spaces,
 )
 from lieconformal.modules import (
@@ -29,6 +34,7 @@ from lieconformal.modules import (
     rank_one_vir,
 )
 from lieconformal.poly import D, L, MultiPoly
+from lieconformal.reports import Report
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
 
 
@@ -126,6 +132,109 @@ def test_check_annih_lie_reports_are_pinned():
     assert counts[1]["fail"] == 0 and counts[1]["skipped"]
     assert counts[2]["fail"] == 27
     assert counts[3]["fail"] == 27 and counts[3]["skipped"] == 122
+
+
+# -- check_annih_lie and its witness text against the code they replaced -------
+
+
+def _render_combination_by_hand(X, comb_):
+    if not comb_:
+        return "0"
+    gens = X.parent.gens
+    return " + ".join(f"({coeff})*{gens[g]}_({n})" for (g, n), coeff in sorted(comb_.items()))
+
+
+def _bracket_combinations(bracket, a, b):
+    """[a, b] of two combinations, bilinearly: the Jacobi sums were built from this."""
+    out = {}
+    for sa, ca in a.items():
+        for sb, cb in b.items():
+            for sym, coeff in bracket(sa, sb).items():
+                accumulate(out, sym, ca * cb * coeff)
+    return out
+
+
+def _check_annih_lie_by_three_sums(X):
+    """check_annih_lie with each Jacobi identity summed from three partial dicts."""
+    report = Report("annihilation Lie algebra")
+
+    def bracket(a, b):
+        return annih_bracket(X, a, b)
+
+    syms = X.symbols()
+    for a in syms:
+        for b in syms:
+            if a > b:
+                continue
+            try:
+                ab = bracket(a, b)
+                ba = bracket(b, a)
+            except TruncationExceeded:
+                report.skip(f"antisym{a}{b}", "beyond depth")
+                continue
+            defect = dict(ab)
+            for sym, coeff in ba.items():
+                accumulate(defect, sym, coeff)
+            if defect:
+                report.fail(f"antisym{a}{b}", _render_combination_by_hand(X, defect))
+            else:
+                report.ok(f"antisym{a}{b}")
+    for a in syms:
+        for b in syms:
+            if b < a:
+                continue
+            for c in syms:
+                if c < b:
+                    continue
+                try:
+                    d1 = _bracket_combinations(bracket, bracket(a, b), {c: ONE})
+                    d2 = _bracket_combinations(bracket, bracket(b, c), {a: ONE})
+                    d3 = _bracket_combinations(bracket, bracket(c, a), {b: ONE})
+                except TruncationExceeded:
+                    report.skip(f"jacobi{a}{b}{c}", "beyond depth")
+                    continue
+                defect = {}
+                for d in (d1, d2, d3):
+                    for sym, coeff in d.items():
+                        accumulate(defect, sym, coeff)
+                if defect:
+                    report.fail(f"jacobi{a}{b}{c}", _render_combination_by_hand(X, defect))
+                else:
+                    report.ok(f"jacobi{a}{b}{c}")
+    return report
+
+
+_gaussian = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+_annih_parents = st.one_of(
+    st.just(virasoro()),
+    st.builds(block, _gaussian.filter(lambda p: not p.is_zero()), st.just(1)),
+    st.just(current(*sl2_constants())),
+    # these two fail: a twisted semidirect sum and a corrupted Virasoro bracket
+    _gaussian.map(lambda a: vir_semidirect_current(a, *sl2_constants())),
+    _gaussian.map(lambda c: ConformalAlgebra(("L",), {(0, 0): {0: D + c * L}})),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_annih_parents, st.integers(2, 4))
+def test_check_annih_lie_is_the_sum_of_three_partial_dicts(A, depth):
+    X = AnnihAlgebra(A, depth)
+    assert check_annih_lie(X).to_dict() == _check_annih_lie_by_three_sums(X).to_dict()
+
+
+@given(
+    st.sampled_from((virasoro(), current(*sl2_constants()))),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 4)), _gaussian, max_size=4),
+)
+def test_render_combination_is_the_written_out_text(A, comb_):
+    X = AnnihAlgebra(A, 4)
+    comb_ = {(g % A.n_gens, n): c for (g, n), c in comb_.items()}
+    assert render_combination(X, comb_) == _render_combination_by_hand(X, comb_)
+    assert render_combination(X, {}) == "0"
 
 
 def test_indexed_module_actions():

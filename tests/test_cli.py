@@ -406,28 +406,32 @@ def test_check_module_size_is_capped(tmp_path, capsys, monkeypatch):
 
     checked = []
     monkeypatch.setattr(modules, "check_module", lambda A, M: checked.append(A.n_gens) or Report("stub"))
-    dense = "[module M]\nbasis = {}\n".format(" ".join(f"v{r}" for r in range(8)))
-    dense += "".join(
-        f"action_{g} = " + " ; ".join([", ".join(["d + l + 1/7 + i"] * 8)] * 8) + "\n"
-        for g in range(16)
-    )
-    # 16^2 zero brackets, 8 vectors and degree 1: 2^5 * 8^2 * 16^2 * 8 is the cap
-    at_cap = _write(tmp_path, "cap.lca", "[algebra]\nbuiltin = current\nlie = abelian16\n" + dense)
+    def dense(n, entry):
+        text = "[algebra]\nbuiltin = current\nlie = abelian{}\n[module M]\nbasis = {}\n".format(
+            n, " ".join(f"v{r}" for r in range(8))
+        )
+        return text + "".join(
+            f"action_{g} = " + " ; ".join([", ".join([entry] * 8)] * 8) + "\n" for g in range(n)
+        )
+
+    # 32^2 zero brackets, 8 vectors and degree 0: 2^5 * 8^2 * 32^2 * 8 is the cap
+    at_cap = _write(tmp_path, "cap.lca", dense(32, "1/7 + i"))
     assert cli.run(["check-module", at_cap, "--module", "M"]) == 0
-    assert checked == [16]
+    assert checked == [32]
     capsys.readouterr()
     found = "[algebra]\nbuiltin = block\np = 1\ntruncation = 31\n[module M]\nbasis = v\n"
     found += "".join(f"action_{g} = (d + l + 1/7 + i)^16\n" for g in range(32))
     for spec, size in (
-        ("[algebra]\nbuiltin = current\nlie = abelian17\n" + dense,
-         "289 generator pairs with basis size 8 and entries of degree up to 1 has size 4734976"),
+        # at the cap of the (D + 1)^5 weight, and weighed 3^5 now
+        (dense(16, "d + l + 1/7 + i"),
+         "256 generator pairs with basis size 8 and entries of degree up to 1 has size 31850496"),
         (found, "528 generator pairs with basis size 1 and entries of degree up to 16 "
-                "has size 1499368992"),
+                "has size 1995383808"),
     ):
         assert cli.run(["check-module", _write(tmp_path, "big.lca", spec), "--module", "M"]) == 2
         message = f"check-module on {size}, more than {cli.MAX_CHECK_WORK}"
         assert capsys.readouterr().err == f"error: {message}\n"
-    assert checked == [16]
+    assert checked == [32]
 
 
 def _table(n, terms, entry):
@@ -444,23 +448,27 @@ def test_check_algebra_size_is_capped(tmp_path, capsys, monkeypatch):
 
     checked = []
     monkeypatch.setattr(cli, "check_algebra", lambda A: checked.append(A.n_gens) or Report("stub"))
-    # 16 generators, brackets of 4 terms and degree 1: 2^5 * 16 * 4 * 16^2 * 8 is the cap
-    at_cap = _write(tmp_path, "cap.lca", _table(16, 4, "d + l + 1/7 + i"))
+    # 16 generators, brackets of 8 constant terms: 2^5 * 16 * 8 * 16^2 * 16 is the cap
+    at_cap = _write(tmp_path, "cap.lca", _table(16, 8, "1/7 + i"))
     assert cli.run(["check-algebra", at_cap]) == 0
     assert checked == [16]
     capsys.readouterr()
     for spec, size in (
+        # at the cap of the (D + 1)^5 weight, and weighed 3^5 now
+        (_table(16, 4, "d + l + 1/7 + i"),
+         "256 generator pairs with bracket width 4 and entries of degree up to 1 "
+         "has size 31850496"),
         (_table(16, 4, "(d + l + 1/7 + i)^2"),
          "256 generator pairs with bracket width 4 and entries of degree up to 2 "
-         "has size 31850496"),
-        # constant brackets count as degree 1: the bookkeeping of a product dominates
+         "has size 134217728"),
+        # constant brackets weigh 2^5: the bookkeeping of a product dominates
         (_table(16, 16, "1/7 + i"),
          "256 generator pairs with bracket width 16 and entries of degree up to 0 "
          "has size 67108864"),
         # eight generators bracketing to degree-16 entries ran past 120 s before the cap
         (_table(8, 1, "(d + l + 1/7 + i)^2*d^14"),
          "64 generator pairs with bracket width 1 and entries of degree up to 16 "
-         "has size 1453933568"),
+         "has size 1934917632"),
     ):
         assert cli.run(["check-algebra", _write(tmp_path, "big.lca", spec)]) == 2
         message = f"check-algebra on {size}, more than {cli.MAX_CHECK_WORK}"

@@ -587,8 +587,9 @@ def test_lemma_b_jacobiator_is_a_cocycle(polys, quadruple):
     assert _sum4(*terms) == {}
 
 
-def _candidates_at_every_degree_to_eight(self, a_prev, target, k, diagonal):
+def _candidates_at_every_degree_to_eight(self, target, k, diagonal):
     """_candidates before the degree-offset row and the step bound: a zero target solves at each degree 0..8."""
+    a_prev = _offset_delta_j(self.a1, target, k)  # the step a_prev -> target has degree k
     key = (a_prev, target, k, diagonal)
     if key not in self._solver_cache:
         degrees = range(9) if target.is_zero() else (k,)
@@ -616,10 +617,10 @@ def test_scan_matches_the_candidates_at_every_degree_to_four(monkeypatch, horizo
         beyond = [(label, ZERO)] if label is not None and label > _MAX_STEP_DEGREE else []
         return steps(self, a_prev) + beyond
 
-    def recording(self, a_prev, target, k, diagonal):
+    def recording(self, target, k, diagonal):
         if target.is_zero():
             zero_steps.append(k)
-        return _candidates_at_every_degree_to_eight(self, a_prev, target, k, diagonal)
+        return _candidates_at_every_degree_to_eight(self, target, k, diagonal)
 
     monkeypatch.setattr(_Scan, "_steps", with_the_zero_target)
     monkeypatch.setattr(_Scan, "_candidates", recording)
@@ -636,6 +637,29 @@ def test_default_grid_contents():
         "1", "7/6", "6/5", "5/4", "4/3", "7/5", "3/2",
         "8/5", "5/3", "7/4", "9/5", "11/6", "2",
     }
+
+
+def _default_grid_by_hand(max_denominator, lo, hi):
+    """default_grid as it was written: each numerator from floor(lo * den) up, filtered."""
+    values = set()
+    for den in range(1, max_denominator + 1):
+        num = den * lo.numerator // lo.denominator
+        while Fraction(num, den) <= hi:
+            if Fraction(num, den) >= lo:
+                values.add(Fraction(num, den))
+            num += 1
+    return [Scalar(v) for v in sorted(values)]
+
+
+_bounds = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@given(st.integers(1, 12), _bounds, _bounds, st.booleans())
+def test_default_grid_is_the_loop_by_hand(n, lo, hi, equal):
+    # negative, fractional, equal and reversed bounds
+    if equal:
+        hi = lo
+    assert default_grid(n, lo, hi) == _default_grid_by_hand(n, lo, hi)
 
 
 def test_step_bound_is_the_tables_top_degree():
@@ -809,7 +833,7 @@ def test_the_one_plane_of_solutions_is_cut_to_a_line_by_skew():
     # (a, delta_i, delta_j, k) = (1, 0, 1, 1) has basis d, l; the scan meets
     # it only at a_1 = 1 and depth 1, where skew leaves d/2 + l
     assert solve_homogeneous(ONE, ZERO, ONE, 1).basis == (D, L)
-    assert _Scan(ONE, 4)._candidates(ONE, ZERO, 1, diagonal=True) == (sc("1/2") * D + L,)
+    assert _Scan(ONE, 4)._candidates(ZERO, 1, diagonal=True) == (sc("1/2") * D + L,)
 
 
 @pytest.mark.parametrize("grid, horizon", [
@@ -820,8 +844,8 @@ def test_no_step_has_two_candidates(monkeypatch, grid, horizon):
     sizes = []
     candidates = _Scan._candidates
 
-    def recording(self, a_prev, target, k, diagonal):
-        out = candidates(self, a_prev, target, k, diagonal)
+    def recording(self, target, k, diagonal):
+        out = candidates(self, target, k, diagonal)
         sizes.append(len(out))
         return out
 
@@ -892,7 +916,7 @@ def _steps_off_a_one(draw):
 def test_closed_form_candidates_are_the_solvers(step, diagonal):
     a1, target, k = step
     a_prev = _offset_delta_j(a1, target, k)  # the step a_prev -> target has degree k
-    assert _Scan(a1, 4)._candidates(a_prev, target, k, diagonal) == _solved_candidates(
+    assert _Scan(a1, 4)._candidates(target, k, diagonal) == _solved_candidates(
         a1, a_prev, target, k, diagonal
     )
 

@@ -331,6 +331,22 @@ def _actions(draw):
     return M, draw(gens), coords, [draw(_d_polys) for _ in range(m)]
 
 
+def _render_element_by_hand(M, vec):
+    """ConformalModule.render_element as it was written out."""
+    parts = [f"({f.render()})*{name}" for f, name in zip(vec, M.basis) if not f.is_zero()]
+    return " + ".join(parts) if parts else "0"
+
+
+@given(_actions(), st.data())
+def test_render_element_is_the_written_out_text(action, data):
+    # zero entries are left out, and a vector of zeros renders as 0
+    M = action[0]
+    zero = MultiPoly.zero()
+    vec = data.draw(st.lists(st.one_of(st.just(zero), _dl_polys), min_size=M.rank, max_size=M.rank))
+    assert M.render_element(vec) == _render_element_by_hand(M, vec)
+    assert M.render_element([zero] * M.rank) == M.render_element([]) == "0"
+
+
 def _apply_action_by_hand(M, gen, vec):
     """g _l (sum_j f_j(d) v_j) = sum_j f_j(d+l) (g _l v_j), column by column: the oracle."""
     mat = M.action(gen)
