@@ -33,6 +33,15 @@ class InvalidStructure(ValueError):
     """Constructor input violates its structural preconditions."""
 
 
+def _require_distinct(names: tuple[str, ...], what: str) -> None:
+    """Refuse a repeated name: every rendered witness names its lines, so two alike would read as one."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise InvalidStructure(f"{what} {name!r} is named twice")
+        seen.add(name)
+
+
 TableEntry = dict[int, MultiPoly]
 Table = dict[tuple[int, int], TableEntry]
 
@@ -89,6 +98,7 @@ class ConformalAlgebra:
         self.grades = dict(grades) if grades is not None else None
         self.truncation = truncation
         n = len(self.gens)
+        _require_distinct(self.gens, "generator")
         if self.grades is not None:
             if set(self.grades) != set(range(n)):
                 raise InvalidStructure("grading must assign a grade to every generator")
@@ -251,10 +261,12 @@ def _at_m(p: MultiPoly) -> MultiPoly:
 
 
 # A table has few distinct entries and every triple reads them again; the
-# intertwiner solver and the a1 scan's divisors read their images here too.
-# The benchmark's pool for one seed (seeds 1 to 3) leaves 345 images here on
-# the scan workload, 199 on linear, 920 to 1,156 on axioms and 1,125 to 1,177
-# on gaussian, so this bound holds a whole pool.
+# intertwiner solver and the a1 scan read their images here too: the
+# scan's divisors, its forced entries at (d, l+m) and its skew images.
+# One pass over the benchmark's pool for one seed (seeds 1 to 3) leaves 532
+# to 600 images here on the scan workload, 174 to 199 on linear, 920 to
+# 1,156 on axioms and 1,100 to 1,152 on gaussian, so this bound holds a
+# whole pool.
 _IMAGE_CACHE_SIZE = 2048
 
 

@@ -11,17 +11,20 @@ is the intertwiner F of Lemma C's closed form where a few fixed
 quadratics in (a_1, a_{j+1}) vanish, and the exact solver's answer at
 a_1 = 1; both are gauge-normalized as the solver's nullspace is, since
 rescaling generators absorbs one scalar per grade.  Higher rows are forced
-by the Jacobi identity on triples (1, i-1, j) via exact division.  The
-row-one search is complete: _Scan._candidates proves that no step of
-degree above 3 has a solution, for every target, and that each step's
-solutions span at most one line.  A branch survives only if every forced
-entry exists and is consistent, and then the table satisfies skew and
-Jacobi everywhere up to the horizon: _Scan._extend proves that the
-construction forces both.  Degree bookkeeping alone is
-not enough: some rejected slopes admit cycles that satisfy every
-degree-level side condition and only die at the polynomial level, where
-an exact division fails.  Admissibility at a horizon is necessary, never
-sufficient, for the infinite statement; results record the horizon.
+by the Jacobi identity on triples (1, i-1, j): the entry is the one
+polynomial that the defect's lowest slice in l allows, found by dividing
+by a single term in m, and the identity itself, summed once, accepts or
+refuses it (_Scan._recurse_entry).  The row-one search is complete:
+_Scan._candidates proves that no step of degree above 3 has a solution,
+for every target, and that each step's solutions span at most one line.
+A branch survives only if every forced entry exists and is consistent,
+and then the table satisfies skew and Jacobi everywhere up to the
+horizon: _Scan._extend proves that the construction forces both.  Degree
+bookkeeping alone is not enough: some rejected slopes admit cycles that
+satisfy every degree-level side condition and only die at the polynomial
+level, where no entry satisfies a forcing identity.  Admissibility at a
+horizon is necessary, never sufficient, for the infinite statement;
+results record the horizon.
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ from math import ceil, floor
 
 from .algebra import (
     ConformalAlgebra,
+    _at_l_plus_m,
     _image,
     _neg_at_neg_l_minus_m,
+    _swap_lm,
     check_algebra,
     jacobi_defect,
     skew_image,
 )
 from .funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _lemma_c_basis, _solve_by_matching
-from .poly import D, L, M, MultiPoly, exact_div
+from .poly import D, L, MultiPoly, _add_products, _add_scaled, _reduce_sums, exact_div
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
 
@@ -440,21 +445,51 @@ class _Scan:
     def _recurse_entry(self, table, i: int, j: int) -> MultiPoly | None:
         """p_{i,j} forced by the Jacobi identity on (1, i-1, j); None if impossible.
 
-        With p_{i,j} read as zero, the Jacobi defect on (1, i-1, j) is what
-        p_{1,i-1}(-l-m, l) * p_{i,j}(d, l+m) must equal.  The divisor is
-        taken negated from the memo of images that jacobi_defect multiplies
-        by, since p_{1,i-1} is inherited unchanged by every extension, so the
-        quotient is -p_{i,j}(d, l+m).
+        With p_{i,j} read as zero, let E(d, l, m) be the Jacobi defect on
+        (1, i-1, j).  For i >= 2 no other term of that identity reads the
+        pair (i, j), so the identity holds exactly when P = p_{i,j} gives
+
+            R(l, m) P(d, l+m) + E(d, l, m) = 0,    R = -p_{1,i-1}(-l-m, l),    (*)
+
+        where R is the image that jacobi_defect multiplies by, read from
+        the same memo.
+
+        The slice.  Let r be the least power of l in p_{1,i-1}.  A term
+        c d^a l^b of p_{1,i-1} gives c (-l-m)^a l^b, whose lowest power of
+        l is l^b, with coefficient c (-m)^a.  Distinct a give distinct
+        powers of m, so R = l^r (g(m) + l S(l, m)) with g = -sum_a c_{a,r}
+        (-m)^a not zero, and R has no d.  On the scan's entries, which are
+        homogeneous of some degree k, g is the one term -c (-m)^{k-r}, and
+        exact_div takes its one-pass path.
+
+        Uniqueness.  P(d, l+m) at l = 0 is P(d, m), so the coefficient of
+        l^r in (*) reads g(m) P(d, m) + E_r(d, m) = 0, where E_r is the
+        coefficient of l^r in E.  Q(i)[d, l, m] has no zero divisors, so a
+        P satisfying (*) is -E_r / g with m renamed l.  If g does not divide
+        E_r, no P exists; otherwise that quotient is the only candidate,
+        and it is the entry exactly when (*) holds for it.
+
+        The same entry as a long division.  The scan used to divide E by R
+        over d, l and m, and return -X(d, l, 0) when the quotient X equals
+        X(d, l, 0) with l -> l+m.  That accepts exactly when some P
+        satisfies (*), with X = -P(d, l+m), and returns that P.  Such a P is
+        unique, so both return the same entry, or both None.
+
+        (*) is summed with poly._add_products and _add_scaled, each
+        coefficient reduced once.  P(d, l+m) is the memo's image that every
+        later jacobi_defect reading p_{i,j} as an outer entry multiplies by.
         """
-        defect = jacobi_defect(_entry_of(table, unknown=(i, j)), 1, i - 1, j)
+        defect = jacobi_defect(_entry_of(table, unknown=(i, j)), 1, i - 1, j).get(i + j, MultiPoly.zero())
         divisor = _image(table[(1, i - 1)], _neg_at_neg_l_minus_m)
-        quotient = exact_div(defect.get(i + j, MultiPoly.zero()), divisor)
-        if quotient is None:
+        r = min(e_l for _, e_l, _ in divisor.terms)
+        low = exact_div(defect.coeff_of("l", r), divisor.coeff_of("l", r))
+        if low is None:
             return None
-        collapsed = quotient.substitute("m", MultiPoly.zero())
-        if collapsed.substitute("l", L + M) != quotient:
-            return None
-        return -collapsed
+        p = -_swap_lm(low)
+        sums: dict = {}
+        _add_products(sums, divisor.terms, _image(p, _at_l_plus_m).terms)
+        _add_scaled(sums, ONE, defect.terms)
+        return None if _reduce_sums(sums) else p
 
     def _steps(self, a_prev: Scalar) -> list[tuple[int, Scalar]]:
         """Row-one steps (k, a_{j+1}) from a_j = a_prev; each target occurs once.
@@ -488,16 +523,20 @@ class _Scan:
     def _extend(self, table, h: int, target: Scalar, p1j: MultiPoly) -> dict | None:
         """A copy of the table with the index-sum-h diagonal added, or None if it cannot be forced.
 
+        The two skew images are read through algebra._image, so a slope's
+        later branches and grades, which meet the same p_{0,h} and p_{1,h-1}
+        again, compute each once.
+
         Nothing is checked afterwards: the construction forces skew and
         Jacobi on grade h.  Write S(i, j) for algebra._skew_defect and
         J(x, y, z)(d, l, m) for jacobi_defect(entry, x, y, z); both vanish
         below grade h (by _initial_table, then by induction).  The
         construction sets S(0, h) = S(1, h-1) = 0 (skew images, or
         _skew_condition at h = 2) and J(1, y, z) = 0 for y, z >= 1
-        (_recurse_entry solved it by exact division).  J(0, 0, h) is the
-        identity of the Virasoro module d + a_h l, which holds for every
-        slope, and J(0, 1, h-1) is the intertwiner equation whose exact
-        nullspace p_{1,h-1} lies in (see funceq).  Each p_{1,j} is a nonzero
+        (_recurse_entry found the one entry that satisfies it).  J(0, 0, h)
+        is the identity of the Virasoro module d + a_h l, which holds for
+        every slope, and J(0, 1, h-1) is the intertwiner equation whose
+        exact nullspace p_{1,h-1} lies in (see funceq).  Each p_{1,j} is a nonzero
         nullspace vector, and so is its skew image p_{j,1}; Q(i)[d, l, m]
         has no zero divisors and the substitutions below are invertible, so
         such an entry times a defect vanishes only with the defect.
@@ -537,10 +576,10 @@ class _Scan:
         """
         table = dict(table)
         table[(0, h)] = D + target * L
-        table[(h, 0)] = skew_image(table[(0, h)])
+        table[(h, 0)] = _image(table[(0, h)], skew_image)
         table[(1, h - 1)] = p1j
         if h - 1 != 1:
-            table[(h - 1, 1)] = skew_image(p1j)
+            table[(h - 1, 1)] = _image(p1j, skew_image)
         for i in range(2, h):
             p = self._recurse_entry(table, i, h - i)
             # (h-1, 1) is already set, and the forced entry must agree with it

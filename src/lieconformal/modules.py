@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import ConformalAlgebra, InvalidStructure, _pair_defects, lambda_bracket
+from .algebra import ConformalAlgebra, InvalidStructure, _pair_defects, _require_distinct, lambda_bracket
 from .linalg import nullspace
 from .poly import D, L, MultiPoly
 from .reports import Report, _render_sum
@@ -67,6 +67,7 @@ class ConformalModule:
     irreducible: bool | None = None
 
     def __post_init__(self):
+        _require_distinct(self.basis, "basis vector")
         m = len(self.basis)
         fixed = {}
         for i, mat in self.actions.items():

@@ -18,16 +18,20 @@ does algebra.jacobi_defect; the solver's columns in funceq sum scaled
 images with _add_scaled, the same sum without a key shift.  __mul__ and
 the divisions (exact_div and divmod_univar, which read the remainder's
 leading coefficient at every step) stay on _accumulate, which reduces
-each sum in place.  The values are the same either way, since each has one
-canonical triple; only the order of a term dict can differ, where a
-partial sum cancels and comes back (a zero sum keeps its place here, and
-_accumulate drops it and appends it again).  No output reads that order:
-equality compares dicts, the hash is over a frozenset, rendering sorts,
-leading terms take a maximum under a total order, and linalg.nullspace,
-which lays rows out in first-seen key order, returns the basis of the
-unique RREF.  The one reader that names the first term it meets,
-weight_spaces' NonTriangularWindow message, reads brackets whose only
-substitutions are of single terms, where no two products share a key.
+each sum in place.  exact_div by a one-term divisor, the a1 scan's case
+(grading._Scan._recurse_entry), needs no remainder: it divides each term
+of the dividend once, in the dividend's order, not the loop's descending
+one.  The values are the same either way, since each has one canonical
+triple; only the order of a term dict can differ, where a partial sum
+cancels and comes back (a zero sum keeps its place here, and _accumulate
+drops it and appends it again) or where a quotient keeps its dividend's
+order.  No output reads that order: equality compares dicts, the hash is
+over a frozenset, rendering sorts, leading terms take a maximum under a
+total order, and linalg.nullspace, which lays rows out in first-seen key
+order, returns the basis of the unique RREF.  The one reader that names
+the first term it meets, weight_spaces' NonTriangularWindow message, reads
+brackets whose only substitutions are of single terms, where no two
+products share a key.
 """
 
 from __future__ import annotations
@@ -361,8 +365,9 @@ _ONE = MultiPoly.const(1)
 
 # Substitution images (affine shifts such as l+m or -l-d) and the parser's
 # powers, which a spec repeats, are shared here.  The benchmark's pool for
-# one seed (seeds 1 to 3) leaves 13 powers here on the scan workload, 8 on
-# axioms, 15 on linear and 17 on gaussian, so this bound holds a whole pool.
+# one seed (seeds 1 to 3) leaves 11 or 12 powers here on the scan workload,
+# 8 on axioms, 15 on linear and 17 on gaussian, so this bound holds a whole
+# pool.
 _POWER_CACHE_SIZE = 256
 
 
@@ -394,8 +399,17 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return _ZERO
-    qkey, qc = leading_term(q)
     quotient: dict[Key, Scalar] = {}
+    if len(q.terms) == 1:
+        # a monomial divides term by term: each term of p is a quotient
+        # term times q, and distinct terms of p give distinct quotient terms
+        [((q0, q1, q2), qc)] = q.terms.items()
+        for (e0, e1, e2), c in p.terms.items():
+            if e0 < q0 or e1 < q1 or e2 < q2:
+                return None
+            quotient[(e0 - q0, e1 - q1, e2 - q2)] = c / qc
+        return _raw(quotient)
+    qkey, qc = leading_term(q)
     # one remainder, reduced in place; each step cancels its leading term
     rem = dict(p.terms)
     while rem:

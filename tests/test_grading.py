@@ -587,6 +587,133 @@ def test_lemma_b_jacobiator_is_a_cocycle(polys, quadruple):
     assert _sum4(*terms) == {}
 
 
+# -- _Scan._recurse_entry against the long division it replaced ---------------
+
+
+def _forced_by_long_division(table, i, j):
+    """p_{i,j} as the scan used to force it: the whole defect over d, l and m divided by
+    -p_{1,i-1}(-l-m, l), kept only if the quotient is a polynomial in (d, l+m)."""
+    defect = jacobi_defect(_entry_of(table, unknown=(i, j)), 1, i - 1, j).get(i + j, MultiPoly.zero())
+    quotient = exact_div(defect, -table[(1, i - 1)].substitute("d", -L - M))
+    if quotient is None:
+        return None
+    collapsed = quotient.substitute("m", MultiPoly.zero())
+    if collapsed.substitute("l", L + M) != quotient:
+        return None
+    return -collapsed
+
+
+def _lowest_slices(table, i, j):
+    """(r, the l^r slice of the defect, the l^r slice of the divisor), r the least power of l in p_{1,i-1}."""
+    defect = jacobi_defect(_entry_of(table, unknown=(i, j)), 1, i - 1, j).get(i + j, MultiPoly.zero())
+    divisor = -table[(1, i - 1)].substitute("d", -L - M)
+    r = min(key[1] for key in table[(1, i - 1)].terms)
+    return r, defect.coeff_of("l", r), divisor.coeff_of("l", r)
+
+
+def _forced_agrees(table, i, j):
+    """_recurse_entry's entry, after asserting that it is the long division's."""
+    forced = _Scan(ONE, 2)._recurse_entry(table, i, j)
+    assert forced == _forced_by_long_division(table, i, j)
+    return forced
+
+
+_PAIRS_TO_FIVE = [(i, j) for i in range(6) for j in range(6) if i + j <= 5]
+# the pairs the Jacobi identity on (1, i-1, j) forces, and those where p_{1,i+j-1}
+# is read by no other term of that identity
+_FORCED_TO_FIVE = [(i, j) for i, j in _PAIRS_TO_FIVE if i >= 2 and j >= 1]
+_FORCED_FROM_THREE = [(i, j) for i, j in _FORCED_TO_FIVE if i >= 3]
+_nonzero_small = st.sampled_from([ONE, -ONE, Scalar(2), sc("1/2"), sc("-3/4"), I, ONE + I, sc("2") - I / 2])
+
+
+@st.composite
+def _drawn_tables(draw, i, j):
+    """A table on grades 0..5 with the entries the identity on (1, i-1, j) reads drawn, the rest zero."""
+    table = dict.fromkeys(_PAIRS_TO_FIVE, MultiPoly.zero())
+    for pair in ((i - 1, j), (1, i + j - 1), (1, j), (i - 1, j + 1)):
+        table[pair] = draw(_small_dl_polys)
+    table[(1, i - 1)] = draw(_small_dl_polys.filter(bool))
+    return table
+
+
+def _gauged(table, scales):
+    """The table after rescaling L_i by scales[i]: p_{i,j} times s_i s_j / s_{i+j}.
+
+    Each term of the identity on (1, i-1, j) takes the same factor, so a forced
+    entry stays forced, rescaled as its pair is."""
+    return {(i, j): p * (scales[i] * scales[j] / scales[i + j]) for (i, j), p in table.items()}
+
+
+@st.composite
+def _solvable_cases(draw, pairs=_FORCED_TO_FIVE, block_parameters=_nonzero_small):
+    """(table, i, j): a table on grades 0..5 whose identity on (1, i-1, j) forces table[(i, j)].
+
+    Either block(p) on grades 0..5, which satisfies Jacobi at every p, or, at (3, 1), a
+    table with p_{1,1} = 0, p_{1,2} = c l (d+l)^k, p_{2,1} = c (-l)^k and p_{1,3} = l P(d),
+    where p_{1,2}(-l-m, l) = c l (-m)^k, the defect is c (-m)^k l P(d) and the entry is
+    P(d); both rescaled by a drawn gauge."""
+    scales = draw(st.lists(_nonzero_small, min_size=6, max_size=6))
+    if draw(st.booleans()):
+        p = draw(block_parameters)
+        table = {(i, j): (Scalar(i) + p) * D + (Scalar(i + j) + 2 * p) * L for i, j in _PAIRS_TO_FIVE}
+        i, j = draw(st.sampled_from(pairs))
+    else:
+        c, k = draw(_nonzero_small), draw(st.integers(0, 3))
+        P = draw(_nonzero_small) * (D + draw(_nonzero_small)) ** draw(st.integers(0, 2))
+        table = dict.fromkeys(_PAIRS_TO_FIVE, MultiPoly.zero())
+        # p_{2,2} is read only times p_{1,1} = 0
+        table.update({
+            (1, 2): c * L * (D + L) ** k, (2, 1): c * (-L) ** k, (1, 3): L * P, (3, 1): P,
+            (2, 2): draw(_small_dl_polys),
+        })
+        i, j = 3, 1
+    assume(table[(1, i - 1)])
+    return _gauged(table, scales), i, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(_solvable_cases(_FORCED_FROM_THREE, st.just(-ONE)), _small_dl_polys, st.booleans())
+def test_forced_entry_is_the_long_divisions_on_a_row_one_entry_divisible_by_l(case, h, solvable):
+    # the shape l*h that row one takes at a_1 = 1 and k >= 2, where the
+    # lowest power of l in p_{1,i-1} is r >= 1: p_{1,i-1} = (i-2) l in
+    # block(-1) and c l (d+l)^k in the (3, 1) table, which force an entry,
+    # and l*h on a drawn table, which mostly forces none
+    table, i, j = case
+    if solvable:
+        assert _forced_agrees(table, i, j) == table[(i, j)]
+    else:
+        assume(h)
+        table = {**table, (1, i - 1): L * h}
+        _forced_agrees(table, i, j)
+    assert _lowest_slices(table, i, j)[0] >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FORCED_TO_FIVE), st.booleans(), st.data())
+def test_forced_entry_is_the_long_divisions_where_the_slice_does_not_divide(pair, times_l, data):
+    i, j = pair
+    table = data.draw(_drawn_tables(i, j))
+    if times_l:
+        table[(1, i - 1)] = L * table[(1, i - 1)]
+    _, defect_slice, divisor_slice = _lowest_slices(table, i, j)
+    assume(exact_div(defect_slice, divisor_slice) is None)
+    assert _forced_agrees(table, i, j) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_solvable_cases(_FORCED_FROM_THREE), _small_dl_polys)
+def test_forced_entry_is_the_long_divisions_where_the_slice_divides_but_the_identity_fails(case, delta):
+    # p_{1,i+j-1} gains l^{r+1} delta: the defect gains p_{i-1,j}(d+l, m) l^{r+1}
+    # delta(d, l), which leaves its l^r slice, and so the one candidate, alone
+    table, i, j = case
+    assume(delta and table[(i - 1, j)])
+    r, _, _ = _lowest_slices(table, i, j)
+    table = {**table, (1, i + j - 1): table[(1, i + j - 1)] + L ** (r + 1) * delta}
+    _, defect_slice, divisor_slice = _lowest_slices(table, i, j)
+    assert exact_div(defect_slice, divisor_slice) is not None
+    assert _forced_agrees(table, i, j) is None
+
+
 def _candidates_at_every_degree_to_eight(self, target, k, diagonal):
     """_candidates before the degree-offset row and the step bound: a zero target solves at each degree 0..8."""
     a_prev = _offset_delta_j(self.a1, target, k)  # the step a_prev -> target has degree k

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lieconformal.algebra import (
     ConformalAlgebra,
+    InvalidStructure,
     block,
     check_jacobi,
     check_skew,
@@ -94,6 +95,11 @@ def test_trivial_module_passes():
     zero = tuple(tuple(MultiPoly.zero() for _ in range(size)) for _ in range(size))
     M = ConformalModule(("u", "w"), {i: zero for i in range(A.n_gens)})
     assert check_module(A, M).passed
+
+
+def test_a_repeated_basis_name_is_refused():
+    with pytest.raises(InvalidStructure, match="^basis vector 'v' is named twice$"):
+        ConformalModule(("v", "w", "v"), {})
 
 
 def test_missing_action_raises():

@@ -15,6 +15,7 @@ from lieconformal.poly import (
     _reduce_sums,
     divmod_univar,
     exact_div,
+    leading_term,
 )
 from lieconformal.scalars import Scalar, sc
 
@@ -186,6 +187,44 @@ def test_exact_division_recovers_factor(p, q):
 
 def test_exact_division_detects_non_divisibility():
     assert exact_div(D + ONE_P, L) is None
+
+
+def _long_division(p, q):
+    """exact_div's loop for any divisor: cancel the remainder's leading term by a multiple of q until nothing is left."""
+    qkey, qc = leading_term(q)
+    quotient, rem = {}, p
+    while rem:
+        rkey, rc = leading_term(rem)
+        step = tuple(a - b for a, b in zip(rkey, qkey))
+        if min(step) < 0:
+            return None
+        quotient[step] = rc / qc
+        rem = rem - MultiPoly({step: rc / qc}) * q
+    return MultiPoly(quotient)
+
+
+_monomials = st.builds(lambda key, c: MultiPoly({key: c}), keys(), coeffs().filter(lambda c: not c.is_zero()))
+
+
+@given(polys(), _monomials, st.integers(0, 2), keys(), coeffs().filter(lambda c: not c.is_zero()))
+def test_exact_division_by_a_monomial(s, q, v, shift, c):
+    # the one-pass path for a one-term divisor agrees with the loop
+    assert exact_div(s * q, q) == s == _long_division(s * q, q)
+    # a term whose exponent falls short of q's in variable v alone
+    [qkey] = q.terms
+    if qkey[v] == 0:
+        return
+    key = tuple(qkey[t] - 1 if t == v else qkey[t] + shift[t] for t in range(3))
+    p = s * q + MultiPoly({key: c})
+    assert exact_div(p, q) is None
+    assert _long_division(p, q) is None
+
+
+@pytest.mark.parametrize("v", range(3))
+def test_exact_division_by_a_monomial_refuses_one_short_exponent(v):
+    # d^2 l^2 m^2 with the exponent of one variable dropped to zero, over d l m
+    key = tuple(0 if t == v else 2 for t in range(3))
+    assert exact_div(MultiPoly({key: 3}), D * L * M) is None
 
 
 def test_divmod_univar():
