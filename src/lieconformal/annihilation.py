@@ -27,6 +27,8 @@ NonTriangularWindow instead of dropping weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
+from itertools import combinations_with_replacement
 from math import comb, perm
 
 from .algebra import ConformalAlgebra, TruncationExceeded, accumulate, nth_product
@@ -121,6 +123,10 @@ def render_combination(X: AnnihAlgebra, comb_: Combination) -> str:
 def check_annih_lie(X: AnnihAlgebra) -> Report:
     """Antisymmetry and the Jacobi identity on all in-depth symbol pairs/triples.
 
+    Pairs a <= b and triples a <= b <= c come from
+    itertools.combinations_with_replacement over X.symbols(), which is
+    ascending, so the checks are in lexicographic order of their symbols.
+
     Each symbol bracket is computed at most once per call: the memo maps an
     ordered pair to its combination, or to None when the bracket is out of
     depth, and such a pair raises afresh on every use, so the identity that
@@ -144,45 +150,35 @@ def check_annih_lie(X: AnnihAlgebra) -> Report:
             raise TruncationExceeded(f"bracket {a}{b} beyond depth {X.depth}")
         return out
 
-    syms = X.symbols()
-    for a in syms:
-        for b in syms:
-            if a > b:
-                continue
-            try:
-                ab = bracket(a, b)
-                ba = bracket(b, a)
-            except TruncationExceeded:
-                report.skip(f"antisym{a}{b}", "beyond depth")
-                continue
-            defect = dict(ab)
-            for sym, coeff in ba.items():
-                accumulate(defect, sym, coeff)
-            if defect:
-                report.fail(f"antisym{a}{b}", render_combination(X, defect))
-            else:
-                report.ok(f"antisym{a}{b}")
-    for a in syms:
-        for b in syms:
-            if b < a:
-                continue
-            for c in syms:
-                if c < b:
-                    continue
-                defect: Combination = {}
-                try:
-                    # [[a,b],c] + [[b,c],a] + [[c,a],b]
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for sym, outer in bracket(x, y).items():
-                            for key, coeff in bracket(sym, z).items():
-                                accumulate(defect, key, outer * coeff)
-                except TruncationExceeded:
-                    report.skip(f"jacobi{a}{b}{c}", "beyond depth")
-                    continue
-                if defect:
-                    report.fail(f"jacobi{a}{b}{c}", render_combination(X, defect))
-                else:
-                    report.ok(f"jacobi{a}{b}{c}")
+    for a, b in combinations_with_replacement(X.symbols(), 2):
+        try:
+            ab = bracket(a, b)
+            ba = bracket(b, a)
+        except TruncationExceeded:
+            report.skip(f"antisym{a}{b}", "beyond depth")
+            continue
+        defect = dict(ab)
+        for sym, coeff in ba.items():
+            accumulate(defect, sym, coeff)
+        if defect:
+            report.fail(f"antisym{a}{b}", render_combination(X, defect))
+        else:
+            report.ok(f"antisym{a}{b}")
+    for a, b, c in combinations_with_replacement(X.symbols(), 3):
+        defect: Combination = {}
+        try:
+            # [[a,b],c] + [[b,c],a] + [[c,a],b]
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for sym, outer in bracket(x, y).items():
+                    for key, coeff in bracket(sym, z).items():
+                        accumulate(defect, key, outer * coeff)
+        except TruncationExceeded:
+            report.skip(f"jacobi{a}{b}{c}", "beyond depth")
+            continue
+        if defect:
+            report.fail(f"jacobi{a}{b}{c}", render_combination(X, defect))
+        else:
+            report.ok(f"jacobi{a}{b}{c}")
     return report
 
 
@@ -215,8 +211,10 @@ def _refuse_unless_triangular(M_: ConformalModule, gen: int, degree_bound: int, 
     {(k, s): coefficient}; the unknowns it reaches are those keys, itself
     aside.  When every reach stays in the window and the relation has no
     cycle, a topological order makes the matrix triangular, so its diagonal
-    holds every weight.  Unknowns that reach nothing left are peeled until
-    none is left, or each one left reaches another.
+    holds every weight.  graphlib decides the cycle, and the refusal names
+    the edge that leaves the least unknown on the cycle it reports.  The
+    reaches are sorted first, so neither refusal's witness depends on the
+    order of an image's terms.
     """
 
     def refuse(source, target, where):
@@ -227,21 +225,18 @@ def _refuse_unless_triangular(M_: ConformalModule, gen: int, degree_bound: int, 
             f"so its weights need not lie on the diagonal"
         )
 
-    left = {col: [key for key in image if key != col] for col, image in images.items()}
-    for col, keys in left.items():
+    reach = {col: sorted(key for key in image if key != col) for col, image in images.items()}
+    for col, keys in reach.items():
         for key in keys:
-            if key not in left:
+            if key not in reach:
                 refuse(col, key, f"past the degree bound {degree_bound}")
-    while peel := [col for col, keys in left.items() if not any(key in left for key in keys)]:
-        for col in peel:
-            del left[col]
-    if left:
-        # each unknown left reaches another one left, so a walk along them repeats
-        col, walked = next(iter(left)), set()
-        while col not in walked:
-            walked.add(col)
-            col = next(key for key in left[col] if key in left)
-        refuse(col, next(key for key in left[col] if key in left), "on a cycle of the window")
+    try:
+        TopologicalSorter(reach).prepare()
+    except CycleError as err:
+        # each unknown on the cycle reaches the one before it, the first the last
+        cycle = err.args[1][1:]
+        i = cycle.index(min(cycle))
+        refuse(cycle[i], cycle[i - 1], "on a cycle of the window")
 
 
 def weight_spaces(M_: ConformalModule, degree_bound: int, virasoro_gen: int = 0) -> list[WeightReport]:

@@ -27,11 +27,9 @@ cancels and comes back (a zero sum keeps its place here, and _accumulate
 drops it and appends it again) or where a quotient keeps its dividend's
 order.  No output reads that order: equality compares dicts, the hash is
 over a frozenset, rendering sorts, leading terms take a maximum under a
-total order, and linalg.nullspace, which lays rows out in first-seen key
-order, returns the basis of the unique RREF.  The one reader that names
-the first term it meets, weight_spaces' NonTriangularWindow message, reads
-brackets whose only substitutions are of single terms, where no two
-products share a key.
+total order, linalg.nullspace, which lays rows out in first-seen key
+order, returns the basis of the unique RREF, and weight_spaces' refusal
+sorts the unknowns each image reaches before it names one.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .scalars import ONE, Scalar, _reduced
+from .scalars import ONE, Scalar, _reduced, _square_and_multiply
 
 VARS = ("d", "l", "m")
 _VAR_INDEX = {"d": 0, "l": 1, "m": 2}
@@ -142,14 +140,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = _ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _square_and_multiply(self, n, _ONE)
 
     # -- structure ----------------------------------------------------------
 

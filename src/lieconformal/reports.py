@@ -7,6 +7,7 @@ identities) are first-class and never count as passes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -57,23 +58,25 @@ class Report:
     def skipped(self) -> list[CheckItem]:
         return [c for c in self.checks if c.status == SKIPPED]
 
+    def _status_and_counts(self) -> tuple[str, dict[str, int]]:
+        """The report's status and its check counts, from one pass over the checks."""
+        tally = Counter(c.status for c in self.checks)
+        counts = {"pass": tally[PASS], "fail": tally[FAIL], "skipped": tally[SKIPPED]}
+        return (FAIL if counts["fail"] else PASS), counts
+
     def to_dict(self) -> dict:
+        status, counts = self._status_and_counts()
         return {
             "title": self.title,
-            "status": PASS if self.passed else FAIL,
-            "counts": {
-                "pass": sum(1 for c in self.checks if c.status == PASS),
-                "fail": len(self.failures),
-                "skipped": len(self.skipped),
-            },
+            "status": status,
+            "counts": counts,
             "checks": [c.to_dict() for c in self.checks],
         }
 
     def summary(self) -> str:
-        d = self.to_dict()
-        counts = d["counts"]
+        status, counts = self._status_and_counts()
         return (
-            f"{self.title}: {d['status']} "
+            f"{self.title}: {status} "
             f"({counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped)"
         )
 

@@ -128,14 +128,7 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("Scalar powers must be nonnegative integers")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _square_and_multiply(self, n, ONE)
 
     def conjugate(self) -> "Scalar":
         n, m, q = self._nmq
@@ -220,6 +213,23 @@ def _reduced(n: int, m: int, q: int) -> Scalar:
     s = _new(Scalar)
     _set(s, (n, m, q))
     return s
+
+
+def _square_and_multiply(base, n: int, one):
+    """base**n for an int n >= 0, with one as base**0; Scalar and MultiPoly
+    powers both multiply through their own `*` here.
+
+    It squares only while bits of n remain, so no product it makes is a
+    higher power of base than base**n.
+    """
+    out = one
+    while True:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 ZERO = Scalar(0)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -33,6 +34,7 @@ from lieconformal.modules import (
     rank_one_theorem_module,
     rank_one_vir,
 )
+from lieconformal.parsing import parse_poly
 from lieconformal.poly import D, L, MultiPoly
 from lieconformal.reports import Report
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
@@ -226,6 +228,70 @@ def test_check_annih_lie_is_the_sum_of_three_partial_dicts(A, depth):
     assert check_annih_lie(X).to_dict() == _check_annih_lie_by_three_sums(X).to_dict()
 
 
+def _check_annih_lie_by_nested_loops(X):
+    """check_annih_lie as nested loops over all symbols, keeping pairs a <= b and triples a <= b <= c."""
+    report = Report("annihilation Lie algebra")
+
+    def bracket(a, b):
+        return annih_bracket(X, a, b)
+
+    syms = X.symbols()
+    for a in syms:
+        for b in syms:
+            if a > b:
+                continue
+            try:
+                ab = bracket(a, b)
+                ba = bracket(b, a)
+            except TruncationExceeded:
+                report.skip(f"antisym{a}{b}", "beyond depth")
+                continue
+            defect = dict(ab)
+            for sym, coeff in ba.items():
+                accumulate(defect, sym, coeff)
+            if defect:
+                report.fail(f"antisym{a}{b}", render_combination(X, defect))
+            else:
+                report.ok(f"antisym{a}{b}")
+    for a in syms:
+        for b in syms:
+            if b < a:
+                continue
+            for c in syms:
+                if c < b:
+                    continue
+                defect = {}
+                try:
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        for sym, outer in bracket(x, y).items():
+                            for key, coeff in bracket(sym, z).items():
+                                accumulate(defect, key, outer * coeff)
+                except TruncationExceeded:
+                    report.skip(f"jacobi{a}{b}{c}", "beyond depth")
+                    continue
+                if defect:
+                    report.fail(f"jacobi{a}{b}{c}", render_combination(X, defect))
+                else:
+                    report.ok(f"jacobi{a}{b}{c}")
+    return report
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize(
+    "A",
+    [
+        virasoro(),
+        block(sc("3/2", -1), 1),
+        current(*sl2_constants()),
+        ConformalAlgebra(("L",), {(0, 0): {0: D + 3 * L}}),
+    ],
+    ids=["virasoro", "block", "current-sl2", "corrupted"],
+)
+def test_check_annih_lie_walks_the_pairs_and_triples_of_the_nested_loops(A, depth):
+    X = AnnihAlgebra(A, depth)
+    assert check_annih_lie(X).checks == _check_annih_lie_by_nested_loops(X).checks
+
+
 @given(
     st.sampled_from((virasoro(), current(*sl2_constants()))),
     st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 4)), _gaussian, max_size=4),
@@ -349,3 +415,45 @@ def test_weight_spaces_refuses_a_window_the_action_leaves():
     raising = ConformalModule(("v",), {0: ((D * D,),)})
     with pytest.raises(NonTriangularWindow, match="d\\^3 v reaches d\\^4 v, past the degree bound 3"):
         weight_spaces(raising, 3)
+
+
+def _reaches(M, degree_bound):
+    """Each unknown (j, t) of the window, standing for d^t v_j, and the unknowns its image reaches."""
+    reach = {}
+    for j in range(M.rank):
+        for t in range(degree_bound + 1):
+            vec = [MultiPoly.zero()] * M.rank
+            vec[j] = MultiPoly({(t, 0, 0): ONE})
+            image = module_action_n(M, 0, 1, vec)
+            reach[(j, t)] = {(k, key[0]) for k, p in enumerate(image) for key in p.terms} - {(j, t)}
+    return reach
+
+
+def test_a_cyclic_window_names_an_edge_of_its_cycle_whatever_the_term_order():
+    # column j is the action on v_j: d^t u reaches d^t v and d^(t-1) v, and
+    # d^t v reaches d^t w and d^(t-1) w, each image in the order of its
+    # entry's terms, and d^t w reaches d^t v.  A walk from d^1 u along the
+    # first term met found a cycle at d^1 or at d^0 by the entries' text;
+    # the refusal names an edge whose target leads back to its source, and
+    # the same one for either order
+    rows = (("d + 2*l", "0", "0"), ("d + 1", "d + 2*l", "l"), ("0", "l + d + 1", "d + 2*l"))
+    basis = ("u", "v", "w")
+    messages = []
+    for order in (1, -1):
+        written = [[" + ".join(entry.split(" + ")[::order]) for entry in row] for row in rows]
+        M = ConformalModule(basis, {0: tuple(tuple(parse_poly(e) for e in row) for row in written)})
+        with pytest.raises(NonTriangularWindow, match="on a cycle of the window") as err:
+            weight_spaces(M, 3)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    t, j, s, k = re.search(r"d\^(\d+) (\w+) reaches d\^(\d+) (\w+), on a cycle", messages[0]).groups()
+    source, target = (basis.index(j), int(t)), (basis.index(k), int(s))
+    reach = _reaches(M, 3)
+    assert target in reach[source]
+    seen, todo = set(), [target]
+    while todo:
+        col = todo.pop()
+        if col not in seen:
+            seen.add(col)
+            todo.extend(reach[col])
+    assert source in seen

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,50 @@ def test_lambda_coefficient_reconstruction(p):
 @given(polys())
 def test_render_parse_round_trip(p):
     assert parse_poly(p.render()) == p
+
+
+# -- powers -------------------------------------------------------------------
+
+
+@contextmanager
+def _products_made(cls):
+    """Record every product that cls.__mul__ returns inside the block."""
+    mul, made = cls.__dict__["__mul__"], []
+
+    def recording(self, other):
+        out = mul(self, other)
+        made.append(out)
+        return out
+
+    cls.__mul__ = recording
+    try:
+        yield made
+    finally:
+        cls.__mul__ = mul
+
+
+def test_power_makes_no_product_past_its_degree():
+    # squaring once past the top bit of n would make b^(2^k) > b^n
+    b = D + L + M + sc(Fraction(1, 7))
+    product = ONE_P
+    for n in range(21):
+        with _products_made(MultiPoly) as made:
+            power = b**n
+        assert power == product
+        assert all(p.total_degree() <= n * b.total_degree() for p in made)
+        product = product * b
+
+
+@given(coeffs(), st.integers(0, 20))
+def test_scalar_power_makes_no_product_past_it(b, n):
+    # every product made is b^k for some k <= n, and the last is b^n
+    powers = [Scalar(1)]
+    for _ in range(n):
+        powers.append(powers[-1] * b)
+    with _products_made(Scalar) as made:
+        power = b**n
+    assert power == powers[n]
+    assert all(p in powers for p in made)
 
 
 # -- division helpers ---------------------------------------------------------
