@@ -28,7 +28,7 @@ from .funceq import (
     verify_solution_table,
 )
 from .grading import scan_grid, default_grid
-from .modules import MissingAction
+from .modules import ConformalModule, MissingAction
 from .parsing import ParseError, parse_poly, parse_scalar
 from .polymatrix import MalformedMatrix, PolyMatrix, matmul, smith_normal_form
 from .reports import Report
@@ -128,6 +128,18 @@ def _emit(args, command: str, status: str, report: Report | None, data: dict) ->
             print(f"  skip {item.check_id}")
 
 
+def _emit_check(args, command: str, report: Report, data: dict) -> int:
+    """_emit a check command's report; the exit code is 1 if a check failed."""
+    _emit(args, command, "pass" if report.passed else "fail", report, data)
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def _module_of(spec: SpecFile, name: str) -> ConformalModule:
+    if name not in spec.modules:
+        raise InvalidStructure(f"spec has no module {name!r}")
+    return spec.modules[name]
+
+
 def _scalar_arg(text: str) -> Scalar:
     try:
         return parse_scalar(text)
@@ -162,23 +174,17 @@ def _cmd_check_algebra(args) -> int:
     spec = _load_spec(args.spec)
     _refuse_large_check("check-algebra", spec.algebra)
     report = check_algebra(spec.algebra)
-    status = "pass" if report.passed else "fail"
-    _emit(args, "check-algebra", status, report, {"generators": list(spec.algebra.gens)})
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit_check(args, "check-algebra", report, {"generators": list(spec.algebra.gens)})
 
 
 def _cmd_check_module(args) -> int:
     from .modules import check_module
 
     spec = _load_spec(args.spec)
-    if args.module not in spec.modules:
-        raise InvalidStructure(f"spec has no module {args.module!r}")
-    A, module = spec.algebra, spec.modules[args.module]
+    A, module = spec.algebra, _module_of(spec, args.module)
     _refuse_large_check("check-module", A, module)
     report = check_module(A, module)
-    status = "pass" if report.passed else "fail"
-    _emit(args, "check-module", status, report, {"module": args.module})
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit_check(args, "check-module", report, {"module": args.module})
 
 
 def _cmd_annih_check(args) -> int:
@@ -191,16 +197,12 @@ def _cmd_annih_check(args) -> int:
         )
     X = AnnihAlgebra(spec.algebra, args.depth)
     report = check_annih_lie(X)
-    status = "pass" if report.passed else "fail"
-    _emit(args, "annih-check", status, report, {"depth": args.depth})
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit_check(args, "annih-check", report, {"depth": args.depth})
 
 
 def _cmd_weights(args) -> int:
     spec = _load_spec(args.spec)
-    if args.module not in spec.modules:
-        raise InvalidStructure(f"spec has no module {args.module!r}")
-    module = spec.modules[args.module]
+    module = _module_of(spec, args.module)
     gen = args.gen if args.gen is not None else spec.virasoro_gen
     if gen >= spec.algebra.n_gens:
         raise InvalidStructure(
@@ -258,7 +260,6 @@ def _cmd_verify_prop36(args) -> int:
     if args.delta_samples is not None:
         kwargs["delta_samples"] = args.delta_samples
     result = verify_solution_table(**kwargs)
-    status = "pass" if result.report.passed else "fail"
     rows = [
         {
             "row": rv.row_id,
@@ -274,8 +275,7 @@ def _cmd_verify_prop36(args) -> int:
         }
         for rv in result.rows
     ]
-    _emit(args, "verify-prop36", status, result.report, {"rows": rows})
-    return EXIT_OK if result.report.passed else EXIT_CHECK_FAILED
+    return _emit_check(args, "verify-prop36", result.report, {"rows": rows})
 
 
 def _capped_int(cap: int, least: int = 0):

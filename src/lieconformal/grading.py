@@ -11,15 +11,16 @@ is the intertwiner F of Lemma C's closed form where a few fixed
 quadratics in (a_1, a_{j+1}) vanish, and the exact solver's answer at
 a_1 = 1; both are gauge-normalized as the solver's nullspace is, since
 rescaling generators absorbs one scalar per grade.  Higher rows are forced
-by the Jacobi identity on triples (1, i-1, j): the entry is the one
-polynomial that the defect's lowest slice in l allows, found by dividing
-by a single term in m, and the identity itself, summed once, accepts or
-refuses it (_Scan._recurse_entry).  The row-one search is complete:
-_Scan._candidates proves that no step of degree above 3 has a solution,
-for every target, and that each step's solutions span at most one line.
-A branch survives only if every forced entry exists and is consistent,
-and then the table satisfies skew and Jacobi everywhere up to the
-horizon: _Scan._extend proves that the construction forces both.  Degree
+by the Jacobi identity on triples (1, i-1, j), j >= 2: the entry is the
+one polynomial that the defect's lowest slice in l allows, found by
+dividing by a single term in m, and the identity itself, summed once,
+accepts or refuses it (_Scan._recurse_entry).  The row-one search is
+complete: _Scan._candidates proves that no step of degree above 3 has a
+solution, for every target, and that each step's solutions span at most
+one line.  A branch survives only if every forced entry exists and
+J(1, h-2, 1) vanishes with p_{h-1,1} the skew image of p_{1,h-1}; then
+the table satisfies skew and Jacobi everywhere up to the horizon:
+_Scan._extend proves that the construction forces both.  Degree
 bookkeeping alone is not enough: some rejected slopes admit cycles that
 satisfy every degree-level side condition and only die at the polynomial
 level, where no entry satisfies a forcing identity.  Admissibility at a
@@ -278,9 +279,9 @@ class _Scan:
     A search node is the value sequence a_1..a_h and the candidate table
     for all pairs with index sum <= h, row one p_{1,j} for j < h included.
     Extending to h+1 builds a new table with the new diagonal, accepted
-    only if every entry the Jacobi recursion forces exists and agrees with
-    the skew image of row one; skew and Jacobi then hold on the new grade
-    by construction (see _extend).  The parent's table is never changed.
+    only if every forced entry exists and J(1, h-1, 1) holds with the
+    skew image of row one; skew and Jacobi then hold on the new grade by
+    construction (see _extend).  The parent's table is never changed.
     """
 
     def __init__(self, a1: Scalar, horizon: int):
@@ -527,13 +528,16 @@ class _Scan:
         later branches and grades, which meet the same p_{0,h} and p_{1,h-1}
         again, compute each once.
 
-        Nothing is checked afterwards: the construction forces skew and
+        One identity is checked, and the construction forces skew and
         Jacobi on grade h.  Write S(i, j) for algebra._skew_defect and
         J(x, y, z)(d, l, m) for jacobi_defect(entry, x, y, z); both vanish
         below grade h (by _initial_table, then by induction).  The
         construction sets S(0, h) = S(1, h-1) = 0 (skew images, or
-        _skew_condition at h = 2) and J(1, y, z) = 0 for y, z >= 1
-        (_recurse_entry found the one entry that satisfies it).  J(0, 0, h)
+        _skew_condition at h = 2).  J(1, y, z) = 0 for y >= 1 is forced for
+        z >= 2 (_recurse_entry found the one p_{y+1,z} that satisfies it)
+        and checked for z = 1, with p_{h-1,1} the skew image of p_{1,h-1};
+        forcing p_{h-1,1} and comparing would accept the same grades, as
+        the identity reads it once, linearly (_recurse_entry).  J(0, 0, h)
         is the identity of the Virasoro module d + a_h l, which holds for
         every slope, and J(0, 1, h-1) is the intertwiner equation whose
         exact nullspace p_{1,h-1} lies in (see funceq).  Each p_{1,j} is a nonzero
@@ -578,14 +582,14 @@ class _Scan:
         table[(0, h)] = D + target * L
         table[(h, 0)] = _image(table[(0, h)], skew_image)
         table[(1, h - 1)] = p1j
-        if h - 1 != 1:
-            table[(h - 1, 1)] = _image(p1j, skew_image)
-        for i in range(2, h):
-            p = self._recurse_entry(table, i, h - i)
-            # (h-1, 1) is already set, and the forced entry must agree with it
-            if p is None or table.setdefault((i, h - i), p) != p:
+        if h == 2:
+            return table
+        table[(h - 1, 1)] = _image(p1j, skew_image)
+        for i in range(2, h - 1):
+            if (p := self._recurse_entry(table, i, h - i)) is None:
                 return None
-        return table
+            table[(i, h - i)] = p
+        return None if jacobi_defect(_entry_of(table), 1, h - 2, 1) else table
 
 
 def scan_a1(a1, horizon: int) -> ScanResult:

@@ -11,25 +11,26 @@ lives in at most three variables (d, plus l and m for nested brackets), and
 a closed universe keeps substitution total.  Degree of the zero polynomial
 is the sentinel None, never -1.
 
-A sum of many products reduces each coefficient once: _add_products keeps
-its running sums as unreduced Gaussian-integer triples, and _reduce_sums
-divides out one gcd per coefficient at the end.  substitute uses it, and so
-does algebra.jacobi_defect; the solver's columns in funceq sum scaled
-images with _add_scaled, the same sum without a key shift.  __mul__ and
-the divisions (exact_div and divmod_univar, which read the remainder's
-leading coefficient at every step) stay on _accumulate, which reduces
-each sum in place.  exact_div by a one-term divisor, the a1 scan's case
-(grading._Scan._recurse_entry), needs no remainder: it divides each term
-of the dividend once, in the dividend's order, not the loop's descending
-one.  The values are the same either way, since each has one canonical
-triple; only the order of a term dict can differ, where a partial sum
-cancels and comes back (a zero sum keeps its place here, and _accumulate
-drops it and appends it again) or where a quotient keeps its dividend's
-order.  No output reads that order: equality compares dicts, the hash is
-over a frozenset, rendering sorts, leading terms take a maximum under a
-total order, linalg.nullspace, which lays rows out in first-seen key
-order, returns the basis of the unique RREF, and weight_spaces' refusal
-sorts the unknowns each image reaches before it names one.
+A sum of many products reduces each coefficient once: _add_products
+keeps its running sums as unreduced Gaussian-integer triples, and
+_reduce_sums divides out one gcd per coefficient at the end.  substitute
+uses it, and so does algebra.jacobi_defect; the solver's columns in
+funceq sum scaled images with _add_scaled, the same sum without a key
+shift.  __mul__ and the long division of exact_div and divmod_univar
+(_divide, which reads the remainder's leading coefficient at every step)
+stay on _accumulate, which reduces each sum in place.  exact_div by a
+one-term divisor, the a1 scan's case (grading._Scan._recurse_entry),
+needs no remainder: it divides each term of the dividend once, in the
+dividend's order, not the loop's descending one.  The values are the
+same either way, since each has one canonical triple; only the order of
+a term dict can differ, where a partial sum cancels and comes back (a
+zero sum keeps its place here, and _accumulate drops it and appends it
+again) or where a quotient keeps its dividend's order.  No output reads
+that order: equality compares dicts, the hash is over a frozenset,
+rendering sorts, leading terms take a maximum under a total order,
+linalg.nullspace, which lays rows out in first-seen key order, returns
+the basis of the unique RREF, and weight_spaces' refusal sorts the
+unknowns each image reaches before it names one.
 """
 
 from __future__ import annotations
@@ -388,30 +389,18 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     """p / q when q divides p exactly, else None."""
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return _ZERO
-    quotient: dict[Key, Scalar] = {}
     if len(q.terms) == 1:
         # a monomial divides term by term: each term of p is a quotient
         # term times q, and distinct terms of p give distinct quotient terms
         [((q0, q1, q2), qc)] = q.terms.items()
+        quotient: dict[Key, Scalar] = {}
         for (e0, e1, e2), c in p.terms.items():
             if e0 < q0 or e1 < q1 or e2 < q2:
                 return None
             quotient[(e0 - q0, e1 - q1, e2 - q2)] = c / qc
         return _raw(quotient)
-    qkey, qc = leading_term(q)
-    # one remainder, reduced in place; each step cancels its leading term
-    rem = dict(p.terms)
-    while rem:
-        rkey = max(rem, key=_graded_lex)
-        step = tuple(a - b for a, b in zip(rkey, qkey))
-        if any(e < 0 for e in step):
-            return None
-        c = rem[rkey] / qc
-        quotient[step] = c
-        _accumulate(rem, step, -c, q.terms)
-    return _raw(quotient)
+    quotient, rem = _divide(p, q)
+    return None if rem else _raw(quotient)
 
 
 def divmod_univar(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -421,16 +410,21 @@ def divmod_univar(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     for poly in (a, b):
         if not poly.uses_only(("d",)):
             raise ValueError("divmod_univar expects polynomials in d only")
-    db = b.degree_in("d")
-    bc = b.terms[(db, 0, 0)]
-    quo: dict[Key, Scalar] = {}
-    rem = dict(a.terms)
+    quotient, rem = _divide(a, b)
+    return _raw(quotient), _raw(rem)
+
+
+def _divide(p: MultiPoly, q: MultiPoly) -> tuple[dict[Key, Scalar], dict[Key, Scalar]]:
+    """(quotient terms, remainder terms) of p by a nonzero q, until q's leading term fails to divide."""
+    qkey, qc = leading_term(q)
+    quotient: dict[Key, Scalar] = {}
+    rem = dict(p.terms)  # one remainder, reduced in place
     while rem:
-        da = max(key[0] for key in rem)
-        if da < db:
+        rkey = max(rem, key=_graded_lex)
+        step = tuple(a - b for a, b in zip(rkey, qkey))
+        if any(e < 0 for e in step):
             break
-        shift = (da - db, 0, 0)
-        c = rem[(da, 0, 0)] / bc
-        quo[shift] = c
-        _accumulate(rem, shift, -c, b.terms)
-    return _raw(quo), _raw(rem)
+        c = rem[rkey] / qc
+        quotient[step] = c
+        _accumulate(rem, step, -c, q.terms)
+    return quotient, rem

@@ -427,8 +427,7 @@ def smith_normal_form(Mx: PolyMatrix) -> SmithDecomposition:
             if offender is None:
                 break
             # fold the offending row into row t and restart the reduction
-            work[t] = [_sub_mul(a, _MINUS_ONE, b) for a, b in zip(work[t], work[offender])]
-            U[t] = [_sub_mul(a, _MINUS_ONE, b) for a, b in zip(U[t], U[offender])]
+            row_op(t, offender, _MINUS_ONE)
         if not work[t][t][0]:
             break
     # monic normalization of the nonzero invariants

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     ConformalAlgebra,
     InvalidStructure,
+    _require_distinct,
     abelian_constants,
     block,
     current,
@@ -174,11 +175,10 @@ def _count(text: str, lineno: int, what: str) -> int:
 def _names(value: str, lineno: int, column: int, what: str) -> tuple[str, ...]:
     """The blank-separated names of a value; a repeated name is a parse error at the value."""
     names = tuple(value.split())
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise ParseError(f"{what} {name!r} is named twice", lineno, column)
-        seen.add(name)
+    try:
+        _require_distinct(names, what)
+    except InvalidStructure as exc:
+        raise ParseError(str(exc), lineno, column) from None
     return names
 
 

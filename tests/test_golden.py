@@ -90,6 +90,13 @@ def test_scan_horizon_12_golden(tmp_path):
     assert out.read_bytes() == _golden_bytes("scan_den6_h12.json")
 
 
+def test_scan_at_the_grid_and_horizon_caps_golden(tmp_path):
+    # den12 on [1, 2] at horizon 32: the largest grid and horizon the CLI takes
+    out = tmp_path / "out.json"
+    assert cli.run(["scan-a1", "--grid", "den12", "--horizon", "32", "--json", str(out)]) == 0
+    assert out.read_bytes() == _golden_bytes("scan_den12_h32.json")
+
+
 def test_scan_witness_tables_golden():
     # the rendered witness table of every admitted slope of den12 over
     # [0, 3] at horizon 12: the JSON goldens above pin verdicts, depths and

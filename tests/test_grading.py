@@ -27,6 +27,7 @@ from lieconformal.funceq import (
     _solve_by_matching,
     solve_homogeneous,
 )
+from lieconformal import grading
 from lieconformal.grading import (
     HypothesisViolated,
     MalformedBracket,
@@ -756,6 +757,103 @@ def test_scan_matches_the_candidates_at_every_degree_to_four(monkeypatch, horizo
     assert [r.table for r in one] == [r.table for r in oracle]
     # the oracle searched zero-target steps the scan never tries, past degree 4
     assert min(zero_steps) <= _MAX_STEP_DEGREE < 4 < max(zero_steps)
+
+
+# -- _Scan._extend against the force-and-compare it replaced --------------------
+
+
+def _force_and_compare_extend(self, table, h, target, p1j):
+    """_Scan._extend before its check on (1, h-2, 1): p_{h-1,1} forced from that
+    identity like every other entry, and kept only if it equals the skew image of
+    p_{1,h-1}."""
+    table = dict(table)
+    table[(0, h)] = D + target * L
+    table[(h, 0)] = skew_image(table[(0, h)])
+    table[(1, h - 1)] = p1j
+    if h - 1 != 1:
+        table[(h - 1, 1)] = skew_image(p1j)
+    for i in range(2, h):
+        p = self._recurse_entry(table, i, h - i)
+        if p is None or table.setdefault((i, h - i), p) != p:
+            return None
+    return table
+
+
+class _ComparingScan(_Scan):
+    """A scan whose every _extend is asserted to be the force-and-compare's."""
+
+    def _extend(self, table, h, target, p1j):
+        out = super()._extend(table, h, target, p1j)
+        assert out == _force_and_compare_extend(self, table, h, target, p1j), (self.a1, h)
+        return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-3, max_value=6, max_denominator=12), st.integers(3, 10))
+def test_extend_is_the_force_and_compare_on_drawn_slopes_and_grades(a1, horizon):
+    assert _ComparingScan(Scalar(a1), horizon).run().to_dict() == scan_a1(a1, horizon).to_dict()
+
+
+def _rendered_scan(grid, horizon):
+    return [
+        (r.to_dict(), r.table and [f"p_{{{i},{j}}} = {p.render()}" for (i, j), p in sorted(r.table.items())])
+        for r in scan_grid(grid, horizon)
+    ]
+
+
+@pytest.mark.parametrize("horizon", [8, 12])
+def test_scan_matches_the_force_and_compare_with_its_witness_tables(monkeypatch, horizon):
+    grid = default_grid(12, Fraction(-3), Fraction(6))
+    checked = _rendered_scan(grid, horizon)
+    monkeypatch.setattr(_Scan, "_extend", _force_and_compare_extend)
+    assert checked == _rendered_scan(grid, horizon)
+    assert sum(r["admissible"] for r, _ in checked) >= 2
+
+
+def test_extend_forces_no_entry_of_column_one(monkeypatch):
+    # p_{h-1,1} stays the skew image of p_{1,h-1}: no grade asks
+    # _recurse_entry for it, and the check on (1, h-2, 1) stands in
+    pairs = []
+    recurse = _Scan._recurse_entry
+
+    def recording(self, table, i, j):
+        pairs.append((i, j))
+        return recurse(self, table, i, j)
+
+    monkeypatch.setattr(_Scan, "_recurse_entry", recording)
+    scan_grid(default_grid(6), 10)
+    assert pairs and all(j >= 2 for _, j in pairs)
+
+
+def test_a_grade_with_every_entry_forced_can_fail_the_check(monkeypatch):
+    # a_1 = 2 along a_2 = a_3 = 2 (steps of degree 1), then the degree-0 step
+    # to a_4 = 3 with p_{1,3} = 1: p_{2,2} is forced, but J(1, 2, 1) does not
+    # vanish with p_{3,1} the skew image of p_{1,3}
+    scan = _Scan(Scalar(2), 8)
+    table = scan._initial_table()
+    for h in (2, 3):
+        [p1j] = scan._candidates(Scalar(2), 1, diagonal=(h == 2))
+        table = scan._extend(table, h, Scalar(2), p1j)
+    [p13] = scan._candidates(Scalar(3), 0, diagonal=False)
+    assert p13 == MultiPoly.one()
+    assert _force_and_compare_extend(scan, table, 4, Scalar(3), p13) is None
+    forced, defects = [], []
+    recurse, defect = _Scan._recurse_entry, grading.jacobi_defect
+
+    def recording_entry(self, table, i, j):
+        forced.append(((i, j), recurse(self, table, i, j)))
+        return forced[-1][1]
+
+    def recording_defect(entry, x, y, z):
+        defects.append(((x, y, z), defect(entry, x, y, z)))
+        return defects[-1][1]
+
+    monkeypatch.setattr(_Scan, "_recurse_entry", recording_entry)
+    monkeypatch.setattr(grading, "jacobi_defect", recording_defect)
+    assert scan._extend(table, 4, Scalar(3), p13) is None
+    assert [pair for pair, p in forced if p is not None] == [(2, 2)]
+    (triple, last) = defects[-1]
+    assert triple == (1, 2, 1) and last
 
 
 def test_default_grid_contents():

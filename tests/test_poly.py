@@ -11,8 +11,10 @@ from lieconformal.poly import (
     L,
     M,
     MultiPoly,
+    _accumulate,
     _add_products,
     _add_scaled,
+    _graded_lex,
     _reduce_sums,
     divmod_univar,
     exact_div,
@@ -270,6 +272,67 @@ def test_exact_division_by_a_monomial_refuses_one_short_exponent(v):
     # d^2 l^2 m^2 with the exponent of one variable dropped to zero, over d l m
     key = tuple(0 if t == v else 2 for t in range(3))
     assert exact_div(MultiPoly({key: 3}), D * L * M) is None
+
+
+def _exact_div_loop(p, q):
+    """exact_div's loop for a divisor of several terms before it shared _divide:
+    None at the first leading term of the remainder that q's does not divide."""
+    qkey, qc = leading_term(q)
+    quotient, rem = {}, dict(p.terms)
+    while rem:
+        rkey = max(rem, key=_graded_lex)
+        step = tuple(a - b for a, b in zip(rkey, qkey))
+        if any(e < 0 for e in step):
+            return None
+        c = rem[rkey] / qc
+        quotient[step] = c
+        _accumulate(rem, step, -c, q.terms)
+    return MultiPoly(quotient)
+
+
+def _divmod_univar_loop(a, b):
+    """divmod_univar's loop before it shared _divide: stop below b's degree in d."""
+    db = b.degree_in("d")
+    bc = b.terms[(db, 0, 0)]
+    quo, rem = {}, dict(a.terms)
+    while rem:
+        da = max(key[0] for key in rem)
+        if da < db:
+            break
+        shift = (da - db, 0, 0)
+        c = rem[(da, 0, 0)] / bc
+        quo[shift] = c
+        _accumulate(rem, shift, -c, b.terms)
+    return MultiPoly(quo), MultiPoly(rem)
+
+
+def _same_terms(p, q):
+    """Equal, with the terms in the same order."""
+    return p == q and (p is None or list(p.terms) == list(q.terms))
+
+
+_d_polys = st.dictionaries(st.integers(0, 4).map(lambda e: (e, 0, 0)), coeffs(), max_size=4).map(MultiPoly)
+
+
+def _several_terms(polys):
+    return polys.filter(lambda q: len(q.terms) >= 2)
+
+
+@given(st.sampled_from([polys(), _d_polys]).flatmap(lambda ps: st.tuples(ps, ps, _several_terms(ps))))
+def test_exact_division_by_several_terms_is_the_loop_it_shares(spq):
+    # in three variables and in d alone, divisible and not
+    s, r, q = spq
+    for p in (s * q, s * q + r):
+        assert _same_terms(exact_div(p, q), _exact_div_loop(p, q))
+    assert exact_div(s * q, q) == s
+
+
+@given(_d_polys, _d_polys, _d_polys.filter(bool))
+def test_divmod_univar_is_the_loop_it_shares(s, r, b):
+    for a in (s * b, s * b + r):
+        got, want = divmod_univar(a, b), _divmod_univar_loop(a, b)
+        assert all(_same_terms(x, y) for x, y in zip(got, want))
+    assert divmod_univar(s * b, b) == (s, ZERO_P)
 
 
 def test_divmod_univar():
