@@ -31,7 +31,7 @@ from .grading import scan_grid, default_grid
 from .modules import ConformalModule, MissingAction
 from .parsing import ParseError, parse_poly, parse_scalar
 from .polymatrix import MalformedMatrix, PolyMatrix, matmul, smith_normal_form
-from .reports import Report
+from .reports import FAIL, PASS, SKIPPED, Report
 from .scalars import Scalar
 from .specfile import (
     MAX_GENERATORS,
@@ -99,14 +99,18 @@ def _load_spec(path: str) -> SpecFile:
     return parse_spec(text)
 
 
-def _emit(args, command: str, status: str, report: Report | None, data: dict) -> None:
-    """Write --json, then print the report: a closed stdout cannot lose the file."""
+def _emit(args, command: str, status: str, report: Report | None, data: dict, counts: dict | None = None) -> None:
+    """Write --json, then print the report: a closed stdout cannot lose the file.
+
+    A report comes with the status and counts of its _status_and_counts,
+    and its FAIL and skip lines are collected in one pass over its checks.
+    """
     if getattr(args, "json", None):
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "status": status,
-            "report": report.to_dict() if report is not None else None,
+            "report": report._to_dict(status, counts) if report is not None else None,
             "data": data,
         }
         # only the open is guarded: a BrokenPipeError on stdout must stay exit 1
@@ -119,19 +123,21 @@ def _emit(args, command: str, status: str, report: Report | None, data: dict) ->
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
     if report is not None:
-        print(report.summary())
-        for item in report.failures:
-            print(f"  FAIL {item.check_id}")
-            for w in item.witnesses:
-                print(f"       {w}")
-        for item in report.skipped:
-            print(f"  skip {item.check_id}")
+        lines, skips = [report._summary(status, counts)], []
+        for item in report.checks:
+            if item.status == FAIL:
+                lines.append(f"  FAIL {item.check_id}")
+                lines.extend(f"       {w}" for w in item.witnesses)
+            elif item.status == SKIPPED:
+                skips.append(f"  skip {item.check_id}")
+        print("\n".join(lines + skips))
 
 
 def _emit_check(args, command: str, report: Report, data: dict) -> int:
     """_emit a check command's report; the exit code is 1 if a check failed."""
-    _emit(args, command, "pass" if report.passed else "fail", report, data)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    status, counts = report._status_and_counts()
+    _emit(args, command, status, report, data, counts)
+    return EXIT_OK if status == PASS else EXIT_CHECK_FAILED
 
 
 def _module_of(spec: SpecFile, name: str) -> ConformalModule:

@@ -41,6 +41,15 @@ defect itself the first time a solve needs it, a part only once a solve
 has that parameter nonzero.  The cache holds at most seven polynomials
 per monomial of each defect up to the largest degree bound solved, and a
 solve at that bound builds all of those it reads anyway.
+
+_solve_family solves a family of instances of one degree window at once.
+It sums the base and the parts of the parameters all members share once
+per monomial, and each member adds only the parts of the parameters that
+vary.  The members' maps form one direct sum, each member's rows keyed
+by the member, and one nullspace call splits into the members' own bases
+(proved in _solve_family).  A lone solve is the family of one;
+verify_solution_table solves each sampled instance and its five
+perturbations of delta_j as one family.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import attrgetter
 
 from .algebra import jacobi_defect
 from .linalg import nullspace, rref
@@ -140,6 +150,7 @@ def _defect_bcsx(inst: FuncEqInstance, q: MultiPoly) -> MultiPoly:
 # The FuncEqInstance fields the defects are affine in; _affine_part
 # numbers its parts by their place here.
 _PARAMETERS = ("a", "b", "delta_i", "c_i", "delta_j", "c_j")
+_parameter_values = attrgetter(*_PARAMETERS)
 
 
 @cache
@@ -157,6 +168,81 @@ def _affine_part(defect, ed: int, el: int, p: int | None) -> MultiPoly:
     return image if p is None else image - _affine_part(defect, ed, el, None)
 
 
+def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
+    """[_solve_by_matching(inst, defect, extra_conditions) for inst in insts], one elimination.
+
+    The members share one degree window and so one list of monomials.  A
+    member's unknowns are the coefficients of its own f, so the family's
+    map is the direct sum of the members' maps: member t's image of
+    monomial i is column t * n + i, its entries keyed (t, row key), with
+    the row keys of a lone solve, and one nullspace call solves them all.
+    Each monomial's image sums the base and value * part of each parameter
+    that every member holds at one nonzero value once; each member copies
+    that unreduced sum and adds value * part of each parameter whose value
+    varies across the family, where it is nonzero.
+
+    A member's column is the column its lone solve builds.  Its sum adds
+    the same unreduced triples as the lone solve's, only in another order
+    where a varying parameter comes before a shared one in _PARAMETERS.
+    The value of a sum does not depend on that order, and _reduce_sums
+    takes each nonzero value to its one canonical Scalar and drops the
+    zeros.  So a member's column has the lone solve's keys and values,
+    and no order of the keys reaches a basis (linalg.nullspace).
+
+    Each member gets exactly its lone solve's basis.  No row holds two
+    members, so the direct sum's rows are the members' rows, each on its
+    own block of columns, and a pivot row clears rows of its own block
+    only.  The RREF is unique, so the direct sum's RREF is the blocks'
+    RREFs side by side: in each block the lone solve's pivot and free
+    columns, shifted by t * n, and its entries.  nullspace makes one
+    vector per free column, in column order, with a 1 at its free column;
+    so each vector lies in one block, and member t gets its lone solve's
+    vectors, in the same order, with the same normalization.
+    """
+    window = {(inst.degree_bound, inst.homogeneous_degree) for inst in insts}
+    if len(window) != 1:
+        raise ValueError("the members of a family share one degree window")
+    monomials = _monomials(*window.pop())
+    n = len(monomials)
+    values = [_parameter_values(inst) for inst in insts]
+    # (part, its scale): the base, then each parameter all members hold at
+    # one nonzero value; list.count compares each value with the first
+    shared = [(None, ONE)]
+    varying = []
+    for p, held in enumerate(zip(*values)):
+        if held.count(held[0]) < len(held):
+            varying.append(p)
+        elif not held[0].is_zero():
+            shared.append((p, held[0]))
+    # each member's (part, its scale) for the varying parameters
+    own_parts = [[(p, row[p]) for p in varying if not row[p].is_zero()] for row in values]
+    columns: list = [None] * (len(insts) * n)
+    for i, (ed, el) in enumerate(monomials):
+        sums: dict = {}
+        for p, scale in shared:
+            _add_scaled(sums, scale, _affine_part(defect, ed, el, p).terms)
+        # a condition's rows are keyed (index, monomial), 2-tuples that never
+        # equal a 3-tuple monomial
+        conditions = []
+        if extra_conditions:
+            mono = MultiPoly({(ed, el, 0): ONE})
+            for index, condition in enumerate(extra_conditions, 1):
+                conditions.extend(((index, key), coeff) for key, coeff in condition(mono).terms.items())
+        for t, parts in enumerate(own_parts):
+            own = dict(sums) if parts else sums
+            for p, scale in parts:
+                _add_scaled(own, scale, _affine_part(defect, ed, el, p).terms)
+            column = {(t, key): coeff for key, coeff in _reduce_sums(own).items()}
+            if conditions:
+                column.update(((t, key), coeff) for key, coeff in conditions)
+            columns[t * n + i] = column
+    bases: list = [[] for _ in insts]
+    for vec in nullspace(columns):
+        t = next(iter(vec)) // n  # every entry of vec lies in member t's block
+        bases[t].append(MultiPoly({(*monomials[j - t * n], 0): coeff for j, coeff in vec.items()}))
+    return [SolutionBasis(tuple(basis)) for basis in bases]
+
+
 def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> SolutionBasis:
     """Solutions f within inst's degrees of defect(inst, f) = 0 and each extra condition.
 
@@ -164,33 +250,10 @@ def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> Sol
     nonzero in inst, summed by poly._add_scaled and reduced once per key,
     zero sums dropped: its keys are exactly those of defect(inst,
     monomial).  An extra condition maps the monomial to a polynomial that
-    must vanish too.
+    must vanish too.  This is the family of one, where every parameter is
+    shared.
     """
-    monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-    # (part, its scale): the base, then each parameter nonzero in inst
-    scaled_parts = [(None, ONE)] + [
-        (p, value)
-        for p, value in enumerate(getattr(inst, name) for name in _PARAMETERS)
-        if not value.is_zero()
-    ]
-    columns = []
-    for ed, el in monomials:
-        sums: dict = {}
-        for p, scale in scaled_parts:
-            _add_scaled(sums, scale, _affine_part(defect, ed, el, p).terms)
-        # keyed by monomial; a condition's rows by (index, monomial), 2-tuples
-        # that never equal a 3-tuple monomial
-        column = _reduce_sums(sums)
-        if extra_conditions:
-            mono = MultiPoly({(ed, el, 0): ONE})
-            for index, condition in enumerate(extra_conditions, 1):
-                column.update(((index, key), coeff) for key, coeff in condition(mono).terms.items())
-        columns.append(column)
-    basis = [
-        MultiPoly({(*monomials[i], 0): coeff for i, coeff in vec.items()})
-        for vec in nullspace(columns)
-    ]
-    return SolutionBasis(tuple(basis))
+    return _solve_family((inst,), defect, extra_conditions)[0]
 
 
 def solve_intertwiner(inst: FuncEqInstance) -> SolutionBasis:
@@ -457,7 +520,11 @@ def verify_solution_table(
     finds a one-dimensional space at the stated degree matching it, and
     constraint-violating perturbations of delta_j give dimension zero.
     An instance with delta_i = 0, outside the table's hypothesis, is
-    reported as skipped.
+    reported as skipped.  The six solves of an instance differ only in
+    delta_j, so they run as one _solve_family, which gives each the basis
+    solve_homogeneous would.  "The stated polynomial solves" stays a
+    direct evaluation of the defect, a witness apart from the solver's
+    columns.
     """
     report = Report("homogeneous solution table")
     result = TableVerification(report)
@@ -470,15 +537,19 @@ def verify_solution_table(
             defect = _defect_intertwiner(
                 FuncEqInstance(a, ZERO, di, ZERO, dj, ZERO, row.k), stated
             )
-            basis = solve_homogeneous(a, di, dj, row.k)
+            # solve_homogeneous at delta_j and at each perturbation, as one family
+            basis, *perturbed = _solve_family(
+                [
+                    FuncEqInstance(a, ZERO, di, ZERO, delta_j, ZERO, row.k, homogeneous_degree=row.k)
+                    for delta_j in (dj, *(dj + eps for eps in _PERTURBATIONS))
+                ],
+                _defect_intertwiner,
+            )
             matches = basis.dimension == 1 and _proportional(basis.basis[0], stated)
-            perturbed = []
-            for eps in _PERTURBATIONS:
-                p_basis = solve_homogeneous(a, di, dj + eps, row.k)
-                perturbed.append(p_basis.dimension)
             rv = RowVerification(
                 row.row_id, a, di, dj, row.k,
-                defect.is_zero(), basis.dimension, matches, tuple(perturbed),
+                defect.is_zero(), basis.dimension, matches,
+                tuple(p_basis.dimension for p_basis in perturbed),
             )
             result.rows.append(rv)
             if rv.passed:

@@ -66,7 +66,15 @@ class Report:
         return (FAIL if counts["fail"] else PASS), counts
 
     def to_dict(self) -> dict:
-        status, counts = self._status_and_counts()
+        return self._to_dict(*self._status_and_counts())
+
+    def summary(self) -> str:
+        return self._summary(*self._status_and_counts())
+
+    # to_dict and summary from the status and counts of _status_and_counts,
+    # for a caller that holds them already: neither counts the checks again
+
+    def _to_dict(self, status: str, counts: dict[str, int]) -> dict:
         return {
             "title": self.title,
             "status": status,
@@ -74,8 +82,7 @@ class Report:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def summary(self) -> str:
-        status, counts = self._status_and_counts()
+    def _summary(self, status: str, counts: dict[str, int]) -> str:
         return (
             f"{self.title}: {status} "
             f"({counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped)"

@@ -7,19 +7,27 @@ from hypothesis import given, settings, strategies as st
 from lieconformal.funceq import (
     FuncEqInstance,
     NotASolution,
+    RowVerification,
+    SolutionBasis,
     TABLE_ROWS,
     _PARAMETERS,
+    _PERTURBATIONS,
     _affine_part,
     _defect_bcsx,
     _defect_intertwiner,
     _monomials,
+    _solve_by_matching,
+    _solve_family,
     bcsx_variant_solver,
     degree_offset,
     solve_homogeneous,
     solve_intertwiner,
     verify_solution_table,
 )
-from lieconformal.poly import D, L, M, MultiPoly
+from lieconformal.grading import _skew_condition
+from lieconformal.linalg import nullspace
+from lieconformal.poly import D, L, M, MultiPoly, _add_scaled, _reduce_sums
+from lieconformal.reports import Report
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
 
 
@@ -147,6 +155,116 @@ def test_repeated_solve_of_637_images_makes_no_new_miss():
     assert _affine_part.cache_info().misses == 637
 
 
+def test_cold_family_varying_delta_j_builds_four_images_per_monomial():
+    # the base and the a and delta_i parts are summed once for the family,
+    # and each member adds its own delta_j part: 4 * (k + 1) images in all
+    k = 5
+    a, delta_i = Scalar(3), sc("1/2")
+    family = [
+        FuncEqInstance(a, ZERO, delta_i, ZERO, delta_j, ZERO, k, homogeneous_degree=k)
+        for delta_j in (Scalar(-2), ONE, sc("2/7"), Scalar(1, 1))
+    ]
+    _affine_part.cache_clear()
+    _solve_family(family, _defect_intertwiner)
+    built = _affine_part.cache_info()
+    assert built.misses == built.currsize == 4 * (k + 1)
+
+
+def _lone_solve(inst, defect, extra_conditions=()):
+    """The per-instance assembly loop _solve_by_matching ran before families: the reference."""
+    monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
+    scaled_parts = [(None, ONE)] + [
+        (p, value)
+        for p, value in enumerate(getattr(inst, name) for name in _PARAMETERS)
+        if not value.is_zero()
+    ]
+    columns = []
+    for ed, el in monomials:
+        sums = {}
+        for p, scale in scaled_parts:
+            _add_scaled(sums, scale, _affine_part(defect, ed, el, p).terms)
+        column = _reduce_sums(sums)
+        if extra_conditions:
+            mono = MultiPoly({(ed, el, 0): ONE})
+            for index, condition in enumerate(extra_conditions, 1):
+                column.update(((index, key), coeff) for key, coeff in condition(mono).terms.items())
+        columns.append(column)
+    basis = [
+        MultiPoly({(*monomials[i], 0): coeff for i, coeff in vec.items()})
+        for vec in nullspace(columns)
+    ]
+    return SolutionBasis(tuple(basis))
+
+
+def _terms_in_order(solution):
+    return [list(p.terms.items()) for p in solution.basis]
+
+
+# small values, zero among them, so that members share values, hit
+# solutions and leave parameters out of their sums
+_small = st.sampled_from((ZERO, ONE, Scalar(-1), Scalar(2), sc("1/2"), Scalar(0, 1), sc("-2/3")))
+
+
+@st.composite
+def _families(draw):
+    """Instances of one degree window; each parameter is shared by every member or drawn per member."""
+    bound = draw(st.integers(0, 3))
+    homogeneous = draw(st.none() | st.integers(0, bound))
+    shared = list(draw(st.tuples(*[st.booleans()] * len(_PARAMETERS))))
+    common = list(draw(st.tuples(*[_small] * len(_PARAMETERS))))
+    if draw(st.booleans()):
+        # the top-degree equation: b, c_i and c_j shared at zero
+        for p in (1, 3, 5):
+            shared[p], common[p] = True, ZERO
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        params = [common[p] if shared[p] else draw(_small) for p in range(len(_PARAMETERS))]
+        if draw(st.booleans()):
+            # delta_j on the degree-offset row of a degree in the window,
+            # where a homogeneous solution can live
+            k = homogeneous if homogeneous is not None else draw(st.integers(0, bound))
+            params[4] = params[2] + Scalar(k + 1) - params[0]
+        family.append(FuncEqInstance(*params, bound, homogeneous))
+    return family
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families(), st.sampled_from((_defect_intertwiner, _defect_bcsx)), st.booleans())
+def test_family_gives_each_member_its_lone_basis(family, defect, skew):
+    extra = (_skew_condition,) if skew else ()
+    solved = _solve_family(family, defect, extra)
+    assert len(solved) == len(family)
+    for inst, basis in zip(family, solved):
+        reference = _lone_solve(inst, defect, extra)
+        assert basis == reference
+        assert _terms_in_order(basis) == _terms_in_order(reference)
+        assert _terms_in_order(_solve_by_matching(inst, defect, extra)) == _terms_in_order(reference)
+
+
+def test_family_of_the_adjoint_line_finds_it_in_each_member():
+    # each member is the adjoint line at its own weight and constant, so
+    # every member has the one solution d + delta*l + c, scaled by nullspace
+    family = [
+        FuncEqInstance(Scalar(2), ZERO, delta, c, delta, c, 3)
+        for delta, c in ((Scalar(5), Scalar(7)), (sc("1/2"), ZERO), (Scalar(1, 1), sc("-1/3")))
+    ]
+    solved = _solve_family(family, _defect_intertwiner)
+    for inst, basis in zip(family, solved):
+        assert basis.dimension == 1
+        assert _proportional(basis.basis[0], D + inst.delta_i * L + MultiPoly.const(inst.c_i))
+        assert _terms_in_order(basis) == _terms_in_order(_lone_solve(inst, _defect_intertwiner))
+
+
+def test_family_refuses_members_of_two_degree_windows():
+    inst = FuncEqInstance(Scalar(3), ZERO, ONE, ZERO, ZERO, ZERO, 2)
+    for other in (
+        FuncEqInstance(Scalar(3), ZERO, ONE, ZERO, ZERO, ZERO, 1),
+        FuncEqInstance(Scalar(3), ZERO, ONE, ZERO, ZERO, ZERO, 2, homogeneous_degree=2),
+    ):
+        with pytest.raises(ValueError, match="degree window"):
+            _solve_family([inst, other], _defect_intertwiner)
+
+
 def test_constant_mismatch_kills_solutions():
     inst = FuncEqInstance(Scalar(2), ONE, Scalar(5), ZERO, Scalar(3), ZERO, 6)
     assert solve_intertwiner(inst).dimension == 0
@@ -228,6 +346,64 @@ def test_verify_solution_table_all_rows():
         # samples per free parameter and five perturbations each
         assert len(rv.perturbed_dimensions) == 5
         assert rv.dimension == 1
+
+
+def _verify_by_six_solves(a_samples, delta_samples):
+    """verify_solution_table as it ran before families: six lone solves per instance."""
+    report = Report("homogeneous solution table")
+    rows = []
+    for row in TABLE_ROWS:
+        for a, di, dj, stated in row.instances(a_samples, delta_samples):
+            check_id = f"{row.row_id}[a={a},delta_i={di}]"
+            if di.is_zero():
+                report.skip(check_id, "the table assumes delta_i != 0")
+                continue
+            defect = _defect_intertwiner(FuncEqInstance(a, ZERO, di, ZERO, dj, ZERO, row.k), stated)
+
+            def solve(delta_j):
+                inst = FuncEqInstance(a, ZERO, di, ZERO, delta_j, ZERO, row.k, homogeneous_degree=row.k)
+                return _lone_solve(inst, _defect_intertwiner)
+
+            basis = solve(dj)
+            matches = basis.dimension == 1 and _proportional(basis.basis[0], stated)
+            perturbed = tuple(solve(dj + eps).dimension for eps in _PERTURBATIONS)
+            rv = RowVerification(
+                row.row_id, a, di, dj, row.k, defect.is_zero(), basis.dimension, matches, perturbed
+            )
+            rows.append(rv)
+            if rv.passed:
+                report.ok(check_id)
+            else:
+                report.fail(
+                    check_id,
+                    f"solves={rv.stated_solves} dim={rv.dimension} "
+                    f"matches={rv.matches_table} perturbed={rv.perturbed_dimensions}",
+                )
+    return rows, report
+
+
+def test_verify_solution_table_is_the_six_solve_loop_on_the_default_samples():
+    result = verify_solution_table()
+    rows, report = _verify_by_six_solves(*verify_solution_table.__defaults__)
+    assert result.rows == rows
+    assert result.report.to_dict() == report.to_dict()
+
+
+def test_verify_solution_table_is_the_six_solve_loop_on_a_gaussian_grid_at_the_cap():
+    # 16 x 16 short Gaussian samples, the verify-prop36 sample cap, with a
+    # zero delta (skipped), a = 1 and a = 2 among them
+    rng = random.Random(31)
+
+    def short():
+        return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+    a_samples = (ONE, Scalar(2), *(short() for _ in range(14)))
+    delta_samples = (ZERO, *(short() for _ in range(15)))
+    result = verify_solution_table(a_samples, delta_samples)
+    rows, report = _verify_by_six_solves(a_samples, delta_samples)
+    assert result.rows == rows
+    assert result.report.to_dict() == report.to_dict()
+    assert any(rv.dimension == 1 for rv in rows) and report.to_dict()["counts"]["skipped"]
 
 
 # The table written out in full, as rows stated it before they took
