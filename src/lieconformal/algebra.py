@@ -287,9 +287,18 @@ def jacobi_defect(entry, x: int, y: int, z: int) -> dict[int, MultiPoly]:
     entry the identity needs is still read, so a pair beyond the
     truncation still raises TruncationExceeded.
     """
+    return {k: _raw(terms) for k, sums in _jacobi_sums(entry, x, y, z).items() if (terms := _reduce_sums(sums))}
+
+
+def _jacobi_sums(entry, x: int, y: int, z: int) -> dict[int, dict]:
+    """jacobi_defect before its reduce step: each component's unreduced sums (poly._add_products).
+
+    A caller that adds more products to a component before it reduces
+    (grading._Scan._recurse_entry) reads the defect's terms here, and
+    poly._reduce_sums gives jacobi_defect's coefficients.
+    """
     # each product factor * p is added term by term into its component's
-    # unreduced sums, never built as a polynomial of its own; each
-    # coefficient is reduced once at the end
+    # unreduced sums, never built as a polynomial of its own
     acc: dict[int, dict] = {}
     for w, q in entry(y, z).items():
         outer = entry(x, w)
@@ -309,7 +318,7 @@ def jacobi_defect(entry, x: int, y: int, z: int) -> dict[int, MultiPoly]:
             factor = _image(s, _neg_at_d_plus_m).terms
             for k, p in outer.items():
                 _add_products(acc.setdefault(k, {}), factor, _image(p, _at_m).terms)
-    return {k: _raw(terms) for k, sums in acc.items() if (terms := _reduce_sums(sums))}
+    return acc
 
 
 def _skew_defect(A: ConformalAlgebra, i: int, j: int) -> dict[int, MultiPoly]:

@@ -22,8 +22,11 @@ sampling exact parameter grids.  For a != 1 the same proof gives every
 homogeneous solution as a multiple of one closed form F
 (_lemma_c_solution), and _lemma_c_conditions reduces "F solves" to a few
 polynomials in (a, delta_i) of degree <= 2, interpolated exactly from the
-defect itself; _lemma_c_basis answers a homogeneous solve from these, and
-the scan takes its row-one candidates from it.
+defect itself.  _lemma_c_rule fixes a and keeps delta_i free: the
+conditions become quadratics in delta_i, and F its delta-free and
+delta-linear parts.  Evaluating that rule answers a homogeneous solve
+(_lemma_c_basis), and the scan builds one rule per degree and evaluates it
+at each of its row-one targets.
 
 Everything reduces to coefficient matching: the unknowns are the
 coefficients of f on the (d, l) monomials, each unknown's image is the
@@ -60,6 +63,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 from operator import attrgetter
+from typing import NamedTuple
 
 from .algebra import jacobi_defect
 from .linalg import nullspace, rref
@@ -198,24 +202,35 @@ def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
     vector per free column, in column order, with a 1 at its free column;
     so each vector lies in one block, and member t gets its lone solve's
     vectors, in the same order, with the same normalization.
+
+    A family of one keys its rows by the bare row key, since no row has a
+    member to tell apart: the keys are renamed one to one, and no order or
+    name of a row key reaches the basis.
     """
-    window = {(inst.degree_bound, inst.homogeneous_degree) for inst in insts}
-    if len(window) != 1:
-        raise ValueError("the members of a family share one degree window")
-    monomials = _monomials(*window.pop())
+    lone = len(insts) == 1
+    if lone:
+        # every parameter is shared, and rows keep their bare keys
+        [inst] = insts
+        monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
+        shared = [(None, ONE)] + [(p, value) for p, value in enumerate(_parameter_values(inst)) if not value.is_zero()]
+    else:
+        window = {(inst.degree_bound, inst.homogeneous_degree) for inst in insts}
+        if len(window) != 1:
+            raise ValueError("the members of a family share one degree window")
+        monomials = _monomials(*window.pop())
+        values = [_parameter_values(inst) for inst in insts]
+        # (part, its scale): the base, then each parameter all members hold
+        # at one nonzero value; list.count compares each value with the first
+        shared = [(None, ONE)]
+        varying = []
+        for p, held in enumerate(zip(*values)):
+            if held.count(held[0]) < len(held):
+                varying.append(p)
+            elif not held[0].is_zero():
+                shared.append((p, held[0]))
+        # each member's (part, its scale) for the varying parameters
+        own_parts = [[(p, row[p]) for p in varying if not row[p].is_zero()] for row in values]
     n = len(monomials)
-    values = [_parameter_values(inst) for inst in insts]
-    # (part, its scale): the base, then each parameter all members hold at
-    # one nonzero value; list.count compares each value with the first
-    shared = [(None, ONE)]
-    varying = []
-    for p, held in enumerate(zip(*values)):
-        if held.count(held[0]) < len(held):
-            varying.append(p)
-        elif not held[0].is_zero():
-            shared.append((p, held[0]))
-    # each member's (part, its scale) for the varying parameters
-    own_parts = [[(p, row[p]) for p in varying if not row[p].is_zero()] for row in values]
     columns: list = [None] * (len(insts) * n)
     for i, (ed, el) in enumerate(monomials):
         sums: dict = {}
@@ -228,6 +243,10 @@ def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
             mono = MultiPoly({(ed, el, 0): ONE})
             for index, condition in enumerate(extra_conditions, 1):
                 conditions.extend(((index, key), coeff) for key, coeff in condition(mono).terms.items())
+        if lone:
+            columns[i] = column = _reduce_sums(sums)
+            column.update(conditions)
+            continue
         for t, parts in enumerate(own_parts):
             own = dict(sums) if parts else sums
             for p, scale in parts:
@@ -236,11 +255,18 @@ def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
             if conditions:
                 column.update(((t, key), coeff) for key, coeff in conditions)
             columns[t * n + i] = column
+    if lone:
+        return [SolutionBasis(tuple(_solution(monomials, vec, 0) for vec in nullspace(columns)))]
     bases: list = [[] for _ in insts]
     for vec in nullspace(columns):
         t = next(iter(vec)) // n  # every entry of vec lies in member t's block
-        bases[t].append(MultiPoly({(*monomials[j - t * n], 0): coeff for j, coeff in vec.items()}))
+        bases[t].append(_solution(monomials, vec, t * n))
     return [SolutionBasis(tuple(basis)) for basis in bases]
+
+
+def _solution(monomials, vec, shift: int) -> MultiPoly:
+    """The f whose coefficient on monomials[j - shift] is vec[j]."""
+    return MultiPoly({(*monomials[j - shift], 0): coeff for j, coeff in vec.items()})
 
 
 def _solve_by_matching(inst: FuncEqInstance, defect, extra_conditions=()) -> SolutionBasis:
@@ -296,18 +322,23 @@ def degree_offset(f: MultiPoly, a: Scalar, delta_i: Scalar, delta_j: Scalar) -> 
 # every homogeneous solution of degree k is a multiple of F below
 
 
-def _lemma_c_solution(a: Scalar, delta_i: Scalar, k: int) -> MultiPoly:
-    """F with l F = (d+l)^k (d + delta_i l) - (d + delta_j l) d^k, delta_j = delta_i + k + 1 - a.
+def _lemma_c_parts(a: Scalar, k: int) -> tuple[tuple[tuple[int, int, int], Scalar, Scalar], ...]:
+    """F by its monomials d^{k-s} l^s, s = 0..k: (monomial, part free of delta_i, coefficient of delta_i).
 
-    delta_j is the degree-offset row's value.  The coefficient of
-    d^{k-s} l^s in F is that of d^{k-s} l^{s+1} on the right: C(k, s+1) +
-    delta_i C(k, s), less delta_j at s = 0, where it is a - 1.  So F is
-    affine in (a, delta_i).
+    F is the polynomial with l F = (d+l)^k (d + delta_i l) - (d + delta_j l)
+    d^k, delta_j = delta_i + k + 1 - a, the degree-offset row's value.  The
+    coefficient of d^{k-s} l^s in F is that of d^{k-s} l^{s+1} on the
+    right: C(k, s+1) + delta_i C(k, s), less delta_j at s = 0, where it is
+    a - 1.  So F is affine in (a, delta_i), and these are its two parts in
+    delta_i.
     """
-    terms = {(k, 0, 0): a - ONE}
-    for s in range(1, k + 1):
-        terms[(k - s, s, 0)] = Scalar(comb(k, s + 1)) + delta_i * Scalar(comb(k, s))
-    return MultiPoly(terms)
+    rest = (((k - s, s, 0), Scalar(comb(k, s + 1)), Scalar(comb(k, s))) for s in range(1, k + 1))
+    return (((k, 0, 0), a - ONE, ZERO), *rest)
+
+
+def _lemma_c_solution(a: Scalar, delta_i: Scalar, k: int) -> MultiPoly:
+    """F of _lemma_c_parts at delta_i."""
+    return MultiPoly({key: free + delta_i * linear for key, free, linear in _lemma_c_parts(a, k)})
 
 
 # the exponents (i, j) of a^i delta_i^j, numbered by their place here: the
@@ -352,25 +383,58 @@ def _lemma_c_conditions(k: int) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
     return tuple(tuple(row.items()) for row in reduced)
 
 
-def _lemma_c_basis(a: Scalar, delta_i: Scalar, k: int) -> tuple[MultiPoly, ...]:
-    """solve_homogeneous(a, delta_i, delta_i + k + 1 - a, k).basis for a != 1, without a solve.
+class _LemmaCRule(NamedTuple):
+    """Lemma C at one a != 1 and degree k, to be evaluated at each delta_i.
 
-    By Lemma C the solutions are the multiples of F where every condition
-    of degree k vanishes, and zero elsewhere.  F is scaled as nullspace
-    scales a basis vector, to 1 at its free column: the last of
-    _monomials' columns that the one kernel vector reaches, which is the
-    term of F with the largest power of l.
+    conditions holds each condition of _lemma_c_conditions(k) at this a as
+    its coefficients of 1, delta_i and delta_i^2, and terms holds F's parts
+    in delta_i (_lemma_c_parts).
     """
-    conditions = _lemma_c_conditions(k)
-    if conditions:
-        # a^i delta_i^j in the order of _AD_MONOMIALS
-        values = (ONE, a, delta_i, a * a, a * delta_i, delta_i * delta_i)
-        if any(sum((c * values[index] for index, c in condition), ZERO) for condition in conditions):
-            return ()
-    f = _lemma_c_solution(a, delta_i, k)
-    top = max(f.terms, key=lambda key: key[1])
-    inv = ONE / f.terms[top]
-    return (_raw({key: c * inv for key, c in f.terms.items()}),)
+
+    conditions: tuple[tuple[Scalar, Scalar, Scalar], ...]
+    terms: tuple[tuple[tuple[int, int, int], Scalar, Scalar], ...]
+
+    def basis(self, delta_i: Scalar) -> tuple[MultiPoly, ...]:
+        """solve_homogeneous(a, delta_i, delta_i + k + 1 - a, k).basis, without a solve.
+
+        By Lemma C the solutions are the multiples of F where every
+        condition of degree k vanishes, and zero elsewhere.  F is scaled as
+        nullspace scales a basis vector, to 1 at its free column: the last
+        of _monomials' columns that the one kernel vector reaches, which is
+        the term of F with the largest power of l, the last nonzero one here.
+        """
+        for c0, c1, c2 in self.conditions:
+            if c0 + delta_i * (c1 + delta_i * c2):
+                return ()
+        f = {}
+        for key, free, linear in self.terms:
+            c = free + delta_i * linear if linear else free
+            if c:
+                f[key] = c
+        inv = ONE / f[next(reversed(f))]
+        return (_raw({key: c * inv for key, c in f.items()}),)
+
+
+def _lemma_c_rule(a: Scalar, k: int) -> _LemmaCRule:
+    """Lemma C's conditions and F of degree k at a != 1, with delta_i left free.
+
+    A condition of _lemma_c_conditions(k) is a polynomial in (a, delta_i)
+    of total degree <= 2, so at a fixed a it is a quadratic in delta_i.
+    """
+    powers = (ONE, a, a * a)
+    conditions = []
+    for condition in _lemma_c_conditions(k):
+        coeffs = [ZERO, ZERO, ZERO]
+        for index, c in condition:
+            i, j = _AD_MONOMIALS[index]
+            coeffs[j] += c * powers[i]
+        conditions.append(tuple(coeffs))
+    return _LemmaCRule(tuple(conditions), _lemma_c_parts(a, k))
+
+
+def _lemma_c_basis(a: Scalar, delta_i: Scalar, k: int) -> tuple[MultiPoly, ...]:
+    """solve_homogeneous(a, delta_i, delta_i + k + 1 - a, k).basis for a != 1, without a solve."""
+    return _lemma_c_rule(a, k).basis(delta_i)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ admissibility scan for the leading coefficient a_1 at a finite horizon.
 
 The scan builds an actual finite witness.  Row one of a candidate table
 is the intertwiner F of Lemma C's closed form where a few fixed
-quadratics in (a_1, a_{j+1}) vanish, and the exact solver's answer at
+quadratics in (a_1, a_{j+1}) vanish, read from one rule per degree that
+fixes a_1 (funceq._lemma_c_rule), and the exact solver's answer at
 a_1 = 1; both are gauge-normalized as the solver's nullspace is, since
 rescaling generators absorbs one scalar per grade.  Higher rows are forced
 by the Jacobi identity on triples (1, i-1, j), j >= 2: the entry is the
 one polynomial that the defect's lowest slice in l allows, found by
-dividing by a single term in m, and the identity itself, summed once,
-accepts or refuses it (_Scan._recurse_entry).  The row-one search is
+dividing by a single term in m, and the identity itself accepts or
+refuses it, its last product added into the defect's unreduced sums
+(_Scan._recurse_entry).  The row-one search is
 complete: _Scan._candidates proves that no step of degree above 3 has a
 solution, for every target, and that each step's solutions span at most
 one line.  A branch survives only if every forced entry exists and
@@ -38,14 +40,14 @@ from .algebra import (
     ConformalAlgebra,
     _at_l_plus_m,
     _image,
+    _jacobi_sums,
     _neg_at_neg_l_minus_m,
-    _swap_lm,
     check_algebra,
     jacobi_defect,
     skew_image,
 )
-from .funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _lemma_c_basis, _solve_by_matching
-from .poly import D, L, MultiPoly, _add_products, _add_scaled, _reduce_sums, exact_div
+from .funceq import TABLE_ROWS, FuncEqInstance, _defect_intertwiner, _lemma_c_rule, _solve_by_matching
+from .poly import D, L, MultiPoly, _add_products, _raw, _reduce_sums, exact_div
 from .reports import Report
 from .scalars import ONE, Scalar, ZERO
 
@@ -291,6 +293,10 @@ class _Scan:
         self.horizon = horizon
         self.best_depth = 1
         self._solver_cache: dict = {}
+        self._rules: dict = {}  # k -> funceq._lemma_c_rule(a1, k), for a1 != 1
+        self._row_zero: dict = {}  # target -> (p_{0,h}, p_{h,0})
+        # a_1 - 1 - k for each step degree k (see _steps)
+        self._offsets = [(k, a1 - ONE - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
 
     def _candidates(self, target: Scalar, k: int, diagonal: bool) -> tuple[MultiPoly, ...]:
         """Row-one entries p_{1,h-1} of degree k from a_{h-1} to a_h = target.
@@ -372,17 +378,16 @@ class _Scan:
         one candidate, up to the scalar that rescaling L_h absorbs, and the
         search tries them all.
 
-        The computation.  At a_1 != 1 nothing is solved
-        (funceq._lemma_c_basis).  F is not zero, since its d^k coefficient
-        is a - 1, so by Lemma C the space is the line of F where E(F) = 0
-        and zero elsewhere; on the diagonal, _skew_condition keeps that
-        line or cuts it to zero.  Whether E(F) = 0 is read off fixed
-        polynomials in (a, delta_i), one set per k, which
-        funceq._lemma_c_conditions interpolates once.  That is exact: E(f)
-        is linear in f, and for fixed f affine in (a, delta_i, delta_j),
-        each of the three in its own term; F is affine in (a, delta_i)
-        (funceq._lemma_c_solution), and so is delta_j.  So each term of
-        E(F) is an affine factor times an affine part of F, and each
+        The computation.  At a_1 != 1 nothing is solved.  F is not zero,
+        since its d^k coefficient is a - 1, so by Lemma C the space is the
+        line of F where E(F) = 0 and zero elsewhere; on the diagonal,
+        _skew_condition keeps that line or cuts it to zero.  Whether E(F) =
+        0 is read off fixed polynomials in (a, delta_i), one set per k,
+        which funceq._lemma_c_conditions interpolates once.  That is exact:
+        E(f) is linear in f, and for fixed f affine in (a, delta_i,
+        delta_j), each of the three in its own term; F is affine in (a,
+        delta_i) (funceq._lemma_c_parts), and so is delta_j.  So each term
+        of E(F) is an affine factor times an affine part of F, and each
         coefficient of E(F) is a polynomial of total degree <= 2 in (a,
         delta_i), so of degree <= 2 in each; such a polynomial is fixed by
         its values on a 3 x 3 product grid.  Row reduction keeps the span
@@ -390,9 +395,14 @@ class _Scan:
         all do: on delta_i (delta_i - a + 2) = 0 at k = 2, and at (5/3,
         -2/3) and (3, 0) at k = 3; k = 0 and 1 have no condition, and at
         k = 4 to 6 the span holds the constant 1, as the proof above
-        requires.  F is scaled as
-        nullspace scales its one kernel vector, so the candidates are the
-        solver's, coefficient for coefficient.
+        requires.  a = a_1 is fixed for the whole scan, so the first step
+        of degree k builds funceq._lemma_c_rule(a_1, k) once: each
+        condition becomes a quadratic in delta_i, and F its parts free of
+        and linear in delta_i.  Every target of degree k evaluates that
+        rule (funceq._LemmaCRule.basis), the same evaluation that
+        funceq._lemma_c_basis makes.  F is scaled as nullspace scales its
+        one kernel vector, so the candidates are the solver's, coefficient
+        for coefficient.
 
         At a_1 = 1, Lemma C divides by a - 1 = 0 and (1, 0, 1, 1) has a
         two-dimensional space, so those steps go to the exact solver,
@@ -410,7 +420,10 @@ class _Scan:
                 extra = (_skew_condition,) if diagonal else ()
                 hit = _solve_by_matching(inst, _defect_intertwiner, extra).basis
             else:
-                hit = _lemma_c_basis(self.a1, target, k)
+                rule = self._rules.get(k)
+                if rule is None:
+                    rule = self._rules[k] = _lemma_c_rule(self.a1, k)
+                hit = rule.basis(target)
                 if diagonal and hit and _skew_condition(hit[0]):
                     hit = ()
             self._solver_cache[key] = hit
@@ -476,30 +489,36 @@ class _Scan:
         satisfies (*), with X = -P(d, l+m), and returns that P.  Such a P is
         unique, so both return the same entry, or both None.
 
-        (*) is summed with poly._add_products and _add_scaled, each
-        coefficient reduced once.  P(d, l+m) is the memo's image that every
-        later jacobi_defect reading p_{i,j} as an outer entry multiplies by.
+        The computation.  E comes from algebra._jacobi_sums as its
+        unreduced sums.  Only the l^r slice is reduced, to divide: E_r over
+        -g, both with m renamed l, is P itself.  R P(d, l+m) is then added
+        into the same sums with poly._add_products, and (*) holds exactly
+        when every sum is zero, which each unreduced triple shows without a
+        gcd.  So E is summed once, and only its slice is reduced; every
+        product of E is still formed before the slice is tested.
+        P(d, l+m) is the memo's image that every later jacobi_defect reading
+        p_{i,j} as an outer entry multiplies by.
         """
-        defect = jacobi_defect(_entry_of(table, unknown=(i, j)), 1, i - 1, j).get(i + j, MultiPoly.zero())
+        sums = _jacobi_sums(_entry_of(table, unknown=(i, j)), 1, i - 1, j).get(i + j, {})
         divisor = _image(table[(1, i - 1)], _neg_at_neg_l_minus_m)
         r = min(e_l for _, e_l, _ in divisor.terms)
-        low = exact_div(defect.coeff_of("l", r), divisor.coeff_of("l", r))
-        if low is None:
+        low = {(e_d, e_m, 0): v for (e_d, e_l, e_m), v in sums.items() if e_l == r}
+        neg_g = {(e_d, e_m, 0): -c for (e_d, e_l, e_m), c in divisor.terms.items() if e_l == r}
+        p = exact_div(_raw(_reduce_sums(low)), _raw(neg_g))
+        if p is None:
             return None
-        p = -_swap_lm(low)
-        sums: dict = {}
         _add_products(sums, divisor.terms, _image(p, _at_l_plus_m).terms)
-        _add_scaled(sums, ONE, defect.terms)
-        return None if _reduce_sums(sums) else p
+        return None if any(n or m for n, m, _ in sums.values()) else p
 
     def _steps(self, a_prev: Scalar) -> list[tuple[int, Scalar]]:
         """Row-one steps (k, a_{j+1}) from a_j = a_prev; each target occurs once.
 
-        No degree past _MAX_STEP_DEGREE has a solution, whatever the target
-        (see _candidates), so these steps are the whole search.
+        The step of degree k goes to a_1 + a_prev - 1 - k, a_prev plus the
+        offset a_1 - 1 - k that __init__ fixes once per scan.  No degree
+        past _MAX_STEP_DEGREE has a solution, whatever the target (see
+        _candidates), so these steps are the whole search.
         """
-        label = self.a1 + a_prev - ONE
-        return [(k, label - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
+        return [(k, a_prev + offset) for k, offset in self._offsets]
 
     # -- the search ----------------------------------------------------------
 
@@ -510,8 +529,9 @@ class _Scan:
         if depth == self.horizon:
             return a_seq, table
         # choosing p_{1,depth}, which fixes a_{depth+1}
+        seen = set(a_seq)
         for k, target in self._steps(a_seq[-1]):
-            if 2 * len({*a_seq, target}) > self.horizon:
+            if 2 * (len(seen) + (target not in seen)) > self.horizon:
                 continue
             for p1j in self._candidates(target, k, diagonal=(depth == 1)):
                 extended = self._extend(table, depth + 1, target, p1j)
@@ -526,7 +546,9 @@ class _Scan:
 
         The two skew images are read through algebra._image, so a slope's
         later branches and grades, which meet the same p_{0,h} and p_{1,h-1}
-        again, compute each once.
+        again, compute each once.  The row-zero pair d + target l and its
+        skew image is built once per target and scan, and every grade that
+        reaches the target shares it.
 
         One identity is checked, and the construction forces skew and
         Jacobi on grade h.  Write S(i, j) for algebra._skew_defect and
@@ -578,9 +600,12 @@ class _Scan:
         smallest slot s >= 2 follows at x = s - 1, by induction on s.  So
         every ordered triple of index sum h vanishes.
         """
+        row_zero = self._row_zero.get(target)
+        if row_zero is None:
+            p0h = D + target * L
+            row_zero = self._row_zero[target] = (p0h, _image(p0h, skew_image))
         table = dict(table)
-        table[(0, h)] = D + target * L
-        table[(h, 0)] = _image(table[(0, h)], skew_image)
+        table[(0, h)], table[(h, 0)] = row_zero
         table[(1, h - 1)] = p1j
         if h == 2:
             return table

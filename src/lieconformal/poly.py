@@ -14,7 +14,9 @@ is the sentinel None, never -1.
 A sum of many products reduces each coefficient once: _add_products
 keeps its running sums as unreduced Gaussian-integer triples, and
 _reduce_sums divides out one gcd per coefficient at the end.  substitute
-uses it, and so does algebra.jacobi_defect; the solver's columns in
+uses it, and so does algebra._jacobi_sums: jacobi_defect reduces those
+sums, and the a1 scan (grading._Scan._recurse_entry) adds one more
+product into them before it reads them.  Only the solver's columns in
 funceq sum scaled images with _add_scaled, the same sum without a key
 shift.  __mul__ and the long division of exact_div and divmod_univar
 (_divide, which reads the remainder's leading coefficient at every step)

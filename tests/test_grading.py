@@ -22,6 +22,7 @@ from lieconformal.funceq import (
     _defect_intertwiner,
     _lemma_c_basis,
     _lemma_c_conditions,
+    _lemma_c_rule,
     _lemma_c_solution,
     _proportional,
     _solve_by_matching,
@@ -1144,6 +1145,37 @@ def test_closed_form_candidates_are_the_solvers(step, diagonal):
     assert _Scan(a1, 4)._candidates(target, k, diagonal) == _solved_candidates(
         a1, a_prev, target, k, diagonal
     )
+
+
+_rationals_and_gaussians = st.builds(Scalar, _small_fractions, st.one_of(st.just(Fraction(0)), _small_fractions))
+
+
+@st.composite
+def _rule_points(draw):
+    """(a, delta_i, k), a != 1 rational or Gaussian: delta_i drawn, zero, on the
+    k = 2 locus delta_i = a - 2, or one of the k = 3 points (5/3, -2/3) and (3, 0)."""
+    k = draw(st.integers(0, 6))
+    if draw(st.integers(0, 4)) == 0:
+        a, delta_i = draw(st.sampled_from(((sc("5/3"), sc("-2/3")), (sc(3), ZERO))))
+        return a, delta_i, k
+    a = draw(_slopes_off_one)
+    return a, draw(st.one_of(st.just(ZERO), st.just(a - sc(2)), _rationals_and_gaussians)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rule_points(), st.booleans())
+def test_lemma_c_rule_at_each_delta_is_the_homogeneous_solve(point, diagonal):
+    # one rule per (a, k), as the scan builds it, evaluated at the drawn
+    # delta_i; on the diagonal both sides add _skew_condition
+    a, delta_i, k = point
+    basis = _lemma_c_rule(a, k).basis(delta_i)
+    delta_j = _offset_delta_j(a, delta_i, k)
+    if diagonal:
+        if basis and _skew_condition(basis[0]):
+            basis = ()
+        assert basis == _solved_candidates(a, delta_j, delta_i, k, diagonal)
+    else:
+        assert basis == solve_homogeneous(a, delta_i, delta_j, k).basis
 
 
 def _conditions_vanish(a, delta_i, k):
