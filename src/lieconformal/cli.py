@@ -73,7 +73,12 @@ MAX_PROP36_SAMPLES = 16
 # cap took at most 4.2 s, against 4.8 s for the slowest at the old cap of
 # 2^22; before any cap, one vector acting by a degree-16 entry on 32
 # generators ran past 300 s, and 8 generators bracketing to degree-16
-# entries past 120 s
+# entries past 120 s.  The size is that of the full pair loop, which a
+# table failing skew still runs, so the cap stayed when check_jacobi began
+# to compute one defect per unordered triple of a skew table; re-timed,
+# the slowest shape found near it, 20 generators failing skew with one
+# term of degree 2, took 2.2 to 2.6 s, and skew tables failing Jacobi, which
+# pay a substitution per derived failing check, at most 1.1 s
 MAX_CHECK_WORK = 2**24
 # the Smith form's cost grows with the size, the degree and the coefficient
 # height of the input: on a 2-vCPU VM a dense 3x3 cubic with three-digit

@@ -567,20 +567,15 @@ class _Scan:
         has no zero divisors and the substitutions below are invertible, so
         such an entry times a defect vanishes only with the defect.
 
-        Lemma A (skew).  For every graded sesquilinear table, skew or not,
-
-            J(x, y, z) + J(x, z, y)(d, l, -l-m-d)
-              = p_{x,y+z}(d, l) S(y, z)(d+l, m) - p_{x,z}(d+m, l) S(y, x+z)(d, m)
-                - p_{x,y}(-l-m, l) S(x+y, z)(d, l+m).
-
-        At x = 1 and y, z >= 1 with y + z = h - 1, the left side and
-        S(y, z) vanish, so p_{1,y}(-l-m, l) S(y+1, z)(d, l+m) =
+        Lemma A (skew; stated in algebra, above _swapped_first, where a
+        graded table's supports are the index sums y+z, x+z and x+y).  At
+        x = 1 and y, z >= 1 with y + z = h - 1, its left side and S(y, z)
+        vanish, so p_{1,y}(-l-m, l) S(y+1, z)(d, l+m) =
         -p_{1,z}(d+m, l) S(y, z+1)(d, m), and y = 1, ..., h-3 carry
         S(1, h-1) = 0 to every pair of index sum h.  With skew there, the
-        six orderings of a triple vanish together: swapping the first two
-        slots is -J with l and m swapped (algebra._pair_defects), and
-        swapping the last two is -J with m -> -l-m-d (Lemma A).  So every
-        ordering of (1, y, z), (0, 0, h) and (0, 1, h-1) vanishes.
+        six orderings of a triple vanish together through the two
+        transpositions stated with it.  So every ordering of (1, y, z),
+        (0, 0, h) and (0, 1, h-1) vanishes.
 
         Lemma B (Jacobi).  The Jacobiator of a skew bracket is a cocycle,
         since [X, [X, X]] = 0 (De Sole and Kac 2009).  On lines a, b, c, e,

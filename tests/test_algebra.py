@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieconformal import algebra
 from lieconformal.algebra import (
     AlgebraElement,
     ConformalAlgebra,
@@ -252,6 +253,72 @@ def test_check_jacobi_reports_are_pinned():
     assert not check_skew(tables["block(1,4) with p_{1,2} + l^2"]).passed
     assert check_skew(tables["vir_semidirect_current(3, sl2)"]).passed
     assert check_skew(tables["map_virasoro_poly(4) with p_{0,2}, p_{2,0} + l^2"]).passed
+
+
+def _check_jacobi_by_hand(A):
+    """check_jacobi's report as a dict, from jacobi_defect on every ordered triple."""
+    report = Report("jacobi")
+    n = A.n_gens
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                check_id = f"jacobi({x},{y},{z})"
+                defect = _defect_or_skip(A, x, y, z)
+                if defect is None:
+                    report.skip(check_id, "beyond truncation")
+                elif defect:
+                    report.fail(check_id, A.render_vector(defect))
+                else:
+                    report.ok(check_id)
+    return report.to_dict()
+
+
+@st.composite
+def _corrupted_tables(draw):
+    """A table of _skew_tables with one Gaussian monomial added to one entry inside its truncation."""
+    A = draw(_skew_tables)
+    i, j = draw(st.sampled_from(sorted(A.table)))
+    # block and map_virasoro_poly put generator i at grade i
+    k = i + j if A.grades is not None else draw(st.integers(0, A.n_gens - 1))
+    key = (draw(st.integers(0, 2)), draw(st.integers(0, 2)), 0)
+    return _corrupted(A, (i, j), k, MultiPoly({key: draw(_gaussian.filter(lambda c: not c.is_zero()))}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_skew_tables, _corrupted_tables()))
+def test_check_jacobi_is_the_identity_on_every_ordered_triple(A):
+    # the derived orderings, witnesses and truncation skips included, on
+    # tables where skew holds everywhere and on ones where it fails on a pair
+    assert check_jacobi(A).to_dict() == _check_jacobi_by_hand(A)
+
+
+def test_check_jacobi_computes_each_orbit_once(monkeypatch):
+    calls = []
+
+    def counted(entry, x, y, z):
+        calls.append((x, y, z))
+        return jacobi_defect(entry, x, y, z)
+
+    monkeypatch.setattr(algebra, "jacobi_defect", counted)
+    # with skew on every pair, one call per sorted triple whose three pairs
+    # lie inside the truncation: y + z <= 6 on block(1, 6), y + z <= 4 on
+    # map_virasoro_poly(5), every sorted triple of 4 and 3 generators
+    tables = {
+        "block(1, 6)": (block(1, 6), 30),
+        "vir_semidirect_current(2/3, sl2)": (vir_semidirect_current(sc("2/3"), *sl2_constants()), 20),
+        "current(sl2)": (current(*sl2_constants()), 10),
+        "map_virasoro_poly(5)": (map_virasoro_poly(5), 14),
+    }
+    for name, (A, count) in tables.items():
+        calls.clear()
+        check_jacobi(A)
+        assert len(calls) == count, name
+        assert all(x <= y <= z for x, y, z in calls), name
+    # skew fails on (1, 2): only the first two slots swap, where skew holds,
+    # so the ten pairs (x, y) it does not derive call for every z
+    calls.clear()
+    check_jacobi(_corrupted(block(1, 4), (1, 2), 3, L * L))
+    assert len(calls) == 50
 
 
 def test_current_sl2_is_lambda_free_and_consistent():
