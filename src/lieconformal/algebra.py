@@ -370,7 +370,9 @@ def _swap_lm(p: MultiPoly) -> MultiPoly:
 # the first term by term.  So J(y, x, z) = _swapped_first(J(x, y, z)) where
 # skew holds on (x, y), whatever g_z is (a module basis vector too), and
 # J(x, z, y) = _swapped_last(J(x, y, z)) where it holds on every pair that
-# J(x, y, z) reads, as the pairs of each S in Lemma A are.
+# J(x, y, z) reads, as the pairs of each S in Lemma A are.  _pair_defects,
+# the one Jacobi pair loop, derives by both on a skew-symmetric table and
+# by the first alone for check_module.
 def _swapped_first(defect: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
     return {k: -_swap_lm(p) for k, p in defect.items()}
 
@@ -402,57 +404,24 @@ def check_skew(A: ConformalAlgebra) -> Report:
     return report
 
 
-def _pair_defects(A: ConformalAlgebra, entry, zs):
+def _pair_defects(A: ConformalAlgebra, entry, zs, skew: bool = False):
     """Yield (x, y, [jacobi_defect(entry, x, y, z) for z in zs]) per generator pair, row-major.
 
-    check_module's loop: its z are module basis vectors, so of the two
-    transpositions above only the first applies.  A defect is None where an
-    entry lies beyond the truncation, and a pair beyond it is skipped
-    unread.  For x > y, when skew holds on (y, x), the defects of (x, y) are
-    the stored (y, x) ones through _swapped_first; both orders read the
-    same entries, so a stored truncation skip stays a skip.  When skew
-    fails on the pair, the defects are computed directly.
+    The one Jacobi pair loop: check_jacobi runs it on the generators and
+    check_module on its basis vectors, the indices n + c.  A defect is None
+    where an entry lies beyond the truncation, and each triple derives its
+    defect from one that comes earlier and reads the same entries.
+    (x, y, z) with x > y derives from (y, x, z) through _swapped_first where
+    skew holds on the pair, whatever z indexes.  Where skew holds on every
+    pair inside the truncation, check_jacobi passes skew, and (x, y, z)
+    with y > z derives from (x, z, y) through _swapped_last, so each orbit
+    is computed once, at its sorted triple x <= y <= z; a sorted triple
+    with a pair beyond the truncation raises in every ordering and is
+    skipped unread.  Lemma A needs z to be a generator, so a module leaves skew
+    False.  An empty defect derives as empty, so only a failing check pays
+    a substitution.
     """
     n = A.n_gens
-    # (x, y) with x < y and skew on the pair -> its defects by z
-    stored: dict[tuple[int, int], list[dict[int, MultiPoly] | None]] = {}
-    for x in range(n):
-        for y in range(n):
-            mirror = stored.pop((y, x), None)
-            if mirror is not None:
-                yield x, y, [None if d is None else _swapped_first(d) for d in mirror]
-                continue
-            if not A.has_entry(x, y):
-                yield x, y, [None] * len(zs)
-                continue
-            defects = []
-            for z in zs:
-                try:
-                    defects.append(jacobi_defect(entry, x, y, z))
-                except TruncationExceeded:
-                    defects.append(None)
-            if x < y and A.has_entry(y, x) and not _skew_defect(A, x, y):
-                stored[(x, y)] = defects
-            yield x, y, defects
-
-
-def check_jacobi(A: ConformalAlgebra) -> Report:
-    """Jacobi identity on every generator triple; out-of-truncation triples are skipped.
-
-    Checks run in row-major order, and a triple derives its defect from
-    one that comes earlier and reads the same entries.  (x, y, z) with
-    x > y derives from (y, x, z) through _swapped_first where skew holds on
-    the pair.  When skew holds on every pair inside the truncation,
-    (x, y, z) with y > z derives from (x, z, y) through _swapped_last, so
-    each orbit is computed once, at its sorted triple x <= y <= z; a sorted
-    triple with a pair beyond the truncation raises in every ordering and
-    is skipped unread.  An empty defect derives as empty, so only a failing
-    check pays a substitution.  On a table that fails skew the loop makes
-    the calls of _pair_defects.
-    """
-    n = A.n_gens
-    skew = not any(_skew_defect(A, i, j) for i in range(n) for j in range(i, n) if A.has_entry(i, j))
-    report = Report("jacobi")
     # the defects later triples derive from, None beyond the truncation,
     # each dropped at its last reader
     stored: dict[tuple[int, int, int], dict[int, MultiPoly] | None] = {}
@@ -467,7 +436,7 @@ def check_jacobi(A: ConformalAlgebra) -> Report:
             # 32-generator table that fails skew, alternating the two per
             # triple read 5 to 8 % slower
             defects = []
-            for z in range(n):
+            for z in zs:
                 if first:
                     defect = stored.pop((y, x, z))
                     if defect:
@@ -481,21 +450,34 @@ def check_jacobi(A: ConformalAlgebra) -> Report:
                     defect = None
                 else:
                     try:
-                        defect = jacobi_defect(A.entry, x, y, z)
+                        defect = jacobi_defect(entry, x, y, z)
                     except TruncationExceeded:
                         defect = None
                 # (x, z, y) reads it unless it derives from (z, x, y)
                 if mirrored or skew and y < z and not (x > z and row[z]):
                     stored[(x, y, z)] = defect
                 defects.append(defect)
-            for z, defect in enumerate(defects):
-                check_id = f"jacobi({x},{y},{z})"
-                if defect is None:
-                    report.skip(check_id, "beyond truncation")
-                elif defect:
-                    report.fail(check_id, A.render_vector(defect))
-                else:
-                    report.ok(check_id)
+            yield x, y, defects
+
+
+def check_jacobi(A: ConformalAlgebra) -> Report:
+    """Jacobi identity on every generator triple; out-of-truncation triples are skipped.
+
+    The checks run in _pair_defects' order.  On a table that fails skew on
+    some pair, only the first swap derives, as for a module.
+    """
+    n = A.n_gens
+    skew = not any(_skew_defect(A, i, j) for i in range(n) for j in range(i, n) if A.has_entry(i, j))
+    report = Report("jacobi")
+    for x, y, defects in _pair_defects(A, A.entry, range(n), skew):
+        for z, defect in enumerate(defects):
+            check_id = f"jacobi({x},{y},{z})"
+            if defect is None:
+                report.skip(check_id, "beyond truncation")
+            elif defect:
+                report.fail(check_id, A.render_vector(defect))
+            else:
+                report.ok(check_id)
     return report
 
 

@@ -25,8 +25,8 @@ polynomials in (a, delta_i) of degree <= 2, interpolated exactly from the
 defect itself.  _lemma_c_rule fixes a and keeps delta_i free: the
 conditions become quadratics in delta_i, and F its delta-free and
 delta-linear parts.  Evaluating that rule answers a homogeneous solve
-(_lemma_c_basis), and the scan builds one rule per degree and evaluates it
-at each of its row-one targets.
+(_LemmaCRule.basis), and the scan builds one rule per degree and
+evaluates it at each of its row-one targets.
 
 Everything reduces to coefficient matching: the unknowns are the
 coefficients of f on the (d, l) monomials, each unknown's image is the
@@ -50,9 +50,9 @@ It sums the base and the parts of the parameters all members share once
 per monomial, and each member adds only the parts of the parameters that
 vary.  The members' maps form one direct sum, each member's rows keyed
 by the member, and one nullspace call splits into the members' own bases
-(proved in _solve_family).  A lone solve is the family of one;
-verify_solution_table solves each sampled instance and its five
-perturbations of delta_j as one family.
+(proved in _solve_family).  A lone solve is the family of one, through
+the same assembly; verify_solution_table solves each sampled instance
+and its five perturbations of delta_j as one family.
 """
 
 from __future__ import annotations
@@ -178,20 +178,22 @@ def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
     The members share one degree window and so one list of monomials.  A
     member's unknowns are the coefficients of its own f, so the family's
     map is the direct sum of the members' maps: member t's image of
-    monomial i is column t * n + i, its entries keyed (t, row key), with
-    the row keys of a lone solve, and one nullspace call solves them all.
+    monomial i is column t * n + i, its entries keyed (t, row key), and one
+    nullspace call solves them all.  A lone solve is the family of one,
+    its rows keyed (0, row key), so every solve assembles its columns here.
     Each monomial's image sums the base and value * part of each parameter
     that every member holds at one nonzero value once; each member copies
     that unreduced sum and adds value * part of each parameter whose value
     varies across the family, where it is nonzero.
 
-    A member's column is the column its lone solve builds.  Its sum adds
-    the same unreduced triples as the lone solve's, only in another order
-    where a varying parameter comes before a shared one in _PARAMETERS.
-    The value of a sum does not depend on that order, and _reduce_sums
-    takes each nonzero value to its one canonical Scalar and drops the
-    zeros.  So a member's column has the lone solve's keys and values,
-    and no order of the keys reaches a basis (linalg.nullspace).
+    A member's column is the column its lone solve builds, with t in place
+    of 0 in each row key.  Its sum adds the same unreduced triples as the
+    lone solve's, only in another order where a varying parameter comes
+    before a shared one in _PARAMETERS.  The value of a sum does not
+    depend on that order, and _reduce_sums takes each nonzero value to its
+    one canonical Scalar and drops the zeros.  So a member's column has the
+    lone solve's values under keys renamed one to one, and no order or
+    name of a row key reaches a basis (linalg.nullspace).
 
     Each member gets exactly its lone solve's basis.  No row holds two
     members, so the direct sum's rows are the members' rows, each on its
@@ -202,34 +204,23 @@ def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
     vector per free column, in column order, with a 1 at its free column;
     so each vector lies in one block, and member t gets its lone solve's
     vectors, in the same order, with the same normalization.
-
-    A family of one keys its rows by the bare row key, since no row has a
-    member to tell apart: the keys are renamed one to one, and no order or
-    name of a row key reaches the basis.
     """
-    lone = len(insts) == 1
-    if lone:
-        # every parameter is shared, and rows keep their bare keys
-        [inst] = insts
-        monomials = _monomials(inst.degree_bound, inst.homogeneous_degree)
-        shared = [(None, ONE)] + [(p, value) for p, value in enumerate(_parameter_values(inst)) if not value.is_zero()]
-    else:
-        window = {(inst.degree_bound, inst.homogeneous_degree) for inst in insts}
-        if len(window) != 1:
-            raise ValueError("the members of a family share one degree window")
-        monomials = _monomials(*window.pop())
-        values = [_parameter_values(inst) for inst in insts]
-        # (part, its scale): the base, then each parameter all members hold
-        # at one nonzero value; list.count compares each value with the first
-        shared = [(None, ONE)]
-        varying = []
-        for p, held in enumerate(zip(*values)):
-            if held.count(held[0]) < len(held):
-                varying.append(p)
-            elif not held[0].is_zero():
-                shared.append((p, held[0]))
-        # each member's (part, its scale) for the varying parameters
-        own_parts = [[(p, row[p]) for p in varying if not row[p].is_zero()] for row in values]
+    window = {(inst.degree_bound, inst.homogeneous_degree) for inst in insts}
+    if len(window) != 1:
+        raise ValueError("the members of a family share one degree window")
+    monomials = _monomials(*window.pop())
+    values = [_parameter_values(inst) for inst in insts]
+    # (part, its scale): the base, then each parameter all members hold
+    # at one nonzero value; list.count compares each value with the first
+    shared = [(None, ONE)]
+    varying = []
+    for p, held in enumerate(zip(*values)):
+        if held.count(held[0]) < len(held):
+            varying.append(p)
+        elif not held[0].is_zero():
+            shared.append((p, held[0]))
+    # each member's (part, its scale) for the varying parameters
+    own_parts = [[(p, row[p]) for p in varying if not row[p].is_zero()] for row in values]
     n = len(monomials)
     columns: list = [None] * (len(insts) * n)
     for i, (ed, el) in enumerate(monomials):
@@ -243,10 +234,6 @@ def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
             mono = MultiPoly({(ed, el, 0): ONE})
             for index, condition in enumerate(extra_conditions, 1):
                 conditions.extend(((index, key), coeff) for key, coeff in condition(mono).terms.items())
-        if lone:
-            columns[i] = column = _reduce_sums(sums)
-            column.update(conditions)
-            continue
         for t, parts in enumerate(own_parts):
             own = dict(sums) if parts else sums
             for p, scale in parts:
@@ -255,8 +242,6 @@ def _solve_family(insts, defect, extra_conditions=()) -> list[SolutionBasis]:
             if conditions:
                 column.update(((t, key), coeff) for key, coeff in conditions)
             columns[t * n + i] = column
-    if lone:
-        return [SolutionBasis(tuple(_solution(monomials, vec, 0) for vec in nullspace(columns)))]
     bases: list = [[] for _ in insts]
     for vec in nullspace(columns):
         t = next(iter(vec)) // n  # every entry of vec lies in member t's block
@@ -430,11 +415,6 @@ def _lemma_c_rule(a: Scalar, k: int) -> _LemmaCRule:
             coeffs[j] += c * powers[i]
         conditions.append(tuple(coeffs))
     return _LemmaCRule(tuple(conditions), _lemma_c_parts(a, k))
-
-
-def _lemma_c_basis(a: Scalar, delta_i: Scalar, k: int) -> tuple[MultiPoly, ...]:
-    """solve_homogeneous(a, delta_i, delta_i + k + 1 - a, k).basis for a != 1, without a solve."""
-    return _lemma_c_rule(a, k).basis(delta_i)
 
 
 # ---------------------------------------------------------------------------

@@ -399,10 +399,9 @@ class _Scan:
         of degree k builds funceq._lemma_c_rule(a_1, k) once: each
         condition becomes a quadratic in delta_i, and F its parts free of
         and linear in delta_i.  Every target of degree k evaluates that
-        rule (funceq._LemmaCRule.basis), the same evaluation that
-        funceq._lemma_c_basis makes.  F is scaled as nullspace scales its
-        one kernel vector, so the candidates are the solver's, coefficient
-        for coefficient.
+        rule (funceq._LemmaCRule.basis).  F is scaled as nullspace scales
+        its one kernel vector, so the candidates are the solver's,
+        coefficient for coefficient.
 
         At a_1 = 1, Lemma C divides by a - 1 = 0 and (1, 0, 1, 1) has a
         two-dimensional space, so those steps go to the exact solver,

@@ -14,9 +14,10 @@ module with its third slot in the module.  The module reuses the
 algebra's bracket calculus through ConformalModule.column, the bracket
 g_i _l v_c as column c of A_i: the action of an element on a vector is
 algebra.lambda_bracket over the columns, and compatibility is checked by
-algebra.jacobi_defect with v_c as the extra index n + c, in check_jacobi's
-pair loop.  Each nonzero defect component is a witness.  Pairs whose
-bracket lies beyond the truncation are reported skipped.
+algebra.jacobi_defect with v_c as the extra index n + c, in
+algebra._pair_defects, the pair loop check_jacobi runs, where only the
+first-slot swap derives.  Each nonzero defect component is a witness.
+Pairs whose bracket lies beyond the truncation are reported skipped.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from lieconformal.funceq import (
     TABLE_ROWS,
     FuncEqInstance,
     _defect_intertwiner,
-    _lemma_c_basis,
     _lemma_c_conditions,
     _lemma_c_rule,
     _lemma_c_solution,
@@ -1235,5 +1234,5 @@ def test_lemma_c_conditions_vanish_exactly_where_F_solves(k):
         solves.append(_E(a, delta_i, k, F).is_zero())
         assert _conditions_vanish(a, delta_i, k) == solves[-1], (a, delta_i)
         if a != ONE:
-            assert bool(_lemma_c_basis(a, delta_i, k)) == solves[-1], (a, delta_i)
+            assert bool(_lemma_c_rule(a, k).basis(delta_i)) == solves[-1], (a, delta_i)
     assert any(solves) == (k <= 3)

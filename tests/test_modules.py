@@ -17,6 +17,7 @@ from lieconformal.algebra import (
     vir_semidirect_current,
     virasoro,
 )
+from lieconformal import algebra
 from lieconformal.annihilation import module_action_n
 from lieconformal.modules import (
     ConformalModule,
@@ -444,6 +445,41 @@ def test_check_module_matches_the_direct_defects(A, data):
     # the sesquilinearity spot checks follow the pairs and are not under test here
     expected.checks += report.checks[A.n_gens**2:]
     assert report.to_dict() == expected.to_dict()
+
+
+def test_check_module_derives_each_skew_pair_from_its_mirror(monkeypatch):
+    calls = []
+
+    def counted(entry, x, y, z):
+        calls.append((x, y, z))
+        return jacobi_defect(entry, x, y, z)
+
+    monkeypatch.setattr(algebra, "jacobi_defect", counted)
+    # the module runs check_jacobi's pair loop with the first swap alone:
+    # one call per basis vector on each pair x <= y inside the truncation,
+    # and on (x, y) with x > y only where skew fails on the pair
+    zero = MultiPoly.zero()
+    rank_two = {0: ((D + 2 * L, zero), (L, D + L))} | {g: ((zero, zero), (zero, zero)) for g in (1, 2, 3)}
+    cases = {
+        "block(1, 4)": (block(1, 4), rank_one_theorem_module(block(1, 4), "a1!=2", 2, 0), 9, set()),
+        "block(1, 3), skew broken on (1, 2)": (
+            _block_with_broken_skew(),
+            rank_one_theorem_module(block(1, 3), "a1!=2", 2, 0),
+            7,
+            {(2, 1)},
+        ),
+        "vir_semidirect_current(1, sl2)": (
+            vir_semidirect_current(1, *sl2_constants()),
+            ConformalModule(("u", "w"), rank_two),
+            20,
+            set(),
+        ),
+    }
+    for name, (A, M, count, unmirrored) in cases.items():
+        calls.clear()
+        check_module(A, M)
+        assert len(calls) == count, name
+        assert {(x, y) for x, y, _ in calls if x > y} == unmirrored, name
 
 
 def test_missing_action_raises_on_every_vector():
