@@ -16,13 +16,13 @@ keeps its running sums as unreduced Gaussian-integer triples, and
 _reduce_sums divides out one gcd per coefficient at the end.  substitute
 uses it, and so does algebra._jacobi_sums: jacobi_defect reduces those
 sums, and the a1 scan (grading._Scan._recurse_entry) adds one more
-product into them before it reads them.  Only the solver's columns in
-funceq sum scaled images with _add_scaled, the same sum without a key
-shift.  __mul__ and the long division of exact_div and divmod_univar
-(_divide, which reads the remainder's leading coefficient at every step)
-stay on _accumulate, which reduces each sum in place.  exact_div by a
-one-term divisor, the a1 scan's case (grading._Scan._recurse_entry),
-needs no remainder: it divides each term of the dividend once, in the
+product into them before it reads them.  _add_scaled is the same sum
+without a key shift, on any keys: funceq's columns and annihilation's
+brackets, defects and weight forms.  __mul__ and the long division of
+exact_div and divmod_univar (_divide, which reads the remainder's
+leading coefficient at every step) stay on _accumulate, which reduces
+each sum in place.  exact_div by a one-term divisor, the a1 scan's case
+(grading._Scan._recurse_entry), needs no remainder: it divides each term of the dividend once, in the
 dividend's order, not the loop's descending one.  The values are the
 same either way, since each has one canonical triple; only the order of
 a term dict can differ, where a partial sum cancels and comes back (a
@@ -308,12 +308,11 @@ def _add_products(sums: dict, left: dict[Key, Scalar], right: dict[Key, Scalar])
                     sums[key] = (pn * u + n * v, pm * u + m * v, pq * u)
 
 
-def _add_scaled(sums: dict, c: Scalar, terms: dict[Key, Scalar]) -> None:
-    """sums += c * (the polynomial with these terms), unreduced as in _add_products.
+def _add_scaled(sums: dict, c: Scalar, terms: dict) -> None:
+    """sums += c * terms, a sparse vector of any keys, unreduced as in _add_products.
 
-    The same sum as _add_products(sums, {_ZERO_KEY: c}, terms), without its
-    key shift: a scaled sum of fixed polynomials, such as funceq's images,
-    needs none.
+    On polynomial terms it is _add_products(sums, {_ZERO_KEY: c}, terms)
+    without the key shift.
     """
     cn, cm, cq = c._nmq
     get = sums.get

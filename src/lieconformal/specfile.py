@@ -53,9 +53,10 @@ from .poly import MultiPoly
 MAX_GENERATORS = 32
 
 # one cap on the basis of a module section, checked before anything is
-# built: at the cap, weights --degree 40 took at most 3.8 s on a 2-vCPU VM
-# (its window has basis size times 41 unknowns); 60 vectors took 4.2 s on a
-# zero action and 200 ran past 60 s
+# built: at the cap, weights --degree 40 takes at most 0.34 s on a 2-vCPU VM
+# with l on every entry above a diagonal action (its window has basis size
+# times 41 unknowns, solved by back-substitution); 60 vectors took 4.2 s on
+# a zero action and 200 ran past 60 s
 MAX_BASIS = 8
 
 
