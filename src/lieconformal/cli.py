@@ -28,7 +28,7 @@ from .funceq import (
     verify_solution_table,
 )
 from .grading import scan_grid, default_grid
-from .modules import ConformalModule, MissingAction
+from .modules import ConformalModule, MissingAction, check_module
 from .parsing import ParseError, parse_poly, parse_scalar
 from .polymatrix import MalformedMatrix, PolyMatrix, matmul, smith_normal_form
 from .reports import FAIL, PASS, SKIPPED, Report
@@ -189,8 +189,6 @@ def _cmd_check_algebra(args) -> int:
 
 
 def _cmd_check_module(args) -> int:
-    from .modules import check_module
-
     spec = _load_spec(args.spec)
     A, module = spec.algebra, _module_of(spec, args.module)
     _refuse_large_check("check-module", A, module)

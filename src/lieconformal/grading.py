@@ -38,6 +38,7 @@ from math import ceil, floor
 
 from .algebra import (
     ConformalAlgebra,
+    _as_scalar,
     _at_l_plus_m,
     _image,
     _jacobi_sums,
@@ -621,9 +622,7 @@ def scan_a1(a1, horizon: int) -> ScanResult:
     distinct values and vanishing constant terms, never a construction of
     one.
     """
-    if not isinstance(a1, Scalar):
-        a1 = Scalar(a1)
-    return _Scan(a1, horizon).run()
+    return _Scan(_as_scalar(a1), horizon).run()
 
 
 def default_grid(max_denominator: int = 6, lo: Fraction = Fraction(1), hi: Fraction = Fraction(2)) -> list[Scalar]:

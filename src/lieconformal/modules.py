@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import ConformalAlgebra, InvalidStructure, _pair_defects, _require_distinct, lambda_bracket
+from .algebra import ConformalAlgebra, InvalidStructure, _as_scalar, _pair_defects, _require_distinct, lambda_bracket
 from .linalg import nullspace
 from .poly import D, L, MultiPoly
 from .reports import Report, _render_sum
@@ -180,8 +180,8 @@ def rank_one_vir(a, b) -> ConformalModule:
 
     Irreducible exactly when a is nonzero.
     """
-    a = a if isinstance(a, Scalar) else Scalar(a)
-    b = b if isinstance(b, Scalar) else Scalar(b)
+    a = _as_scalar(a)
+    b = _as_scalar(b)
     poly = D + a * L + MultiPoly.const(b)
     return ConformalModule(("v",), {0: ((poly,),)}, irreducible=not a.is_zero())
 
@@ -214,12 +214,14 @@ def rank_one_theorem_module(
     case "a1=2":    L_i acts by coeffs[i] * (d + delta*l + c) with coeffs[0] = 1
                     implied; delta must be nonzero.
     """
-    delta = delta if isinstance(delta, Scalar) else Scalar(delta)
-    c = c if isinstance(c, Scalar) else Scalar(c)
+    delta = _as_scalar(delta)
+    c = _as_scalar(c)
     n = A.n_gens
     line = D + delta * L + MultiPoly.const(c)
     if case == "a1!=2":
-        gamma = ZERO if gamma is None else (gamma if isinstance(gamma, Scalar) else Scalar(gamma))
+        if coeffs is not None:
+            raise InvalidParams("case 'a1!=2' takes no coeffs")
+        gamma = ZERO if gamma is None else _as_scalar(gamma)
         if not gamma.is_zero():
             if n < 2:
                 raise InvalidParams("no grade-one generator to act by gamma")
@@ -234,11 +236,13 @@ def rank_one_theorem_module(
             actions[i] = ((MultiPoly.zero(),),)
         return ConformalModule(("v",), actions)
     if case == "a1=2":
+        if gamma is not None:
+            raise InvalidParams("case 'a1=2' takes no gamma")
         if delta.is_zero():
             raise InvalidParams("delta must be nonzero")
         if coeffs is None:
             raise InvalidParams("the scaled case needs the coefficient sequence")
-        coeffs = [x if isinstance(x, Scalar) else Scalar(x) for x in coeffs]
+        coeffs = [_as_scalar(x) for x in coeffs]
         if len(coeffs) != n - 1:
             raise InvalidParams("need one coefficient per generator above grade zero")
         actions = {0: ((line,),)}
@@ -264,7 +268,7 @@ class KernelResult:
         direction puts a nonzero coefficient on the direction; that
         coefficient is linear, so then some basis relation has it too.
         """
-        vec = [x if isinstance(x, Scalar) else Scalar(x) for x in direction]
+        vec = [_as_scalar(x) for x in direction]
         n = len(self.combinations)
         columns = [dict(enumerate(v)) for v in (*self.combinations, vec)]
         return any(n in relation for relation in nullspace(columns))

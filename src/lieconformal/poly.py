@@ -14,11 +14,13 @@ is the sentinel None, never -1.
 A sum of many products reduces each coefficient once: _add_products
 keeps its running sums as unreduced Gaussian-integer triples, and
 _reduce_sums divides out one gcd per coefficient at the end.  substitute
-uses it, and so does algebra._jacobi_sums: jacobi_defect reduces those
+uses it, and so do algebra.lambda_bracket, which reduces each component
+of a bracket once, and algebra._jacobi_sums: jacobi_defect reduces those
 sums, and the a1 scan (grading._Scan._recurse_entry) adds one more
 product into them before it reads them.  _add_scaled is the same sum
-without a key shift, on any keys: funceq's columns and annihilation's
-brackets, defects and weight forms.  __mul__ and the long division of
+without a key shift, on any keys: algebra.map_virasoro's associativity
+check, funceq's columns and annihilation's brackets, defects and weight
+forms.  __mul__ and the long division of
 exact_div and divmod_univar (_divide, which reads the remainder's
 leading coefficient at every step) stay on _accumulate, which reduces
 each sum in place.  exact_div by a one-term divisor, the a1 scan's case

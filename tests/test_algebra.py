@@ -23,6 +23,7 @@ from lieconformal.algebra import (
     current,
     jacobi_defect,
     jth_product,
+    lambda_bracket,
     map_virasoro,
     map_virasoro_poly,
     nonabelian2_constants,
@@ -34,7 +35,7 @@ from lieconformal.algebra import (
 )
 from lieconformal.poly import D, L, M, MultiPoly
 from lieconformal.reports import Report
-from lieconformal.scalars import I, ONE, Scalar, sc
+from lieconformal.scalars import I, ONE, Scalar, ZERO, sc
 
 
 def test_virasoro_bracket():
@@ -414,6 +415,25 @@ def test_map_virasoro_quotient_square():
     assert check_skew(A).passed and check_jacobi(A).passed
 
 
+def test_map_virasoro_accepts_a_gaussian_basis_of_truncated_polynomials():
+    # C[T]/(T^3) on u0 = iT - iT^2, u1 = T, u2 = i - T^2: some associativity
+    # sums cancel to zero on one side where the other side has no term
+    basis = [[ZERO, I, -I], [ZERO, ONE, ZERO], [I, ZERO, -ONE]]
+    # 1, T and T^2 in the u basis
+    powers = [[ONE, -I, -I], [ZERO, ONE, ZERO], [I, ONE, ZERO]]
+    mult = [
+        [
+            [sum((ui[a] * uj[b] * powers[a + b][k] for a in range(3) for b in range(3 - a)), ZERO) for k in range(3)]
+            for uj in basis
+        ]
+        for ui in basis
+    ]
+    A = map_virasoro(mult)
+    # u0 u0 = -T^2 = -i u0 - u1
+    assert A.entry(0, 0) == {0: (D + 2 * L) * -I, 1: -(D + 2 * L)}
+    assert check_skew(A).passed and check_jacobi(A).passed
+
+
 def test_abelian_semidirect_any_twist():
     constants, labels = abelian_constants(2)
     A = vir_semidirect_current(sc("5"), constants, labels)
@@ -435,6 +455,23 @@ def _bracket_by_hand(A, x, y):
             for k, p in A.entry(i, j).items():
                 out[k] = out.get(k, MultiPoly.zero()) + factor * p
     return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+def _lambda_bracket_by_products(entry, x, y):
+    """lambda_bracket with each product reduced into its component in place, a component whose sum is zero dropped."""
+    out = {}
+    for i, f in x.items():
+        f_shift = f.substitute("d", -L)
+        for j, g in y.items():
+            factor = f_shift * g.substitute("d", D + L)
+            for k, p in entry(i, j).items():
+                acc = out.get(k)
+                acc = factor * p if acc is None else acc + factor * p
+                if acc.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = acc
+    return out
 
 
 def _jth_product_by_hand(A, x, y, j):
@@ -467,6 +504,43 @@ def test_bracket_and_jth_product_match_the_loop_by_hand(A, data, j):
     y = data.draw(_elements(A))
     assert _or_skip(bracket, A, x, y) == _or_skip(_bracket_by_hand, A, x, y)
     assert _or_skip(jth_product, A, x, y, j) == _or_skip(_jth_product_by_hand, A, x, y, j)
+
+
+# module-style indices: the bracket of a generator on a basis vector, the
+# vectors numbered past the generators as check_module numbers them
+_GENS = (0, 1)
+_VECTORS = (5, 6)
+
+
+@st.composite
+def _bracket_inputs(draw):
+    """An entry on generators and vectors, x and y; where drawn, x's two coordinates are equal and
+    entry(1, j) is -entry(0, j) plus a drawn vector, so components cancel to zero."""
+    vectors = st.dictionaries(st.sampled_from(_VECTORS), _dl_polys, max_size=2)
+    table = {(i, j): draw(vectors) for i in _GENS for j in _VECTORS}
+    if draw(st.booleans()):
+        f = draw(_d_polys)
+        x = {0: f, 1: f}
+        for j in _VECTORS:
+            row = {k: -p for k, p in table[(0, j)].items()}
+            for k, p in draw(vectors).items():
+                row[k] = row.get(k, MultiPoly.zero()) + p
+            table[(1, j)] = row
+    else:
+        x = draw(st.dictionaries(st.sampled_from(_GENS), _d_polys, max_size=2))
+    y = draw(st.dictionaries(st.sampled_from(_VECTORS), _d_polys, max_size=2))
+    return table, x, y
+
+
+@given(_bracket_inputs())
+def test_lambda_bracket_is_the_sum_of_its_products(inputs):
+    table, x, y = inputs
+    entry = lambda i, j: table[(i, j)]  # noqa: E731
+    result = lambda_bracket(entry, x, y)
+    assert result == _lambda_bracket_by_products(entry, x, y)
+    assert not any(p.is_zero() for p in result.values())
+    element = AlgebraElement(x)
+    assert (element + -element).coords == {}
 
 
 def test_negative_product_index_raises_before_the_bracket():

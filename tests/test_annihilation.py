@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from lieconformal.algebra import (
     ConformalAlgebra,
     TruncationExceeded,
-    accumulate,
     block,
     current,
     map_virasoro_poly,
@@ -170,6 +169,16 @@ def test_check_annih_lie_reports_are_pinned():
 
 
 # -- check_annih_lie and its witness text against the code they replaced -------
+
+
+def accumulate(out, key, value):
+    """out[key] += value on a sparse vector, a key whose sum is zero dropped: the references' in-place sum."""
+    acc = out.get(key)
+    acc = value if acc is None else acc + value
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
 
 
 def _render_combination_by_hand(X, comb_):

@@ -401,11 +401,10 @@ def test_annih_symbols_are_capped(tmp_path, capsys, monkeypatch):
 def test_check_module_size_is_capped(tmp_path, capsys, monkeypatch):
     # the check is stubbed: at the cap it runs for seconds, and only the
     # refusal before it is under test here
-    from lieconformal import modules
     from lieconformal.reports import Report
 
     checked = []
-    monkeypatch.setattr(modules, "check_module", lambda A, M: checked.append(A.n_gens) or Report("stub"))
+    monkeypatch.setattr(cli, "check_module", lambda A, M: checked.append(A.n_gens) or Report("stub"))
     def dense(n, entry):
         text = "[algebra]\nbuiltin = current\nlie = abelian{}\n[module M]\nbasis = {}\n".format(
             n, " ".join(f"v{r}" for r in range(8))

@@ -158,6 +158,18 @@ def test_theorem_module_preconditions():
         rank_one_theorem_module(virasoro(), "a1!=2", ONE, ZERO, gamma=ONE)
 
 
+def test_theorem_module_low_case_refuses_coeffs():
+    # the low case acts by gamma alone, so a coefficient sequence would be ignored
+    with pytest.raises(InvalidParams, match="coeffs"):
+        rank_one_theorem_module(map_virasoro_poly(3), "a1!=2", ONE, ZERO, coeffs=[ONE, ONE])
+
+
+def test_theorem_module_scaled_case_refuses_gamma():
+    # the scaled case acts by the coefficient sequence alone, so gamma would be ignored
+    with pytest.raises(InvalidParams, match="gamma"):
+        rank_one_theorem_module(map_virasoro_poly(3), "a1=2", ONE, ZERO, gamma=ZERO, coeffs=[ONE, ONE])
+
+
 def test_action_kernel_scaled_module():
     V = map_virasoro_poly(4)
     M = rank_one_theorem_module(V, "a1=2", sc(1), ZERO, coeffs=[ONE] * 3)
