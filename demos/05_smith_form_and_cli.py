@@ -3,6 +3,8 @@
 Run with:  python3 demos/05_smith_form_and_cli.py
 """
 
+import contextlib
+import io
 import os
 import tempfile
 
@@ -10,6 +12,19 @@ from lieconformal import PolyMatrix, smith_normal_form, torsion_split
 from lieconformal.cli import run
 from lieconformal.poly import D, MultiPoly
 from lieconformal.polymatrix import matmul
+
+
+def shell(argv):
+    """Run the CLI on argv and print its output and exit code, less the
+    elapsed: line, whose wall time differs from run to run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    for line in out.getvalue().splitlines():
+        if not line.startswith("elapsed: "):
+            print(line)
+    print(f"(exit {code})")
+
 
 print("=" * 70)
 print("1. Diagonalizing a presentation matrix over d-polynomials")
@@ -53,13 +68,10 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SPEC)
     print("$ lieconformal check-algebra family.lca")
-    code = run(["check-algebra", path])
-    print(f"(exit {code})")
+    shell(["check-algebra", path])
     print()
     print("$ lieconformal snf --matrix 'd,1;0,d'")
-    code = run(["snf", "--matrix", "d,1;0,d"])
-    print(f"(exit {code})")
+    shell(["snf", "--matrix", "d,1;0,d"])
     print()
     print("$ lieconformal scan-a1 --grid 2,5/4 --horizon 8")
-    code = run(["scan-a1", "--grid", "2,5/4", "--horizon", "8"])
-    print(f"(exit {code})")
+    shell(["scan-a1", "--grid", "2,5/4", "--horizon", "8"])

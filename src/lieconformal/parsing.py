@@ -16,14 +16,25 @@ exponents of nested powers, as 6 in (d^2)^3; every product and power has
 total degree at most MAX_DEGREE, checked before it is multiplied out; and
 a numeral has at most MAX_DIGITS digits.  So a short entry cannot ask for
 a polynomial of huge degree or a constant of huge size.
+
+The parser evaluates as it reads, over a flat token list scanned before
+parsing begins.  A factor is a term dict, never mutated and so shared:
+d, l, m and i are module constants, a numeral is {(0, 0, 0): value} (no
+Fraction) or {} for zero, and a parenthesised expression is the terms of
+its MultiPoly.  A term multiplies its factors through poly._add_products,
+and an expression adds its signed terms into one unreduced sum
+(poly._add_products and _add_scaled) and reduces it once
+(poly._reduce_sums), so each coefficient pays one gcd per expression.  A
+parenthesised expression and the whole text are MultiPolys, and a power
+of a parenthesised base goes through the shared power memo poly._power.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import MultiPoly, _power
-from .scalars import Scalar
+from .poly import (
+    D, L, M, MultiPoly, _ONE, _ZERO_KEY, _add_products, _add_scaled, _power, _raw, _reduce_sums,
+)
+from .scalars import I, ONE, Scalar, _reduced
 
 
 # deeper parenthesis nesting is refused rather than left to exhaust the stack
@@ -39,6 +50,12 @@ MAX_DEGREE = 16
 MAX_DIGITS = 640
 _DIGITS = "0123456789"
 
+# the term dicts of the named atoms, shared by every parse and never mutated
+_NAMES = {"d": D.terms, "l": L.terms, "m": M.terms, "i": {_ZERO_KEY: I}}
+_MINUS_ONE = Scalar(-1)
+
+_Token = tuple[str, str, int, int]  # kind, text, line, column
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -48,115 +65,162 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _numeral(tok: tuple[str, str, int, int]) -> int:
+def _numeral(tok: _Token) -> int:
     if len(tok[1]) > MAX_DIGITS:
         raise ParseError(f"numeral of {len(tok[1])} digits exceeds {MAX_DIGITS}", tok[2], tok[3])
     return int(tok[1])
 
 
-def _check_degree(degree: int, what: str, tok: tuple[str, str, int, int]) -> None:
+def _check_degree(degree: int, what: str, tok: _Token) -> None:
     if degree > MAX_DEGREE:
         raise ParseError(f"{what} of degree {degree} exceeds {MAX_DEGREE}", tok[2], tok[3])
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
-        self.index = 0
+def _expect(tok: _Token, kind: str) -> None:
+    if tok[0] != kind:
+        raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
 
-    def _scan(self):
-        # line and column are tracked as the scan goes; no token spans a newline
-        text = self.text
-        i = 0
-        line, line_start = 1, 0
-        while i < len(text):
-            ch = text[i]
-            if ch in " \t\r\n":
-                if ch == "\n":
-                    line, line_start = line + 1, i + 1
-                i += 1
-                continue
-            col = i - line_start + 1
-            if ch in _DIGITS:
-                j = i
-                while j < len(text) and text[j] in _DIGITS:
-                    j += 1
-                self.tokens.append(("int", text[i:j], line, col))
-                i = j
-            elif ch in "dlmi":
-                self.tokens.append(("name", ch, line, col))
-                i += 1
-            elif ch in "+-*^/()":
-                self.tokens.append((ch, ch, line, col))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("end", "", line, len(text) - line_start + 1))
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.index]
+def _tokens(text: str) -> list[_Token]:
+    """Every token of text and a closing "end" token; the whole text is scanned before any parsing."""
+    # line and column are tracked as the scan goes; no token spans a newline
+    tokens: list[_Token] = []
+    n = len(text)
+    i = 0
+    line, line_start = 1, 0
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            if ch == "\n":
+                line, line_start = line + 1, i + 1
+            i += 1
+            continue
+        col = i - line_start + 1
+        if ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("int", text[i:j], line, col))
+            i = j
+            continue
+        if ch in "dlmi":
+            tokens.append(("name", ch, line, col))
+        elif ch in "+-*^/()":
+            tokens.append((ch, ch, line, col))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i += 1
+    tokens.append(("end", "", line, n - line_start + 1))
+    return tokens
 
-    def take(self, kind: str | None = None) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.index]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
-        self.index += 1
-        return tok
+
+def _atom_power(atom: dict, exponent: int) -> dict:
+    """The term dict of atom**exponent, for the at most one term of a name or a numeral."""
+    if not atom:
+        return atom if exponent else _ONE.terms
+    [((k0, k1, k2), c)] = atom.items()
+    return {(k0 * exponent, k1 * exponent, k2 * exponent): c if c is ONE else c**exponent}
+
+
+def _add_term(sums: dict, factors: list[dict], negate: bool) -> None:
+    """sums += the product of factors, or minus it, unreduced.
+
+    Each partial product before the last is reduced, since _add_products
+    reads Scalar coefficients.
+    """
+    left = factors[0]
+    last = len(factors) - 1
+    if not last:
+        _add_scaled(sums, _MINUS_ONE if negate else ONE, left)
+        return
+    for right in factors[1:last]:
+        partial: dict = {}
+        _add_products(partial, left, right)
+        left = _reduce_sums(partial)
+    if negate:
+        left = {key: -c for key, c in left.items()}
+    _add_products(sums, left, factors[last])
 
 
 class _Parser:
+    """Evaluates one text's tokens as it reads them, by index into one list.
+
+    A factor is a term dict (see the module docstring), a term is the list
+    of its factors, and an expression is a MultiPoly.
+    """
+
     def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
+        self.tokens = _tokens(text)
+        self.index = 0
         self.depth = 0
         # the largest product of nested exponents in the factor being parsed
         self.power = 1
 
     def parse(self) -> MultiPoly:
         value = self._expr()
-        tok = self.toks.peek()
+        tok = self.tokens[self.index]
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
         return value
 
     def _expr(self) -> MultiPoly:
-        negate = False
-        if self.toks.peek()[0] == "-":
-            self.toks.take()
-            negate = True
-        value = self._term()
+        tokens = self.tokens
+        negate = tokens[self.index][0] == "-"
         if negate:
-            value = -value
-        while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.take()[0]
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            self.index += 1
+        factors = self._term()
+        kind = tokens[self.index][0]
+        if kind != "+" and kind != "-" and not negate and len(factors) == 1:
+            # a lone factor is already reduced
+            return _raw(factors[0])
+        sums: dict = {}
+        _add_term(sums, factors, negate)
+        while kind == "+" or kind == "-":
+            self.index += 1
+            _add_term(sums, self._term(), kind == "-")
+            kind = tokens[self.index][0]
+        return _raw(_reduce_sums(sums))
 
-    def _term(self) -> MultiPoly:
+    def _term(self) -> list[dict]:
+        tokens = self.tokens
         value, degree = self._factor()
-        while self.toks.peek()[0] == "*":
-            tok = self.toks.take()
+        factors = [value]
+        while tokens[self.index][0] == "*":
+            tok = tokens[self.index]
+            self.index += 1
             rhs, rhs_degree = self._factor()
             degree += rhs_degree
             _check_degree(degree, "product", tok)
-            value = value * rhs
-        return value
+            factors.append(rhs)
+        return factors
 
-    def _factor(self) -> tuple[MultiPoly, int]:
-        """The factor and its total degree, the zero polynomial's counted as 0.
+    def _factor(self) -> tuple[dict, int]:
+        """The factor's term dict and its total degree, the zero polynomial's counted as 0.
 
         Over Q(i) a product of nonzero factors has the sum of their degrees,
         so _term checks the cap without measuring any product; a zero factor
         only makes the check stricter.
         """
         outer, self.power = self.power, 1
-        value, degree = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.take()
-            tok = self.toks.take("int")
+        tokens = self.tokens
+        tok = tokens[self.index]
+        if tok[0] == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", tok[2], tok[3])
+            self.index += 1
+            self.depth += 1
+            poly = self._expr()
+            self.depth -= 1
+            _expect(tokens[self.index], ")")
+            self.index += 1
+            value, degree = poly.terms, poly.total_degree() or 0
+        else:
+            poly = None
+            value, degree = self._atom(tok)
+        if tokens[self.index][0] == "^":
+            tok = tokens[self.index + 1]
+            _expect(tok, "int")
+            self.index += 2
             # a long digit string is over the cap without converting it
             digits = tok[1].lstrip("0") or "0"
             exponent = int(digits) if len(digits) <= 4 else MAX_EXPONENT + 1
@@ -168,38 +232,27 @@ class _Parser:
             _check_degree(degree, "power", tok)
             self.power = power
             # a spec repeats its powers, so each distinct one expands once
-            value = _power(value, exponent)
+            value = _atom_power(value, exponent) if poly is None else _power(poly, exponent).terms
         self.power = max(outer, self.power)
         return value, degree
 
-    def _atom(self) -> tuple[MultiPoly, int]:
-        tok = self.toks.peek()
+    def _atom(self, tok: _Token) -> tuple[dict, int]:
+        """The term dict and degree of a name or a numeral at tok."""
         kind = tok[0]
         if kind == "name":
-            self.toks.take()
-            if tok[1] == "i":
-                return MultiPoly.const(Scalar(0, 1)), 0
-            return MultiPoly.variable(tok[1]), 1
+            self.index += 1
+            return _NAMES[tok[1]], 0 if tok[1] == "i" else 1
         if kind == "int":
-            self.toks.take()
-            numer = _numeral(tok)
-            if self.toks.peek()[0] == "/":
-                self.toks.take()
-                den = self.toks.take("int")
+            numer, denom = _numeral(tok), 1
+            if self.tokens[self.index + 1][0] == "/":
+                den = self.tokens[self.index + 2]
+                _expect(den, "int")
                 denom = _numeral(den)
                 if denom == 0:
                     raise ParseError("zero denominator", den[2], den[3])
-                return MultiPoly.const(Scalar(Fraction(numer, denom))), 0
-            return MultiPoly.const(Scalar(numer)), 0
-        if kind == "(":
-            if self.depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", tok[2], tok[3])
-            self.toks.take()
-            self.depth += 1
-            value = self._expr()
-            self.depth -= 1
-            self.toks.take(")")
-            return value, value.total_degree() or 0
+                self.index += 2
+            self.index += 1
+            return ({_ZERO_KEY: _reduced(numer, 0, denom)} if numer else {}), 0
         raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
 
 

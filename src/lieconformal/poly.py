@@ -20,10 +20,12 @@ sums, and the a1 scan (grading._Scan._recurse_entry) adds one more
 product into them before it reads them.  _add_scaled is the same sum
 without a key shift, on any keys: algebra.map_virasoro's associativity
 check, funceq's columns and annihilation's brackets, defects and weight
-forms.  __mul__ and the long division of
-exact_div and divmod_univar (_divide, which reads the remainder's
-leading coefficient at every step) stay on _accumulate, which reduces
-each sum in place.  exact_div by a one-term divisor, the a1 scan's case
+forms.  The parser (parsing._Parser) multiplies the factors of a term
+through _add_products, adds each signed term into one sum per expression
+with _add_products or _add_scaled, and reduces that sum once.  __mul__
+and the long division of exact_div and divmod_univar (_divide, which
+reads the remainder's leading coefficient at every step) stay on
+_accumulate, which reduces each sum in place.  exact_div by a one-term divisor, the a1 scan's case
 (grading._Scan._recurse_entry), needs no remainder: it divides each term of the dividend once, in the
 dividend's order, not the loop's descending one.  The values are the
 same either way, since each has one canonical triple; only the order of
@@ -210,8 +212,12 @@ class MultiPoly:
         return max(key[idx] for key in self.terms)
 
     def uses_only(self, allowed: tuple[str, ...]) -> bool:
-        banned = [i for v, i in _VAR_INDEX.items() if v not in allowed]
-        return all(all(key[i] == 0 for i in banned) for key in self.terms)
+        banned = _banned(allowed)
+        for key in self.terms:
+            for i in banned:
+                if key[i]:
+                    return False
+        return True
 
     def constant_value(self) -> Scalar | None:
         """The Scalar value if this is a constant polynomial, else None."""
@@ -341,6 +347,15 @@ def _reduce_sums(sums: dict) -> dict:
     return {key: _reduced(n, m, q) for key, (n, m, q) in sums.items() if n or m}
 
 
+@lru_cache(maxsize=None)
+def _banned(allowed: tuple[str, ...]) -> tuple[int, ...]:
+    """The key indices of the variables not in allowed, for MultiPoly.uses_only.
+
+    Callers pass constant tuples, so the memo holds a few entries.
+    """
+    return tuple(i for i, v in enumerate(VARS) if v not in allowed)
+
+
 def _raw(terms: dict[Key, Scalar]) -> MultiPoly:
     p = MultiPoly.__new__(MultiPoly)
     object.__setattr__(p, "terms", terms)
@@ -359,10 +374,10 @@ _ZERO = MultiPoly()
 _ONE = MultiPoly.const(1)
 
 # Substitution images (affine shifts such as l+m or -l-d) and the parser's
-# powers, which a spec repeats, are shared here.  The benchmark's pool for
-# one seed (seeds 1 to 3) leaves 11 or 12 powers here on the scan workload,
-# 8 on axioms, 15 on linear and 17 on gaussian, so this bound holds a whole
-# pool.
+# powers of parenthesised bases, which a spec repeats, are shared here.
+# One pass over the benchmark's pool for one seed (seeds 1 to 3) leaves 2
+# to 12 powers here on the scan workload, 6 on axioms, 11 to 15 on linear
+# and 13 on gaussian, so this bound holds a whole pool.
 _POWER_CACHE_SIZE = 256
 
 

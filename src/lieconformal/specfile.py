@@ -144,18 +144,27 @@ def _unquote_at(value: str, column: int) -> tuple[str, int]:
     return text, column + len(value) - len(value.lstrip()) + (text != value.strip())
 
 
+def _parse_at(parse, value: str, lineno: int, column: int):
+    """parse(text) and the text's column, for the unquoted text of a value
+    that starts at this column of spec line lineno.
+
+    A ParseError inside the value names the spec line and the column
+    counted from the start of that line.
+    """
+    text, column = _unquote_at(value, column)
+    try:
+        return parse(text), column
+    except ParseError as exc:
+        raise ParseError(exc.message, lineno, column + exc.column - 1) from None
+
+
 def _poly_entry(value: str, lineno: int, column: int, what: str) -> MultiPoly:
     """The polynomial of one entry that starts at this column of spec line lineno.
 
     what names the entry ("bracket" or "action") in the message refusing a
-    variable other than d and l.  A ParseError inside the entry names the
-    spec line and the column counted from the start of that line.
+    variable other than d and l.
     """
-    text, column = _unquote_at(value, column)
-    try:
-        poly = parse_poly(text)
-    except ParseError as exc:
-        raise ParseError(exc.message, lineno, column + exc.column - 1) from None
+    poly, column = _parse_at(parse_poly, value, lineno, column)
     if not poly.uses_only(("d", "l")):
         raise ParseError(f"{what} entries may only use d and l", lineno, column)
     return poly
@@ -215,7 +224,8 @@ def _builtin_algebra(pairs) -> ConformalAlgebra:
     def scalar_of(key):
         if key not in pairs:
             raise InvalidStructure(f"builtin {name!r} needs parameter {key!r}")
-        return parse_scalar(_unquote(pairs[key][1]))
+        lineno, value, column = pairs[key]
+        return _parse_at(parse_scalar, value, lineno, column)[0]
 
     def size_of(key, extra=0):
         """The integer parameter key of a builtin with key + extra generators."""
@@ -264,6 +274,10 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
         if len(values) != n:
             raise InvalidStructure("grades must match the generator list")
         grades = {i: g for i, g in enumerate(values)}
+        # the first generator of each grade, the target of a two-index key
+        first_of_grade: dict[int, int] = {}
+        for t, g in grades.items():
+            first_of_grade.setdefault(g, t)
     truncation = None
     if "truncation" in pairs:
         lineno, value, _ = pairs["truncation"]
@@ -287,12 +301,11 @@ def _explicit_algebra(pairs) -> ConformalAlgebra:
                     f"{key!r} needs an explicit target when the algebra is ungraded"
                 )
             target_grade = grades[i] + grades[j]
-            matches = [t for t, g in grades.items() if g == target_grade]
-            if not matches:
+            if target_grade not in first_of_grade:
                 raise UnknownGenerator(
                     f"{key!r}: no generator of grade {target_grade} (line {lineno})"
                 )
-            k = matches[0]
+            k = first_of_grade[target_grade]
         poly = _poly_entry(value, lineno, column, "bracket")
         entry = table.setdefault((i, j), {})
         if k in entry:

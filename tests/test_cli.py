@@ -91,6 +91,12 @@ def test_oversized_entries_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_builtin_parameter_error_names_its_spec_location(tmp_path, capsys):
+    spec = _write(tmp_path, "p.lca", "[algebra]\nbuiltin = block\np = 1/0\ntruncation = 2\n")
+    assert cli.run(["check-algebra", spec]) == 2
+    assert capsys.readouterr().err == "error: zero denominator (line 3, column 7)\n"
+
+
 def test_truncation_exit_code(monkeypatch):
     from lieconformal.algebra import TruncationExceeded
 

@@ -303,6 +303,23 @@ def test_a_repeated_name_is_a_parse_error_at_the_value(text, line, column, messa
     assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("[algebra]\nbuiltin = block\np = 1/0\ntruncation = 2\n", 3, 7, "zero denominator"),
+        ("[algebra]\nbuiltin = block\np = d\ntruncation = 2\n", 3, 5, "expected a constant, got 'd'"),
+        ("[algebra]\nbuiltin = block\np = \"d\"\ntruncation = 2\n", 3, 6, "expected a constant, got 'd'"),
+        ("[algebra]\nbuiltin = vir_semidirect_current\nlie = sl2\na = 2*\n", 4, 7,
+         "expected a value, found 'end of input'"),
+    ],
+    ids=["zero-denominator", "variable", "quoted-variable", "dangling-product"],
+)
+def test_a_builtin_parameter_error_names_its_spec_line_and_column(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_builtin_sections_with_quoted_parameters():
     spec = parse_spec('[algebra]\nbuiltin = "block"\np = "1"\ntruncation = 8\n')
     assert spec.algebra.n_gens == 9
