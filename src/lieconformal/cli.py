@@ -151,11 +151,33 @@ def _module_of(spec: SpecFile, name: str) -> ConformalModule:
     return spec.modules[name]
 
 
-def _scalar_arg(text: str) -> Scalar:
+def _pieces(text: str, sep: str, offset: int = 0) -> list[tuple[int, str]]:
+    """Each piece of text between seps, with its offset in the whole value; text starts at offset."""
+    pieces = []
+    for piece in text.split(sep):
+        pieces.append((offset, piece))
+        offset += len(piece) + len(sep)
+    return pieces
+
+
+def _parse_piece(parse, value: str, start: int, piece: str):
+    """parse(piece) for the piece at offset start of value; a refusal names its line and column in value."""
     try:
-        return parse_scalar(text)
+        return parse(piece)
     except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        before = value[:start]
+        column = exc.column + (start - before.rfind("\n") - 1 if exc.line == 1 else 0)
+        where = ParseError(exc.message, exc.line + before.count("\n"), column)
+        raise argparse.ArgumentTypeError(str(where)) from None
+
+
+def _scalar_arg(text: str) -> Scalar:
+    return _parse_piece(parse_scalar, text, 0, text)
+
+
+def _scalars_arg(text: str) -> list[Scalar]:
+    """Comma-separated scalars; a refusal names its column in the whole list."""
+    return [_parse_piece(parse_scalar, text, start, piece) for start, piece in _pieces(text, ",")]
 
 
 def _refuse_large_check(command: str, A, module=None) -> None:
@@ -333,7 +355,7 @@ def _parse_grid(text: str) -> list[Scalar]:
             raise argparse.ArgumentTypeError(too_many)
         grid = default_grid(n, lo, hi)
     else:
-        grid = [_scalar_arg(x) for x in text.split(",")]
+        grid = _scalars_arg(text)
     if not grid:
         raise argparse.ArgumentTypeError(f"grid {text!r} holds no slope")
     if len(grid) > MAX_GRID_SLOPES:
@@ -347,10 +369,9 @@ def _samples_arg(text: str) -> tuple[Scalar, ...]:
     A repeated value (3 and 6/2 are one) is kept once, where it first
     occurs, so no instance is verified twice; the cap counts every value.
     """
-    parts = text.split(",")
-    if len(parts) > MAX_PROP36_SAMPLES:
+    if text.count(",") + 1 > MAX_PROP36_SAMPLES:
         raise argparse.ArgumentTypeError(f"{text!r} holds more than {MAX_PROP36_SAMPLES} samples")
-    return tuple(dict.fromkeys(_scalar_arg(x) for x in parts))
+    return tuple(dict.fromkeys(_scalars_arg(text)))
 
 
 def _cmd_scan_a1(args) -> int:
@@ -365,13 +386,15 @@ def _cmd_scan_a1(args) -> int:
 
 def _matrix_arg(text: str) -> list[list]:
     """The --matrix value: rows split by ';', entries by ','; sizes and coefficients capped."""
-    rows = [chunk.split(",") for chunk in text.split(";")]
+    rows = [_pieces(chunk, ",", start) for start, chunk in _pieces(text, ";")]
     if len(rows) > MAX_SNF_SIZE or any(len(row) > MAX_SNF_SIZE for row in rows):
         raise argparse.ArgumentTypeError(f"a matrix has at most {MAX_SNF_SIZE} rows and columns")
-    try:
-        rows = [[parse_poly(cell.strip()) for cell in row] for row in rows]
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    # a refusal's column counts the whitespace that strip() removes
+    rows = [
+        [_parse_piece(parse_poly, text, start + len(cell) - len(cell.lstrip()), cell.strip())
+         for start, cell in row]
+        for row in rows
+    ]
     entries = [p for row in rows for p in row]
     if any((p.degree_in("d") or 0) > MAX_SNF_DEGREE for p in entries):
         raise argparse.ArgumentTypeError(f"an entry has degree in d above {MAX_SNF_DEGREE}")

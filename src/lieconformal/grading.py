@@ -298,6 +298,9 @@ class _Scan:
         self._row_zero: dict = {}  # target -> (p_{0,h}, p_{h,0})
         # a_1 - 1 - k for each step degree k (see _steps)
         self._offsets = [(k, a1 - ONE - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
+        # r with a_1 - 1 = K/r in lowest terms, the period of the residue
+        # bound in _dfs; 1, no bound, for a non-real slope
+        self._r = a1.re.denominator if a1.is_real() else 1
 
     def _candidates(self, target: Scalar, k: int, diagonal: bool) -> tuple[MultiPoly, ...]:
         """Row-one entries p_{1,h-1} of degree k from a_{h-1} to a_h = target.
@@ -523,15 +526,33 @@ class _Scan:
     # -- the search ----------------------------------------------------------
 
     def _dfs(self, table, a_seq: list[Scalar]) -> tuple[list[Scalar], dict] | None:
-        """Extend a_1..a_h (a_seq[0] is a_1) to the horizon: (a_seq, table), or None."""
+        """Extend a_1..a_h (a_seq[0] is a_1) to the horizon: (a_seq, table), or None.
+
+        A branch and bound (Land and Doig 1960).  Write a_1 - 1 = K/r in
+        lowest terms (self._r).  Each step gives a_t = 1 + t(a_1 - 1) -
+        (k_2 + ... + k_t) with integer k's, so a_t = a_u forces r | t - u, and
+        a_1..a_r are distinct.  So a node at depth c < r with s distinct
+        values gains a new value at each depth c+1..r that it reaches, while
+        the prune allows at most H = horizon // 2: unless s + r - c <= H,
+        nothing below it passes depth c + H - s (_reach).  A child whose
+        reach is at most best_depth is skipped: (a) the search returns when
+        it reaches the horizon, so best_depth and the reach are below it and
+        the subtree holds no witness, and the first witness in depth-first
+        order is the same; (b) no node of the subtree is deeper than
+        best_depth, so it cannot raise it.
+        """
         depth = len(a_seq)
         self.best_depth = max(self.best_depth, depth)
         if depth == self.horizon:
             return a_seq, table
         # choosing p_{1,depth}, which fixes a_{depth+1}
         seen = set(a_seq)
+        bounded = depth + 1 < self._r
         for k, target in self._steps(a_seq[-1]):
-            if 2 * (len(seen) + (target not in seen)) > self.horizon:
+            distinct = len(seen) + (target not in seen)
+            if 2 * distinct > self.horizon:
+                continue
+            if bounded and self._reach(depth + 1, distinct) <= self.best_depth:
                 continue
             for p1j in self._candidates(target, k, diagonal=(depth == 1)):
                 extended = self._extend(table, depth + 1, target, p1j)
@@ -540,6 +561,13 @@ class _Scan:
                     if found is not None:
                         return found
         return None
+
+    def _reach(self, depth: int, distinct: int) -> int:
+        """The deepest depth below a node at depth with distinct values (see _dfs)."""
+        half = self.horizon // 2
+        if depth >= self._r or distinct + self._r - depth <= half:
+            return self.horizon
+        return depth + half - distinct
 
     def _extend(self, table, h: int, target: Scalar, p1j: MultiPoly) -> dict | None:
         """A copy of the table with the index-sum-h diagonal added, or None if it cannot be forced.

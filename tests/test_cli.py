@@ -367,6 +367,27 @@ def test_malformed_samples_and_matrices_are_argument_errors(capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["scan-a1", "--grid", "1,2,x"], "argument --grid: unexpected character 'x' (line 1, column 5)"),
+        (["scan-a1", "--grid", "1,1/0"], "argument --grid: zero denominator (line 1, column 5)"),
+        (["verify-prop36", "--a-samples", "1,d"],
+         "argument --a-samples: expected a constant, got 'd' (line 1, column 3)"),
+        (["snf", "--matrix", "1,2;3,d+"],
+         "argument --matrix: expected a value, found 'end of input' (line 1, column 9)"),
+        # the whitespace that strip() takes off a cell counts, and so does a newline
+        (["snf", "--matrix", "1, 2;3,  d+"],
+         "argument --matrix: expected a value, found 'end of input' (line 1, column 12)"),
+        (["snf", "--matrix", "1,2;\n3, d+"],
+         "argument --matrix: expected a value, found 'end of input' (line 2, column 6)"),
+    ],
+)
+def test_a_comma_list_refusal_names_its_column_in_the_whole_value(capsys, argv, message):
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
 def test_spec_generators_are_capped(tmp_path, capsys):
     block = "[algebra]\nbuiltin = block\np = 1\ntruncation = {}\n"
     cap = cli.MAX_GENERATORS

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lieconformal.algebra import (
     ConformalAlgebra,
@@ -446,8 +446,85 @@ def test_scan_matches_the_check_on_every_x_le_y(monkeypatch, horizon):
 
 
 def test_every_extended_grade_holds_on_negative_slopes(monkeypatch):
-    extended = _assert_every_extended_grade_holds(monkeypatch, default_grid(12, Fraction(-3), Fraction(0)), 12)
+    # horizon 14, not 12: the residue bound of _Scan._dfs leaves 880
+    # extended grades at horizon 12
+    extended = _assert_every_extended_grade_holds(monkeypatch, default_grid(12, Fraction(-3), Fraction(0)), 14)
     assert len(extended) > 1000
+
+
+# -- the residue bound of _Scan._dfs --------------------------------------------
+
+
+class _UnboundedScan(_Scan):
+    """The search with no residue bound: every subtree may reach the horizon."""
+
+    def _reach(self, depth, distinct):
+        return self.horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-3, max_value=4, max_denominator=30), st.integers(2, 14))
+def test_the_residue_bound_keeps_every_verdict_depth_and_witness(a1, horizon):
+    bounded, reference = scan_a1(a1, horizon), _UnboundedScan(Scalar(a1), horizon).run()
+    assert bounded.to_dict() == reference.to_dict()
+    assert bounded.table == reference.table
+
+
+def _deepest_walk(a1, horizon, walk):
+    """The deepest depth of any walk that extends walk by steps of degree 0..3
+    and keeps at most horizon/2 distinct values at every depth; no table is built."""
+    deepest = len(walk)
+    for k in range(_MAX_STEP_DEGREE + 1):
+        if deepest == horizon:
+            break
+        longer = walk + (a1 + walk[-1] - 1 - k,)
+        if 2 * len(set(longer)) <= horizon:
+            deepest = max(deepest, _deepest_walk(a1, horizon, longer))
+    return deepest
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.fractions(min_value=-1, max_value=4, max_denominator=14),
+    st.lists(st.integers(0, _MAX_STEP_DEGREE), max_size=12),
+)
+@example(8, Fraction(1, 5), [])  # the reach binds: r = 5 > 8 // 2 and no walk passes depth 4
+@example(8, Fraction(1, 4), [])  # every residue fits: 5/4, 1/2, 3/4, 1 repeat to the horizon
+def test_the_reach_is_at_least_the_deepest_walk(horizon, slope_minus_one, steps):
+    # a_1 - 1 = K/r in lowest terms; the walk is a node at a depth below r
+    r = slope_minus_one.denominator
+    a1 = 1 + slope_minus_one
+    walk = (a1,)
+    for k in steps[: max(r - 2, 0)]:
+        walk += (a1 + walk[-1] - 1 - k,)
+        assume(2 * len(set(walk)) <= horizon and len(walk) <= horizon)
+    scan = _Scan(Scalar(a1), horizon)
+    assert scan._r == r
+    assert scan._reach(len(walk), len(set(walk))) >= _deepest_walk(a1, horizon, walk)
+
+
+@pytest.mark.parametrize(("a1", "horizon", "bounded", "unbounded"), [("6/5", 8, 3, 7), ("3/2", 10, 52, 52)])
+def test_the_residue_bound_skips_extends_only_while_r_exceeds_half_the_horizon(
+    monkeypatch, a1, horizon, bounded, unbounded
+):
+    # at 6/5, r = 5 > 8 // 2: once a branch reaches depth 4, every other
+    # child is skipped; at 3/2, r = 2 and the search is the unbounded one
+    calls = []
+    extend = _Scan._extend
+
+    def recording(self, *args):
+        calls.append(args[1])
+        return extend(self, *args)
+
+    monkeypatch.setattr(_Scan, "_extend", recording)
+    results = []
+    for scan in (_Scan(sc(a1), horizon), _UnboundedScan(sc(a1), horizon)):
+        calls.clear()
+        results.append(scan.run())
+        results.append(len(calls))
+    assert results[1::2] == [bounded, unbounded]
+    assert results[0] == results[2]
 
 
 # -- the two identities the proof in _Scan._extend rests on ---------------------
