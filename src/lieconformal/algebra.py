@@ -361,19 +361,13 @@ def _swap_lm(p: MultiPoly) -> MultiPoly:
 # and writing that bracket as its skew image plus its skew defect gives
 # the first term by term.  So J(y, x, z) = _swapped_first(J(x, y, z)) where
 # skew holds on (x, y), whatever g_z is (a module basis vector too), and
-# J(x, z, y) = _swapped_last(J(x, y, z)) where it holds on every pair that
+# J(x, z, y) vanishes with J(x, y, z) where skew holds on every pair that
 # J(x, y, z) reads, as the pairs of each S in Lemma A are.  _pair_defects,
 # the one Jacobi pair loop, derives by both on a skew-symmetric table and
-# by the first alone for check_module.
+# by the first alone for check_module; by Lemma A it derives only that a
+# defect is empty, and computes a failing one.
 def _swapped_first(defect: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
     return {k: -_swap_lm(p) for k, p in defect.items()}
-
-
-_NEG_L_M_D = -L - M - D
-
-
-def _swapped_last(defect: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
-    return {k: -p.substitute("m", _NEG_L_M_D) for k, p in defect.items()}
 
 
 def check_skew(A: ConformalAlgebra) -> Report:
@@ -406,14 +400,17 @@ def _pair_defects(A: ConformalAlgebra, entry, zs, skew: bool = False):
     (x, y, z) with x > y derives from (y, x, z) through _swapped_first where
     skew holds on the pair, whatever z indexes.  Where skew holds on every
     pair inside the truncation, check_jacobi passes skew, and (x, y, z)
-    with y > z derives from (x, z, y) through _swapped_last, so each orbit
+    with y > z is empty by Lemma A where (x, z, y) is, so a passing orbit
     is computed once, at its sorted triple x <= y <= z; a sorted triple
     with a pair beyond the truncation raises in every ordering and is
-    skipped unread.  Lemma A needs z to be a generator, so a module leaves skew
-    False.  An empty defect derives as empty, so only a failing check pays
-    a substitution.  Every defect is kept in one memo for the whole loop:
-    at 32 generators its 32,768 entries raise check_jacobi's traced peak
-    by about 3 MB (tracemalloc, 5.5 to 8.5 MB).
+    skipped unread.  Where (x, z, y) fails, (x, y, z) is computed by
+    jacobi_defect: on entries of high degree Lemma A's substitution
+    m -> -l-m-d costs more than the defect.  Lemma A needs z to be a
+    generator, so a module leaves skew False.  An empty defect derives as
+    empty, so only a failing check pays a swap or a computation.  Every
+    defect is kept in one memo for the whole loop: at 32 generators its
+    32,768 entries raise check_jacobi's traced peak by about 3 MB
+    (tracemalloc, 5.5 to 8.5 MB).
     """
     n = A.n_gens
     # every triple's defect, None beyond the truncation: the one a triple
@@ -433,10 +430,8 @@ def _pair_defects(A: ConformalAlgebra, entry, zs, skew: bool = False):
                     defect = known[(y, x, z)]
                     if defect:
                         defect = _swapped_first(defect)
-                elif skew and y > z:
+                elif skew and y > z and not known[(x, z, y)]:
                     defect = known[(x, z, y)]
-                    if defect:
-                        defect = _swapped_last(defect)
                 elif not inside or skew and not (row[z] and A.has_entry(y, z)):
                     defect = None
                 else:

@@ -16,11 +16,13 @@ flipped, so algebra.jacobi_defect computes the defect.
 Its top-degree shadow drops the constants; homogeneous solutions of total
 degree k are classified (for delta_i != 0) by an eight-row table.  Its
 degree range is complete: no k >= 4 has a nonzero solution at any
-parameters (proved in grading._Scan._candidates).  Its rows at k <= 3 are
-not proved for every parameter; verify_solution_table reproduces them by
-sampling exact parameter grids.  For a != 1 the same proof gives every
-homogeneous solution as a multiple of one closed form F
-(_lemma_c_solution), and _lemma_c_conditions reduces "F solves" to a few
+parameters (proved in grading._Scan._candidates).  For a != 1 the same
+proof gives every homogeneous solution as a multiple of one closed form F
+(_lemma_c_solution), and at a = 1 as l times F at a = 0 in degree k - 1,
+so each row's solution is derived from F (_row_solution), not written
+out.  Where each row holds, its a and pinned delta_i, is not proved for
+every parameter; verify_solution_table reproduces the rows by sampling
+exact parameter grids.  _lemma_c_conditions reduces "F solves" to a few
 polynomials in (a, delta_i) of degree <= 2, interpolated exactly from the
 defect itself.  _lemma_c_rule fixes a and keeps delta_i free: the
 conditions become quadratics in delta_i, and F its delta-free and
@@ -427,7 +429,9 @@ class TableRow:
     and its solution up to scalar.
 
     delta_j is not stated: the degree-offset row gives delta_j = delta_i +
-    k + 1 - a for every nonzero solution of degree k.
+    k + 1 - a for every nonzero solution of degree k.  Neither is the
+    solution: formula derives it from Lemma C (_row_solution), and the
+    paper's formulas for the eight rows are the tests' oracle.
     """
 
     row_id: str
@@ -450,49 +454,39 @@ class TableRow:
                 yield (a, *self.instantiate(a, delta_i))
 
 
+def _row_solution(k: int) -> Callable[[Scalar, Scalar], MultiPoly]:
+    """Row k's solution at (a, delta_i), as grading._Scan._candidates proves it.
+
+    At a != 1 every solution is a multiple of Lemma C's F
+    (_lemma_c_solution).  At a = 1, k >= 1 and delta_i != 0 every solution
+    is l h, with h a solution at a = 0 in degree k - 1 with the same
+    delta_i and delta_j, so h is F there; at a = 1 and k = 0 the constant 1
+    solves.
+    """
+
+    def formula(a: Scalar, delta_i: Scalar) -> MultiPoly:
+        if a != ONE:
+            return _lemma_c_solution(a, delta_i, k)
+        return L * _lemma_c_solution(ZERO, delta_i, k - 1) if k else MultiPoly.one()
+
+    return formula
+
+
 def _rows() -> tuple[TableRow, ...]:
-    one = ONE
-
-    def r_const(a, di):
-        return MultiPoly.one()
-
-    def r_a1(a, di):
-        return D - (di / (one - a)) * L
-
-    def r_a2(a, di):
-        return D * D - ((one + 2 * di) / (one - a)) * D * L - (di / (one - a)) * L * L
-
-    def r_a3(a, di):
-        return (
-            D**3
-            + Scalar(Fraction(3, 2)) * D * D * L
-            - Scalar(Fraction(3, 2)) * D * L * L
-            - L**3
-        )
-
-    def r_b1(a, di):
-        return L
-
-    def r_b2(a, di):
-        return L * (D - di * L)
-
-    def r_b3(a, di):
-        return L * (D * D + 3 * D * L + 2 * L * L)
-
     return (
-        TableRow("a-generic-k0", 0, None, None, r_const),
-        TableRow("a-generic-k1", 1, None, None, r_a1),
-        TableRow("a-generic-k2", 2, None, lambda a: a - Scalar(2), r_a2),
+        TableRow("a-generic-k0", 0, None, None, _row_solution(0)),
+        TableRow("a-generic-k1", 1, None, None, _row_solution(1)),
+        TableRow("a-generic-k2", 2, None, lambda a: a - Scalar(2), _row_solution(2)),
         # The generic cubic only solves at a = 5/3, with delta_j = 5/3.
-        TableRow("a-generic-k3", 3, Scalar(Fraction(5, 3)), lambda a: Scalar(Fraction(-2, 3)), r_a3),
-        TableRow("a-one-k0", 0, one, None, r_const),
-        TableRow("a-one-k1", 1, one, None, r_b1),
-        TableRow("a-one-k2", 2, one, None, r_b2),
+        TableRow("a-generic-k3", 3, Scalar(Fraction(5, 3)), lambda a: Scalar(Fraction(-2, 3)), _row_solution(3)),
+        TableRow("a-one-k0", 0, ONE, None, _row_solution(0)),
+        TableRow("a-one-k1", 1, ONE, None, _row_solution(1)),
+        TableRow("a-one-k2", 2, ONE, None, _row_solution(2)),
         # The k=3 row in the a=1 regime: the solution only exists at
         # (delta_i, delta_j) = (-2, 1); coefficient matching rejects the
         # transposed pair (-1, 2) even though both satisfy the degree
         # offset s = a + delta_j - delta_i - 1 = 3.
-        TableRow("a-one-k3", 3, one, lambda a: Scalar(-2), r_b3),
+        TableRow("a-one-k3", 3, ONE, lambda a: Scalar(-2), _row_solution(3)),
     )
 
 

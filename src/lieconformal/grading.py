@@ -298,9 +298,11 @@ class _Scan:
         self._row_zero: dict = {}  # target -> (p_{0,h}, p_{h,0})
         # a_1 - 1 - k for each step degree k (see _steps)
         self._offsets = [(k, a1 - ONE - Scalar(k)) for k in range(_MAX_STEP_DEGREE + 1)]
-        # r with a_1 - 1 = K/r in lowest terms, the period of the residue
-        # bound in _dfs; 1, no bound, for a non-real slope
-        self._r = a1.re.denominator if a1.is_real() else 1
+        # the residue bound's r (see _dfs): a_1..a_r are distinct.  For a
+        # real slope it is the denominator of a_1 - 1 = K/r in lowest terms;
+        # a non-real slope has Im a_t = t Im a_1, so a_1..a_horizon are
+        # distinct and r is the horizon
+        self._r = a1.re.denominator if a1.is_real() else horizon
 
     def _candidates(self, target: Scalar, k: int, diagonal: bool) -> tuple[MultiPoly, ...]:
         """Row-one entries p_{1,h-1} of degree k from a_{h-1} to a_h = target.
@@ -433,14 +435,6 @@ class _Scan:
         return hit
 
     def run(self) -> ScanResult:
-        # A non-real a_1 is rejected without searching.  The search rejects
-        # it too (Im a_j = j Im a_1, so the values a_1..a_h are distinct and
-        # the bound of horizon/2 distinct values prunes), but its table
-        # entries carry the slope's Gaussian parts: with 600-digit parts one
-        # slope takes about 10 s at horizon 32 on a 2-vCPU VM.  The depth 1
-        # reported here is not a depth the search reaches.
-        if not self.a1.is_real():
-            return ScanResult(self.a1, self.horizon, False, None, 1)
         found = self._dfs(self._initial_table(), [self.a1])
         if found is None:
             return ScanResult(self.a1, self.horizon, False, None, self.best_depth)
@@ -528,18 +522,23 @@ class _Scan:
     def _dfs(self, table, a_seq: list[Scalar]) -> tuple[list[Scalar], dict] | None:
         """Extend a_1..a_h (a_seq[0] is a_1) to the horizon: (a_seq, table), or None.
 
-        A branch and bound (Land and Doig 1960).  Write a_1 - 1 = K/r in
-        lowest terms (self._r).  Each step gives a_t = 1 + t(a_1 - 1) -
-        (k_2 + ... + k_t) with integer k's, so a_t = a_u forces r | t - u, and
-        a_1..a_r are distinct.  So a node at depth c < r with s distinct
-        values gains a new value at each depth c+1..r that it reaches, while
-        the prune allows at most H = horizon // 2: unless s + r - c <= H,
-        nothing below it passes depth c + H - s (_reach).  A child whose
-        reach is at most best_depth is skipped: (a) the search returns when
-        it reaches the horizon, so best_depth and the reach are below it and
-        the subtree holds no witness, and the first witness in depth-first
-        order is the same; (b) no node of the subtree is deeper than
-        best_depth, so it cannot raise it.
+        A branch and bound (Land and Doig 1960).  Each step gives a_t = 1 +
+        t(a_1 - 1) - (k_2 + ... + k_t) with integer k's.  For a real slope
+        write a_1 - 1 = K/r in lowest terms (self._r): a_t = a_u forces
+        r | t - u, so a_1..a_r are distinct.  For a non-real slope Im a_t =
+        t Im a_1, so a_t = a_u forces t = u, and r is the horizon.  So a node
+        at depth c < r with s distinct values gains a new value at each
+        depth c+1..r that it reaches, while the prune allows at most H =
+        horizon // 2: unless s + r - c <= H, nothing below it passes depth
+        c + H - s (_reach).  A child whose reach is at most best_depth is
+        skipped: (a) the search returns when it reaches the horizon, so
+        best_depth and the reach are below it and the subtree holds no
+        witness, and the first witness in depth-first order is the same;
+        (b) no node of the subtree is deeper than best_depth, so it cannot
+        raise it.  At depth >= r the reach is the horizon, above best_depth,
+        so no child is skipped there.  A non-real slope's values are all
+        distinct, so no branch passes depth H, and once one reaches it every
+        other is skipped: its search ends at rejection depth H or below.
         """
         depth = len(a_seq)
         self.best_depth = max(self.best_depth, depth)
@@ -547,12 +546,9 @@ class _Scan:
             return a_seq, table
         # choosing p_{1,depth}, which fixes a_{depth+1}
         seen = set(a_seq)
-        bounded = depth + 1 < self._r
         for k, target in self._steps(a_seq[-1]):
             distinct = len(seen) + (target not in seen)
-            if 2 * distinct > self.horizon:
-                continue
-            if bounded and self._reach(depth + 1, distinct) <= self.best_depth:
+            if 2 * distinct > self.horizon or self._reach(depth + 1, distinct) <= self.best_depth:
                 continue
             for p1j in self._candidates(target, k, diagonal=(depth == 1)):
                 extended = self._extend(table, depth + 1, target, p1j)

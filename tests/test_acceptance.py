@@ -10,6 +10,7 @@ from lieconformal.funceq import TABLE_ROWS
 from lieconformal.poly import D, L, MultiPoly
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
 from test_annihilation import reconstruct_lambda_action
+from test_funceq import _STATED_SOLUTIONS, _proportional
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -55,6 +56,10 @@ def test_criterion_02_solution_table():
     for row in TABLE_ROWS:
         if row.delta_i_of is None:
             ok = ok and len(by_row[row.row_id]) >= 5
+        # each row's solution, derived from Lemma C, is the paper's formula
+        for a, di, _, solution in row.instances(*lc.verify_solution_table.__defaults__):
+            ok = ok and not solution.is_zero()
+            ok = ok and _proportional(solution, _STATED_SOLUTIONS[row.row_id](a, di))
     _report(2, "homogeneous solution table", ok)
 
 

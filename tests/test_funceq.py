@@ -26,6 +26,7 @@ from lieconformal.funceq import (
 )
 from lieconformal.grading import _skew_condition
 from lieconformal.linalg import nullspace
+from lieconformal.parsing import parse_scalar
 from lieconformal.poly import D, L, M, MultiPoly, _add_scaled, _reduce_sums
 from lieconformal.reports import Report
 from lieconformal.scalars import ONE, Scalar, ZERO, sc
@@ -420,6 +421,49 @@ _STATED_TABLE = {
     "a-one-k2": (ONE, {ONE: lambda di: (di, di + Scalar(2))}),
     "a-one-k3": (ONE, {ONE: lambda di: (Scalar(-2), ONE)}),
 }
+
+
+# The paper's solution of each row at (a, delta_i), written out: the
+# oracle for the rows' solutions, which funceq derives from Lemma C.
+_STATED_SOLUTIONS = {
+    "a-generic-k0": lambda a, di: MultiPoly.one(),
+    "a-generic-k1": lambda a, di: D - (di / (ONE - a)) * L,
+    "a-generic-k2": lambda a, di: D * D - ((ONE + 2 * di) / (ONE - a)) * D * L - (di / (ONE - a)) * L * L,
+    "a-generic-k3": lambda a, di: D**3 + sc("3/2") * D * D * L - sc("3/2") * D * L * L - L**3,
+    "a-one-k0": lambda a, di: MultiPoly.one(),
+    "a-one-k1": lambda a, di: L,
+    "a-one-k2": lambda a, di: L * (D - di * L),
+    "a-one-k3": lambda a, di: L * (D * D + 3 * D * L + 2 * L * L),
+}
+
+# the sample grids the CI passes verify-prop36 at its cap, 16 short
+# Gaussian values each
+_CAP_A_SAMPLES = (
+    "1/7+2/3*i,-2/1+1/2*i,-3/2-2/6*i,-6/1+4/3*i,-6/8+1/1*i,8/7+5/2*i,-2/2-6/7*i,-4/1-1/2*i,"
+    "3/4-6/8*i,9/3+1/3*i,-4/6-2/8*i,-4/1-7/9*i,0/6-5/3*i,8/1-2/6*i,-8/9-3/4*i,6/6-6/3*i"
+)
+_CAP_DELTA_SAMPLES = (
+    "0/7-2/1*i,-3/6+4/4*i,5/7-1/7*i,9/7+3/8*i,-7/5+8/9*i,6/9+1/8*i,1/5-1/7*i,-3/9+3/1*i,"
+    "3/7-1/4*i,-9/1+4/2*i,-3/5-3/2*i,6/7+1/5*i,5/2-3/9*i,2/2+5/1*i,-8/1+5/9*i,1/6+8/8*i"
+)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        verify_solution_table.__defaults__,
+        tuple(tuple(parse_scalar(v) for v in text.split(",")) for text in (_CAP_A_SAMPLES, _CAP_DELTA_SAMPLES)),
+    ],
+    ids=["default", "cap"],
+)
+def test_each_row_derives_the_stated_solution(samples):
+    seen = set()
+    for row in TABLE_ROWS:
+        for a, di, _, solution in row.instances(*samples):
+            assert not solution.is_zero(), (row.row_id, a, di)
+            assert _proportional(solution, _STATED_SOLUTIONS[row.row_id](a, di)), (row.row_id, a, di)
+            seen.add(row.row_id)
+    assert seen == set(_STATED_SOLUTIONS)
 
 
 def test_table_rows_keep_the_stated_parameters():

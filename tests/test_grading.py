@@ -302,7 +302,14 @@ def test_scan_rejects_five_quarters():
 
 
 def test_scan_rejects_complex_slope():
-    assert not scan_a1(I, 12).admissible
+    # Im a_t = t Im a_1 keeps a_1..a_h distinct, so no branch passes
+    # horizon // 2 values, and the residue bound ends the search once one
+    # branch reaches that depth
+    for a1 in (I, ONE + I, sc("3/2", "1/2"), Scalar(2, 1)):
+        for horizon in (4, 8, 12):
+            r = scan_a1(a1, horizon)
+            assert not r.admissible and r.witness_sequence is None, (a1, horizon)
+            assert r.rejection_depth == horizon // 2, (a1, horizon)
 
 
 def test_scan_is_deterministic():
@@ -462,10 +469,17 @@ class _UnboundedScan(_Scan):
         return self.horizon
 
 
+_scan_parts = st.fractions(min_value=-3, max_value=4, max_denominator=30)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=-3, max_value=4, max_denominator=30), st.integers(2, 14))
+@given(
+    # real slopes, and Gaussian ones, whose r is the horizon
+    st.one_of(st.builds(Scalar, _scan_parts), st.builds(Scalar, _scan_parts, _scan_parts.filter(bool))),
+    st.integers(2, 14),
+)
 def test_the_residue_bound_keeps_every_verdict_depth_and_witness(a1, horizon):
-    bounded, reference = scan_a1(a1, horizon), _UnboundedScan(Scalar(a1), horizon).run()
+    bounded, reference = scan_a1(a1, horizon), _UnboundedScan(a1, horizon).run()
     assert bounded.to_dict() == reference.to_dict()
     assert bounded.table == reference.table
 
